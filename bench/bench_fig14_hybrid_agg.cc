@@ -127,9 +127,11 @@ int main() {
     // Gather locality: achieved GB/s of the fused gather kernels
     // (segment_reduce + segment_reduce_ext) over one profiled HA epoch,
     // against a streaming reference — the roofline STREAM triad when the
-    // probe ran, else the row_copy kernel's rate from the same profiled
-    // epoch (pure sequential movement, the best a gather could do). The
-    // reorder + tiling work exists to push this ratio up.
+    // probe ran, else the rate of the pure-movement kernels (row copies and
+    // zero fills, which row_copy billed together before zero_fill got its
+    // own row) from the same profiled epoch: pure sequential movement, the
+    // best a gather could do. The reorder + tiling work exists to push this
+    // ratio up.
     {
       const bool was_profiling = simd::KernelProfilingEnabled();
       if (!was_profiling) {
@@ -152,6 +154,7 @@ int main() {
       delta(obs::ProfKernel::kSegmentReduceExt, &gather_bytes, &gather_wall);
       double copy_bytes = 0.0, copy_wall = 0.0;
       delta(obs::ProfKernel::kRowCopy, &copy_bytes, &copy_wall);
+      delta(obs::ProfKernel::kZeroFill, &copy_bytes, &copy_wall);
       const double gather_gbps =
           gather_wall > 0.0 ? gather_bytes / gather_wall * 1e-9 : 0.0;
       const double stream_ref_gbps =
@@ -166,7 +169,8 @@ int main() {
       std::printf("gather locality: %.2f GB/s gather vs %.2f GB/s stream (%s) "
                   "= ratio %.3f\n",
                   gather_gbps, stream_ref_gbps,
-                  after.roofline.mem_bw_gbps > 0.0 ? "roofline probe" : "row_copy ref",
+                  after.roofline.mem_bw_gbps > 0.0 ? "roofline probe"
+                                                   : "row_copy+zero_fill ref",
                   locality_ratio);
     }
   }

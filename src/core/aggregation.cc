@@ -204,6 +204,12 @@ Variable HdgAggregator::InstanceLevelAttention(const Variable& instance_feats,
   if (plan_ != nullptr && plan_->has_instance()) {
     const LevelPlan& inst = plan_->instance();
     Variable weights = AgSegmentSoftmax(scores, inst.offsets, inst.chunks);
+    if (strategy_ != ExecStrategy::kSparse) {
+      // SA+FA / HA: fused weighted reduce — no [I, d] weighted rows, no [I, d]
+      // broadcast gradient, bitwise equal to the composition below.
+      return AgSegmentWeightedSum(instance_feats, weights, inst.offsets, inst.chunks);
+    }
+    // SA models materialization: scale every instance row, then reduce.
     Variable weighted = AgMulRowScalar(instance_feats, weights);
     return AgSegmentReduce(weighted, inst.offsets, ReduceKind::kSum, inst.chunks);
   }

@@ -8,7 +8,9 @@
 //
 // Which kernel executes each level depends on the strategy:
 //   bottom    SA: gather+scatter   FA/HA: fused vertex reduce
-//   instance  SA: scatter w/ index otherwise: CSC segment reduce (sparse NN)
+//   instance  SA: scatter w/ index otherwise: CSC segment reduce (sparse NN);
+//             attention: SA scales rows then reduces, otherwise fused
+//             weighted segment sum
 //   schema    HA: dense reshape+reduce   otherwise: scatter w/ index
 #ifndef SRC_CORE_AGGREGATION_H_
 #define SRC_CORE_AGGREGATION_H_
@@ -64,7 +66,8 @@ class HdgAggregator {
 
   // Attention-weighted instance → slot reduction: weights are a segment
   // softmax of `scores` ([I, 1]) within each slot (MAGNN's scatter_softmax
-  // step), output is the weighted sum per slot.
+  // step), output is the weighted sum per slot. Planned SA+FA/HA runs the
+  // fused AgSegmentWeightedSum; SA scales the [I, d] rows, then reduces.
   Variable InstanceLevelAttention(const Variable& instance_feats, const Variable& scores) const;
 
   // Schema level, [R·T, d] → [R, d].

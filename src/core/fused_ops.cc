@@ -2,7 +2,6 @@
 
 #include <cstring>
 
-#include "src/exec/chunks.h"
 #include "src/exec/parallel.h"
 #include "src/exec/simd.h"
 #include "src/obs/metrics.h"
@@ -15,30 +14,8 @@ namespace flexgraph {
 
 namespace {
 
+using exec::ForEachSegmentChunk;
 using exec::kMinParallelWork;
-
-// Runs body(s_lo, s_hi) over segment-aligned chunks (the plan's, or fixed
-// boundaries derived from the offsets). Per-segment work inside `body` is the
-// sequential kernel verbatim, so results are bitwise identical to 1 thread.
-void ForEachSegmentChunk(std::span<const uint64_t> offsets, std::span<const int64_t> chunks,
-                         int64_t total_work,
-                         const std::function<void(int64_t, int64_t)>& body) {
-  const int64_t num_segments = offsets.empty() ? 0 : static_cast<int64_t>(offsets.size()) - 1;
-  if (num_segments <= 0) {
-    return;
-  }
-  if (total_work < kMinParallelWork || exec::NumThreads() <= 1) {
-    body(0, num_segments);
-    return;
-  }
-  std::vector<int64_t> local;
-  if (chunks.empty()) {
-    local = MakeSegmentChunks(offsets, kPlanChunkTarget);
-    chunks = local;
-  }
-  exec::ParallelChunks(static_cast<int64_t>(chunks.size()) - 1,
-                       [&](int64_t c) { body(chunks[c], chunks[c + 1]); });
-}
 
 }  // namespace
 
@@ -383,7 +360,7 @@ Variable AgReorderSource(const Variable& x, const ReorderPlan& reorder) {
       std::memcpy(gx.Row(static_cast<int64_t>(inv_rows[static_cast<std::size_t>(u)])),
                   g.Row(u), bytes);
     }
-    xn->AccumulateGrad(gx);
+    xn->AccumulateGrad(std::move(gx));
   });
 }
 
@@ -447,7 +424,7 @@ Variable AgGroupConcat(const Variable& x, int64_t group) {
     Tensor g = WsTensorUninit(rows, d);
     std::memcpy(g.data(), self.grad().data(),
                 static_cast<std::size_t>(g.numel()) * sizeof(float));
-    xn->AccumulateGrad(g);
+    xn->AccumulateGrad(std::move(g));
   });
 }
 

@@ -4,6 +4,7 @@
 #include <memory>
 #include <thread>
 
+#include "src/exec/chunks.h"
 #include "src/util/check.h"
 #include "src/util/env.h"
 #include "src/util/mutex.h"
@@ -158,6 +159,29 @@ void ParallelChunks(std::int64_t num_chunks,
     });
   }
   pool->RunBatch(std::move(tasks));
+}
+
+void ForEachSegmentChunk(std::span<const std::uint64_t> offsets,
+                         std::span<const std::int64_t> chunks, std::int64_t total_work,
+                         const std::function<void(std::int64_t, std::int64_t)>& body) {
+  const std::int64_t num_segments =
+      offsets.empty() ? 0 : static_cast<std::int64_t>(offsets.size()) - 1;
+  if (num_segments <= 0) {
+    return;
+  }
+  if (total_work < kMinParallelWork || NumThreads() <= 1) {
+    body(0, num_segments);
+    return;
+  }
+  std::vector<std::int64_t> local;
+  if (chunks.empty()) {
+    local = MakeSegmentChunks(offsets, kPlanChunkTarget);
+    chunks = local;
+  }
+  ParallelChunks(static_cast<std::int64_t>(chunks.size()) - 1, [&](std::int64_t c) {
+    const auto uc = static_cast<std::size_t>(c);
+    body(chunks[uc], chunks[uc + 1]);
+  });
 }
 
 }  // namespace exec

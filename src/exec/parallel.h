@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <span>
 
 namespace flexgraph {
 namespace exec {
@@ -60,6 +61,16 @@ void ParallelFor(std::int64_t begin, std::int64_t end, std::int64_t grain,
 // runs body(chunk_index) for each c in [0, num_chunks), one task per chunk.
 void ParallelChunks(std::int64_t num_chunks,
                     const std::function<void(std::int64_t)>& body);
+
+// Runs body(s_lo, s_hi) over segment-aligned chunks of `offsets`: `chunks`
+// are precomputed boundaries (an ExecutionPlan's), or empty to derive fixed
+// ones (MakeSegmentChunks). Runs inline as body(0, num_segments) when
+// total_work is below kMinParallelWork or the pool has one thread. A chunk
+// never splits a segment, so per-segment work is the sequential kernel's and
+// results are bitwise identical across thread counts.
+void ForEachSegmentChunk(std::span<const std::uint64_t> offsets,
+                         std::span<const std::int64_t> chunks, std::int64_t total_work,
+                         const std::function<void(std::int64_t, std::int64_t)>& body);
 
 }  // namespace exec
 }  // namespace flexgraph

@@ -160,6 +160,18 @@ void ProfSegmentReduceExt(const float* x, int64_t base_rows, const float* partia
                                  s_lo, s_hi, kind, tile_cols, out);
 }
 
+void ProfSegmentWeightedSum(const float* x, const float* w, int64_t d,
+                            const uint64_t* offsets, int64_t s_lo, int64_t s_hi, float* out) {
+  const int64_t segs = s_hi - s_lo;
+  const int64_t rows = static_cast<int64_t>(offsets[s_hi] - offsets[s_lo]);
+  // segment_reduce's contiguous shape plus one weight per row, and a
+  // multiply-add (2 FLOPs) per element instead of an add.
+  const int64_t read = rows * (d * kF + kF) + (segs + 1) * kOff;
+  obs::TimedKernelScope scope(ProfKernel::kSegmentWeightedSum, read, segs * d * kF,
+                              2 * rows * d);
+  ProfBase()->segment_weighted_sum(x, w, d, offsets, s_lo, s_hi, out);
+}
+
 void ProfIndirectBackward(const float* grad_out, int64_t d, const uint64_t* src_offsets,
                           const uint32_t* src_segments, const uint64_t* seg_offsets,
                           Reduce kind, int64_t tile_cols, int64_t v_lo, int64_t v_hi,
@@ -226,6 +238,7 @@ void InstallProfShims() {
   g_prof_table.axpy_row = ProfAxpyRow;
   g_prof_table.segment_reduce = ProfSegmentReduce;
   g_prof_table.segment_reduce_ext = ProfSegmentReduceExt;
+  g_prof_table.segment_weighted_sum = ProfSegmentWeightedSum;
   g_prof_table.indirect_backward = ProfIndirectBackward;
   g_prof_table.scatter_rows = ProfScatterRows;
   g_prof_table.group_reduce = ProfGroupReduce;

@@ -93,6 +93,16 @@ struct KernelTable {
                              const uint64_t* scale_offsets, int64_t s_lo, int64_t s_hi,
                              Reduce kind, int64_t tile_cols, float* out);
 
+  // Attention-weighted segment sum over segments [s_lo, s_hi): out row s
+  // accumulates w[i] * x row i for i in [offsets[s], offsets[s+1]), in
+  // ascending i, one axpy_row (multiply, then add) per row. Bitwise equal to
+  // scaling every x row by its weight first and then running the contiguous
+  // kSum segment_reduce over the scaled rows, without materializing them.
+  // `out` is the full output base (row stride d) and must be zeroed.
+  void (*segment_weighted_sum)(const float* x, const float* w, int64_t d,
+                               const uint64_t* offsets, int64_t s_lo, int64_t s_hi,
+                               float* out);
+
   // Planned bottom-level backward over source rows [v_lo, v_hi): row v of gx
   // accumulates grad rows src_segments[src_offsets[v] .. src_offsets[v+1]),
   // scaled by 1/segment-width for mean. gx must be zeroed. `tile_cols` as in

@@ -223,6 +223,20 @@ struct Body {
     }
   }
 
+  // ---- Attention-weighted segment sum (instance level) ----
+
+  static void SegmentWeightedSum(const float* x, const float* w, int64_t d,
+                                 const uint64_t* offsets, int64_t s_lo, int64_t s_hi,
+                                 float* out) {
+    for (int64_t s = s_lo; s < s_hi; ++s) {
+      float* dst = out + s * d;
+      for (uint64_t i = offsets[static_cast<std::size_t>(s)];
+           i < offsets[static_cast<std::size_t>(s) + 1]; ++i) {
+        AxpyRow(dst, x + static_cast<int64_t>(i) * d, w[i], d);
+      }
+    }
+  }
+
   // ---- Planned bottom-level backward (source-row gather) ----
 
   static void IndirectBackwardCols(const float* grad_out, int64_t d,
@@ -440,6 +454,7 @@ KernelTable MakeTable(IsaLevel level, const char* name) {
   t.axpy_row = &Body<V>::AxpyRow;
   t.segment_reduce = &Body<V>::SegmentReduce;
   t.segment_reduce_ext = &Body<V>::SegmentReduceExt;
+  t.segment_weighted_sum = &Body<V>::SegmentWeightedSum;
   t.indirect_backward = &Body<V>::IndirectBackward;
   t.scatter_rows = &Body<V>::ScatterRows;
   t.group_reduce = &Body<V>::GroupReduce;

@@ -16,11 +16,15 @@ Variable ScaleByOnePlusEps(const Variable& x, const Variable& eps) {
   auto en = eps.node();
   return MakeVariable(std::move(out), {x, eps}, [xn, en, factor](AgNode& self) {
     const Tensor& g = self.grad();
-    xn->AccumulateGrad(Scale(g, factor));
-    // dL/dε = Σ g ⊙ x.
-    Tensor ge(1, 1);
-    ge.At(0, 0) = SumAll(Hadamard(g, xn->value()));
-    en->AccumulateGrad(ge);
+    if (xn->requires_grad()) {
+      xn->AccumulateGrad(Scale(g, factor));
+    }
+    if (en->requires_grad()) {
+      // dL/dε = Σ g ⊙ x.
+      Tensor ge(1, 1);
+      ge.At(0, 0) = SumAll(Hadamard(g, xn->value()));
+      en->AccumulateGrad(std::move(ge));
+    }
   });
 }
 

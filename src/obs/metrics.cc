@@ -1,5 +1,6 @@
 #include "src/obs/metrics.h"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdio>
@@ -161,16 +162,23 @@ Histogram::Stats Histogram::Snapshot() const {
 
   const auto percentile = [&](double q) {
     // Rank of the q-th percentile sample (nearest-rank on the bucket CDF).
+    // A bucket's representative value can lie outside the observed range
+    // (one sample sits anywhere in its bucket), so clamp to [min, max]:
+    // every quantile of real samples lies inside it. (Only NaN samples
+    // leave min > max; those are returned unclamped.)
     const uint64_t rank =
         static_cast<uint64_t>(q * static_cast<double>(total - 1));
     uint64_t seen = 0;
+    int bucket = kNumBuckets - 1;
     for (int i = 0; i < kNumBuckets; ++i) {
       seen += counts[static_cast<std::size_t>(i)];
       if (seen > rank) {
-        return BucketValue(i);
+        bucket = i;
+        break;
       }
     }
-    return BucketValue(kNumBuckets - 1);
+    const double value = BucketValue(bucket);
+    return stats.min <= stats.max ? std::clamp(value, stats.min, stats.max) : value;
   };
   stats.p50 = percentile(0.50);
   stats.p95 = percentile(0.95);

@@ -19,9 +19,10 @@ namespace {
 const char* const kKernelNames[kNumProfKernels] = {
     "add_row",       "max_row",           "min_row",      "scale_row",
     "axpy_row",      "segment_reduce",    "segment_reduce_ext",
-    "indirect_backward",
+    "segment_weighted_sum",               "indirect_backward",
     "scatter_rows",  "group_reduce",      "gemm_pack_b",  "gemm",
     "gemm_trans_a",  "elementwise",       "row_softmax",  "row_copy",
+    "zero_fill",
 };
 
 // Per-thread counter group, opened lazily the first time a timed scope runs

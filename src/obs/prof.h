@@ -4,8 +4,9 @@
 // `flexgraph_train --profile` / FLEXGRAPH_PROFILE=1), the SIMD dispatch table
 // is swapped for a shim table that attributes every kernel invocation:
 //
-//   * Coarse kernels (segment_reduce, indirect_backward, scatter_rows,
-//     group_reduce, gemm_pack_b, gemm, gemm_trans_a) get a timed scope —
+//   * Coarse kernels (segment_reduce, segment_reduce_ext,
+//     segment_weighted_sum, indirect_backward, scatter_rows, group_reduce,
+//     gemm_pack_b, gemm, gemm_trans_a) get a timed scope —
 //     monotonic wall time plus a hardware counter read (cycles, instructions,
 //     LLC-load-misses, stalled-cycles-backend) through the thread's
 //     PerfCounterGroup when perf_event_open is available.
@@ -13,9 +14,9 @@
 //     loops; timing them would distort the run. They get work-only
 //     accounting: calls, bytes, FLOPs — a few thread-local integer adds.
 //   * The tensor layer's non-KernelTable hot loops (elementwise maps, row
-//     softmax, row copies) carry hand-instrumented timed scopes gated on
-//     simd::KernelProfilingEnabled(), so the attribution covers the whole
-//     kernel surface, not just the dispatched kernels.
+//     softmax, row copies, zero fills) carry hand-instrumented timed scopes
+//     gated on simd::KernelProfilingEnabled(), so the attribution covers the
+//     whole kernel surface, not just the dispatched kernels.
 //
 // Byte and FLOP counts are *analytic*: derived from the kernel arguments
 // (which the execution plan fixes), never measured. They are integer sums in
@@ -51,8 +52,9 @@ namespace obs {
 
 // One entry per KernelTable function pointer, in declaration order, followed
 // by the hand-instrumented tensor-layer categories (the elementwise / softmax
-// / row-copy loops that run via exec::ParallelFor outside the KernelTable —
-// without them roughly a third of kernel-stage time would go unattributed).
+// / row-copy / zero-fill loops that run via exec::ParallelFor outside the
+// KernelTable — without them roughly a third of kernel-stage time would go
+// unattributed).
 enum class ProfKernel : int {
   kAddRow = 0,
   kMaxRow,
@@ -61,6 +63,7 @@ enum class ProfKernel : int {
   kAxpyRow,
   kSegmentReduce,
   kSegmentReduceExt,
+  kSegmentWeightedSum,
   kIndirectBackward,
   kScatterRows,
   kGroupReduce,
@@ -70,6 +73,7 @@ enum class ProfKernel : int {
   kElementwise,  // flat map/reduce loops: add, scale, relu, hadamard, col_sum…
   kRowSoftmax,   // per-row softmax (exp counted as one FLOP, nominal)
   kRowCopy,      // pure movement: gather/concat/slice/broadcast copies
+  kZeroFill,     // zero-initialized workspace tensors: write-only, no FLOPs
   kCount,
 };
 

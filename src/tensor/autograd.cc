@@ -4,7 +4,6 @@
 #include <cmath>
 #include <unordered_set>
 
-#include "src/exec/chunks.h"
 #include "src/exec/parallel.h"
 #include "src/exec/simd.h"
 #include "src/obs/prof.h"
@@ -15,7 +14,20 @@ namespace flexgraph {
 
 void AgNode::AccumulateGrad(const Tensor& g) {
   FLEX_CHECK(g.SameShape(value_));
-  AddInPlace(grad(), g);
+  if (has_grad()) {
+    AddInPlace(grad_, g);
+  } else {
+    grad_ = WsTensorCopy(g);
+  }
+}
+
+void AgNode::AccumulateGrad(Tensor&& g) {
+  FLEX_CHECK(g.SameShape(value_));
+  if (has_grad()) {
+    AddInPlace(grad_, g);
+  } else {
+    grad_ = std::move(g);
+  }
 }
 
 namespace {
@@ -68,35 +80,27 @@ Variable MakeVariable(Tensor value, std::vector<Variable> parents,
                       std::function<void(AgNode&)> backward) {
   bool any_grad = false;
   for (const auto& p : parents) {
-    any_grad = any_grad || p.requires_grad() || !p.node()->parents().empty();
+    any_grad = any_grad || p.requires_grad();
   }
   auto node = std::make_shared<AgNode>(std::move(value), any_grad);
-  for (auto& p : parents) {
-    node->parents().push_back(p.node());
-  }
   if (any_grad) {
+    for (auto& p : parents) {
+      node->parents().push_back(p.node());
+    }
     node->set_backward(std::move(backward));
   }
   return Variable(std::move(node));
 }
-
-namespace {
-
-bool NeedsGrad(const Variable& v) {
-  return v.requires_grad() || !v.node()->parents().empty();
-}
-
-}  // namespace
 
 Variable AgMatMul(const Variable& x, const Variable& w) {
   Tensor out = MatMul(x.value(), w.value());
   auto xn = x.node();
   auto wn = w.node();
   return MakeVariable(std::move(out), {x, w}, [xn, wn](AgNode& self) {
-    if (NeedsGrad(Variable(xn))) {
+    if (xn->requires_grad()) {
       xn->AccumulateGrad(MatMulTransB(self.grad(), wn->value()));
     }
-    if (NeedsGrad(Variable(wn))) {
+    if (wn->requires_grad()) {
       wn->AccumulateGrad(MatMulTransA(xn->value(), self.grad()));
     }
   });
@@ -107,10 +111,10 @@ Variable AgAdd(const Variable& a, const Variable& b) {
   auto an = a.node();
   auto bn = b.node();
   return MakeVariable(std::move(out), {a, b}, [an, bn](AgNode& self) {
-    if (NeedsGrad(Variable(an))) {
+    if (an->requires_grad()) {
       an->AccumulateGrad(self.grad());
     }
-    if (NeedsGrad(Variable(bn))) {
+    if (bn->requires_grad()) {
       bn->AccumulateGrad(self.grad());
     }
   });
@@ -121,10 +125,10 @@ Variable AgAddBias(const Variable& x, const Variable& bias) {
   auto xn = x.node();
   auto bn = bias.node();
   return MakeVariable(std::move(out), {x, bias}, [xn, bn](AgNode& self) {
-    if (NeedsGrad(Variable(xn))) {
+    if (xn->requires_grad()) {
       xn->AccumulateGrad(self.grad());
     }
-    if (NeedsGrad(Variable(bn))) {
+    if (bn->requires_grad()) {
       bn->AccumulateGrad(ColSum(self.grad()));
     }
   });
@@ -152,7 +156,7 @@ Variable AgLeakyRelu(const Variable& x, float slope) {
     for (int64_t i = 0; i < g.numel(); ++i) {
       g.data()[i] = self.grad().data()[i] * (xn->value().data()[i] > 0.0f ? 1.0f : slope);
     }
-    xn->AccumulateGrad(g);
+    xn->AccumulateGrad(std::move(g));
   });
 }
 
@@ -162,10 +166,10 @@ Variable AgConcatCols(const Variable& a, const Variable& b) {
   auto bn = b.node();
   const int64_t split = a.cols();
   return MakeVariable(std::move(out), {a, b}, [an, bn, split](AgNode& self) {
-    if (NeedsGrad(Variable(an))) {
+    if (an->requires_grad()) {
       an->AccumulateGrad(SliceCols(self.grad(), 0, split));
     }
-    if (NeedsGrad(Variable(bn))) {
+    if (bn->requires_grad()) {
       bn->AccumulateGrad(SliceCols(self.grad(), split, self.grad().cols()));
     }
   });
@@ -230,7 +234,7 @@ Variable AgScatter(const Variable& values, U32VecPtr index, int64_t out_rows, Re
         }
       }
     }
-    vn->AccumulateGrad(g);
+    vn->AccumulateGrad(std::move(g));
   });
 }
 
@@ -242,14 +246,16 @@ Variable AgScatter(const Variable& values, std::vector<uint32_t> index, int64_t 
 
 namespace {
 
+std::span<const int64_t> ChunkSpan(const I64VecPtr& chunks) {
+  return chunks ? std::span<const int64_t>(*chunks) : std::span<const int64_t>{};
+}
+
 // Broadcast segment-level gradients back to member rows; divides by segment
 // size for mean. Every row belongs to exactly one segment, so parallelizing
 // over segment chunks is race-free and each element is written exactly once.
 Tensor SegmentBroadcastBackward(const Tensor& grad_out, const std::vector<uint64_t>& offsets,
-                                ReduceKind kind,
-                                const std::vector<int64_t>* chunks = nullptr) {
+                                ReduceKind kind, std::span<const int64_t> chunks) {
   const int64_t total = static_cast<int64_t>(offsets.back());
-  const int64_t num_segments = static_cast<int64_t>(offsets.size()) - 1;
   Tensor g = WsTensorUninit(total, grad_out.cols());
   const bool prof = simd::KernelProfilingEnabled();
   const auto broadcast_range = [&](int64_t s_lo, int64_t s_hi) {
@@ -274,19 +280,21 @@ Tensor SegmentBroadcastBackward(const Tensor& grad_out, const std::vector<uint64
       }
     }
   };
-  const int64_t work = total * grad_out.cols();
-  if (work < (int64_t{1} << 14) || exec::NumThreads() <= 1) {
-    broadcast_range(0, num_segments);
-    return g;
-  }
-  std::vector<int64_t> local;
-  const std::vector<int64_t>& bounds =
-      chunks != nullptr ? *chunks
-                        : (local = MakeSegmentChunks(offsets, kPlanChunkTarget), local);
-  exec::ParallelChunks(static_cast<int64_t>(bounds.size()) - 1, [&](int64_t c) {
-    broadcast_range(bounds[static_cast<std::size_t>(c)], bounds[static_cast<std::size_t>(c) + 1]);
-  });
+  exec::ForEachSegmentChunk(offsets, chunks, total * grad_out.cols(), broadcast_range);
   return g;
+}
+
+// dL/dw_i = <g_i, v_i> for a row scaled by the scalar w_i. AgMulRowScalar
+// and AgSegmentWeightedSum share this one loop: this TU builds with GCC's
+// default -ffp-contract=fast (under -march=native the multiply-add chain
+// becomes FMAs), and the two ops stay bitwise equal only while both run the
+// same instruction sequence.
+float RowDot(const float* g, const float* v, int64_t d) {
+  float acc = 0.0f;
+  for (int64_t j = 0; j < d; ++j) {
+    acc += g[j] * v[j];
+  }
+  return acc;
 }
 
 }  // namespace
@@ -299,8 +307,7 @@ Variable AgSegmentReduce(const Variable& values, U64VecPtr offsets, ReduceKind k
                       : SegmentReduce(values.value(), *offsets, kind);
   auto vn = values.node();
   return MakeVariable(std::move(out), {values}, [vn, offsets, chunks, kind](AgNode& self) {
-    vn->AccumulateGrad(
-        SegmentBroadcastBackward(self.grad(), *offsets, kind, chunks.get()));
+    vn->AccumulateGrad(SegmentBroadcastBackward(self.grad(), *offsets, kind, ChunkSpan(chunks)));
   });
 }
 
@@ -355,7 +362,7 @@ Variable AgSegmentMax(const Variable& values, U64VecPtr offsets_ptr) {
         }
       }
     }
-    vn->AccumulateGrad(g);
+    vn->AccumulateGrad(std::move(g));
   });
 }
 
@@ -386,11 +393,10 @@ Variable AgMulRowScalar(const Variable& values, const Variable& weights) {
   auto wn = weights.node();
   return MakeVariable(std::move(out), {values, weights}, [vn, wn](AgNode& self) {
     const Tensor& g = self.grad();
-    if (NeedsGrad(Variable(vn))) {
+    if (vn->requires_grad()) {
       vn->AccumulateGrad(MulRowScalar(g, wn->value()));
     }
-    if (NeedsGrad(Variable(wn))) {
-      // dL/dw_i = <g_i, v_i>.
+    if (wn->requires_grad()) {
       Tensor wg = WsTensorUninit(g.rows(), 1);
       {
         // Row-dot: multiply-accumulate over every element of both operands.
@@ -399,16 +405,76 @@ Variable AgMulRowScalar(const Variable& values, const Variable& weights) {
                                     g.rows() * 4, 2 * g.numel(),
                                     simd::KernelProfilingEnabled());
         for (int64_t i = 0; i < g.rows(); ++i) {
-          const float* grow = g.Row(i);
-          const float* vrow = vn->value().Row(i);
-          float acc = 0.0f;
-          for (int64_t j = 0; j < g.cols(); ++j) {
-            acc += grow[j] * vrow[j];
-          }
-          wg.At(i, 0) = acc;
+          wg.At(i, 0) = RowDot(g.Row(i), vn->value().Row(i), g.cols());
         }
       }
-      wn->AccumulateGrad(wg);
+      wn->AccumulateGrad(std::move(wg));
+    }
+  });
+}
+
+Variable AgSegmentWeightedSum(const Variable& values, const Variable& weights,
+                              U64VecPtr offsets, I64VecPtr chunks) {
+  FLEX_CHECK_EQ(weights.cols(), 1);
+  FLEX_CHECK_EQ(weights.rows(), values.rows());
+  FLEX_CHECK_EQ(static_cast<int64_t>(offsets->back()), values.rows());
+  const int64_t d = values.cols();
+  Tensor out = WsTensor(static_cast<int64_t>(offsets->size()) - 1, d);
+  const simd::KernelTable& kt = simd::Kernels();
+  const auto forward_range = [&](int64_t s_lo, int64_t s_hi) {
+    kt.segment_weighted_sum(values.value().data(), weights.value().data(), d, offsets->data(),
+                            s_lo, s_hi, out.data());
+  };
+  exec::ForEachSegmentChunk(*offsets, ChunkSpan(chunks), values.value().numel(), forward_range);
+  auto vn = values.node();
+  auto wn = weights.node();
+  return MakeVariable(std::move(out), {values, weights}, [vn, wn, offsets, chunks,
+                                                         d](AgNode& self) {
+    // Both gradients read the segment's gradient row G_s directly: the
+    // composition's broadcast rows are G_s * 1.0f, which is exact.
+    const Tensor& g = self.grad();
+    const Tensor& v = vn->value();
+    const Tensor& w = wn->value();
+    const bool need_v = vn->requires_grad();
+    const bool need_w = wn->requires_grad();
+    Tensor dv = need_v ? WsTensorUninit(v.rows(), d) : Tensor();
+    Tensor dw = need_w ? WsTensorUninit(v.rows(), 1) : Tensor();
+    const std::vector<uint64_t>& offs = *offsets;
+    const bool prof = simd::KernelProfilingEnabled();
+    const auto backward_range = [&](int64_t s_lo, int64_t s_hi) {
+      // Per member row: G_s (a broadcast operand, counted per row), then
+      // d(values) = w_i * G_s (w_i read, one multiply per element) and
+      // d(w_i) = <G_s, v_i> (v_i read, a multiply-add per element).
+      const int64_t m = static_cast<int64_t>(offs[static_cast<std::size_t>(s_hi)] -
+                                             offs[static_cast<std::size_t>(s_lo)]);
+      const int64_t read = m * d * 4 + (need_v ? m * 4 : 0) + (need_w ? m * d * 4 : 0);
+      const int64_t written = (need_v ? m * d * 4 : 0) + (need_w ? m * 4 : 0);
+      const int64_t flops = (need_v ? m * d : 0) + (need_w ? 2 * m * d : 0);
+      obs::TimedKernelScope scope(obs::ProfKernel::kElementwise, read, written, flops, prof);
+      for (int64_t s = s_lo; s < s_hi; ++s) {
+        const float* grow = g.Row(s);
+        for (uint64_t r = offs[static_cast<std::size_t>(s)];
+             r < offs[static_cast<std::size_t>(s) + 1]; ++r) {
+          const auto i = static_cast<int64_t>(r);
+          if (need_v) {
+            const float wi = w.At(i, 0);
+            float* drow = dv.Row(i);
+            for (int64_t j = 0; j < d; ++j) {
+              drow[j] = wi * grow[j];
+            }
+          }
+          if (need_w) {
+            dw.At(i, 0) = RowDot(grow, v.Row(i), d);
+          }
+        }
+      }
+    };
+    exec::ForEachSegmentChunk(offs, ChunkSpan(chunks), v.numel(), backward_range);
+    if (need_v) {
+      vn->AccumulateGrad(std::move(dv));
+    }
+    if (need_w) {
+      wn->AccumulateGrad(std::move(dw));
     }
   });
 }
@@ -427,7 +493,7 @@ Variable AgGroupMean(const Variable& x, int64_t group) {
   return MakeVariable(std::move(out), {x}, [xn, group](AgNode& self) {
     Tensor g = GroupSumRowsBackward(self.grad(), group);
     ScaleInPlace(g, 1.0f / static_cast<float>(group));
-    xn->AccumulateGrad(g);
+    xn->AccumulateGrad(std::move(g));
   });
 }
 
@@ -500,14 +566,14 @@ Variable AgBatchNorm(const Variable& x, const Variable& gamma, const Variable& b
                                  xhat * static_cast<float>(sum_dy_xhat) * inv_n);
                           }
                         }
-                        if (NeedsGrad(Variable(xn))) {
-                          xn->AccumulateGrad(dx);
+                        if (xn->requires_grad()) {
+                          xn->AccumulateGrad(std::move(dx));
                         }
-                        if (NeedsGrad(Variable(gn))) {
-                          gn->AccumulateGrad(dgamma);
+                        if (gn->requires_grad()) {
+                          gn->AccumulateGrad(std::move(dgamma));
                         }
-                        if (NeedsGrad(Variable(bn))) {
-                          bn->AccumulateGrad(dbeta);
+                        if (bn->requires_grad()) {
+                          bn->AccumulateGrad(std::move(dbeta));
                         }
                       });
 }
@@ -546,7 +612,7 @@ Variable AgSoftmaxCrossEntropy(const Variable& logits, std::vector<uint32_t> lab
         }
       }
     }
-    ln->AccumulateGrad(g);
+    ln->AccumulateGrad(std::move(g));
   });
 }
 

@@ -41,9 +41,9 @@ class AgNode {
 
   bool requires_grad() const { return requires_grad_; }
 
-  // Lazily-allocated gradient with the value's shape. Drawn from the active
-  // workspace arena when a scope is open (gradients die with the epoch's
-  // graph, before the next Reset), from the heap otherwise.
+  // Lazily-allocated (zeroed) gradient with the value's shape. Drawn from
+  // the active workspace arena when a scope is open (gradients die with the
+  // epoch's graph, before the next Reset), from the heap otherwise.
   Tensor& grad() {
     if (!grad_.SameShape(value_)) {
       grad_ = WsTensor(value_.rows(), value_.cols());
@@ -53,7 +53,12 @@ class AgNode {
 
   bool has_grad() const { return grad_.SameShape(value_); }
 
+  // Adds g into the gradient. The first contribution becomes the gradient
+  // without a zero fill: the rvalue overload adopts g's buffer, the const&
+  // overload copies g into a fresh one. Backward closures pass the tensors
+  // they create as rvalues.
   void AccumulateGrad(const Tensor& g);
+  void AccumulateGrad(Tensor&& g);
   void ZeroGrad() { grad_ = Tensor(); }
 
   // Internal wiring used by op constructors.
@@ -101,10 +106,13 @@ class Variable {
   AgNodePtr node_;
 };
 
-// Builds a non-leaf variable with an explicit backward closure. The closure
-// receives the output node (self.grad() is the upstream gradient) and must
-// AccumulateGrad into the parents that require it. This is the extension
-// point the hybrid execution engine uses.
+// Builds a non-leaf variable with an explicit backward closure. The node
+// requires a gradient iff one of its parents does; only then does it keep its
+// parents and the closure, so backward never runs on a subgraph that cannot
+// reach a trainable leaf (e.g. aggregation of the input features). The
+// closure receives the output node (self.grad() is the upstream gradient)
+// and must AccumulateGrad into the parents that require it. This is the
+// extension point the hybrid execution engine uses.
 Variable MakeVariable(Tensor value, std::vector<Variable> parents,
                       std::function<void(AgNode&)> backward);
 
@@ -148,6 +156,12 @@ Variable AgSegmentSoftmax(const Variable& scores, std::vector<uint64_t> offsets)
 Variable AgSegmentSoftmax(const Variable& scores, U64VecPtr offsets, I64VecPtr chunks = nullptr);
 // Rows of values scaled by [m,1] weights.
 Variable AgMulRowScalar(const Variable& values, const Variable& weights);
+// Attention-weighted segment sum: out row s = Σ_{i in segment s} w_i · v_i,
+// bitwise equal to AgSegmentReduce(AgMulRowScalar(values, weights), kSum)
+// in value and both gradients, without the [m, d] weighted rows or their
+// [m, d] broadcast gradient. `chunks` as in AgSegmentReduce.
+Variable AgSegmentWeightedSum(const Variable& values, const Variable& weights,
+                              U64VecPtr offsets, I64VecPtr chunks = nullptr);
 
 // Dense schema-level reductions (paper Figure 10) — group consecutive rows.
 Variable AgGroupSum(const Variable& x, int64_t group);

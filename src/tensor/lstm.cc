@@ -212,10 +212,12 @@ Variable AgSegmentLstm(const Variable& values, std::vector<uint64_t> offsets,
             }
           }
         }
-        vn->AccumulateGrad(gx);
-        wxn->AccumulateGrad(gwx);
-        whn->AccumulateGrad(gwh);
-        bn->AccumulateGrad(gb);
+        if (vn->requires_grad()) {
+          vn->AccumulateGrad(std::move(gx));
+        }
+        wxn->AccumulateGrad(std::move(gwx));
+        whn->AccumulateGrad(std::move(gwh));
+        bn->AccumulateGrad(std::move(gb));
       });
 }
 

@@ -5,7 +5,6 @@
 #include <cstring>
 #include <limits>
 
-#include "src/exec/chunks.h"
 #include "src/exec/parallel.h"
 #include "src/obs/prof.h"
 #include "src/tensor/workspace.h"
@@ -13,6 +12,7 @@
 namespace flexgraph {
 namespace {
 
+using exec::ForEachSegmentChunk;
 using exec::kMinParallelWork;
 
 // Hand-instrumented profiler scopes for this file's non-KernelTable loops —
@@ -22,32 +22,6 @@ using obs::ProfKernel;
 using obs::TimedKernelScope;
 constexpr int64_t kProfF = static_cast<int64_t>(sizeof(float));
 constexpr int64_t kProfIdx = static_cast<int64_t>(sizeof(uint32_t));
-
-// Runs body(s_lo, s_hi) over segment-aligned chunks. `chunks` may be empty,
-// in which case fixed boundaries are derived from the offsets (identical for
-// every thread count). The per-segment loops inside `body` are exactly the
-// sequential kernels', so results are bitwise identical to a 1-thread run.
-void ForEachSegmentChunk(std::span<const uint64_t> offsets, std::span<const int64_t> chunks,
-                         int64_t total_work,
-                         const std::function<void(int64_t, int64_t)>& body) {
-  const int64_t num_segments = offsets.empty() ? 0 : static_cast<int64_t>(offsets.size()) - 1;
-  if (num_segments <= 0) {
-    return;
-  }
-  if (total_work < kMinParallelWork || exec::NumThreads() <= 1) {
-    body(0, num_segments);
-    return;
-  }
-  std::vector<int64_t> local;
-  if (chunks.empty()) {
-    local = MakeSegmentChunks(offsets, kPlanChunkTarget);
-    chunks = local;
-  }
-  exec::ParallelChunks(static_cast<int64_t>(chunks.size()) - 1, [&](int64_t c) {
-    const auto uc = static_cast<std::size_t>(c);
-    body(chunks[uc], chunks[uc + 1]);
-  });
-}
 
 }  // namespace
 

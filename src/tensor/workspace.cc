@@ -125,7 +125,7 @@ Tensor WsTensor(int64_t rows, int64_t cols) {
   Tensor t = WsTensorUninit(rows, cols);
   {
     // Zero fills are pure stores: no reads, no FLOPs.
-    obs::TimedKernelScope scope(obs::ProfKernel::kRowCopy, 0,
+    obs::TimedKernelScope scope(obs::ProfKernel::kZeroFill, 0,
                                 t.numel() * static_cast<int64_t>(sizeof(float)), 0,
                                 simd::KernelProfilingEnabled());
     t.Zero();

@@ -7,6 +7,7 @@ namespace allocstats {
 namespace {
 
 thread_local bool g_counting = false;
+thread_local std::uint64_t g_thread_allocs = 0;
 thread_local std::uint64_t g_allocs = 0;
 thread_local std::uint64_t g_alloc_bytes = 0;
 
@@ -17,6 +18,7 @@ void SetScopedCounting(bool on) { g_counting = on; }
 bool ScopedCountingActive() { return g_counting; }
 
 void NoteHeapAlloc(std::size_t bytes) {
+  ++g_thread_allocs;
   if (!g_counting) {
     return;
   }
@@ -24,6 +26,8 @@ void NoteHeapAlloc(std::size_t bytes) {
   g_alloc_bytes += bytes;
   FLEX_COUNTER_ADD("exec.alloc_count", 1);
 }
+
+std::uint64_t ThreadHeapAllocs() { return g_thread_allocs; }
 
 std::uint64_t ScopedHeapAllocs() { return g_allocs; }
 

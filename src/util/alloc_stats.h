@@ -23,6 +23,12 @@ bool ScopedCountingActive();
 // tally and the global exec.alloc_count metric.
 void NoteHeapAlloc(std::size_t bytes);
 
+// Every tensor-buffer heap allocation on this thread so far, counted whether
+// or not a workspace scope is active. Paths that compute on the heap by design
+// (DistributedTrainer::TrainEpoch) are measured as a delta of this, without
+// touching exec.alloc_count.
+std::uint64_t ThreadHeapAllocs();
+
 // Thread-local tally since the last ResetScopedTally(), for tests and the
 // stage table.
 std::uint64_t ScopedHeapAllocs();

@@ -1,11 +1,24 @@
 // Gradient checks for every differentiable op: autograd vs. central finite
-// differences, plus tape-mechanics tests (accumulation, reuse, topo order).
+// differences, plus tape-mechanics tests (accumulation, reuse, topo order,
+// requires-grad pruning, first-gradient adoption) and the fused attention-
+// weighted segment sum's bitwise parity with the composition it replaces.
 #include "src/tensor/autograd.h"
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+
+#include "src/core/engine.h"
+#include "src/data/datasets.h"
+#include "src/exec/chunks.h"
+#include "src/exec/parallel.h"
+#include "src/exec/simd.h"
+#include "src/models/gcn.h"
+#include "src/models/magnn.h"
 #include "src/tensor/nn.h"
 #include "src/tensor/ops_dense.h"
+#include "src/tensor/workspace.h"
 #include "tests/test_util.h"
 
 namespace flexgraph {
@@ -259,6 +272,239 @@ TEST(AutogradTest, NoGradLeafStaysUntouched) {
   Variable y = AgAdd(frozen, trainable);
   y.Backward();
   EXPECT_TRUE(trainable.grad().SameShape(trainable.value()));
+}
+
+// ---- Requires-grad pruning ----
+
+TEST(AutogradTest, NodeWithoutTrainableParentGetsNoClosureAndNoGradient) {
+  Rng rng(21);
+  Variable x = Variable::Leaf(RandomTensor(3, 4, rng));  // input features
+  Variable w = Variable::Leaf(RandomTensor(4, 2, rng), /*requires_grad=*/true);
+  Variable frozen = AgScale(AgRelu(x), 2.0f);
+  EXPECT_FALSE(frozen.requires_grad());
+  EXPECT_FALSE(frozen.node()->backward_fn());
+  EXPECT_TRUE(frozen.node()->parents().empty());
+
+  Variable out = AgMatMul(frozen, w);
+  EXPECT_TRUE(out.requires_grad());
+  ASSERT_TRUE(out.node()->backward_fn());
+  out.Backward();
+  EXPECT_TRUE(w.node()->has_grad());
+  EXPECT_FALSE(frozen.node()->has_grad());
+  EXPECT_FALSE(x.node()->has_grad());
+}
+
+// ---- First-gradient adoption ----
+
+TEST(AutogradTest, FirstRvalueGradientIsAdoptedConstRefIsCopied) {
+  Rng rng(22);
+  for (const bool arena : {false, true}) {
+    Workspace ws;
+    WorkspaceScope scope(arena ? &ws : nullptr);
+    AgNode adopted(Tensor(2, 3), /*requires_grad=*/true);
+    Tensor g = WsTensorCopy(RandomTensor(2, 3, rng));
+    const Tensor expected = g;
+    const float* data = g.data();
+    adopted.AccumulateGrad(std::move(g));
+    EXPECT_EQ(adopted.grad().data(), data) << "arena " << arena;
+    EXPECT_TRUE(BitwiseEqual(adopted.grad(), expected));
+
+    AgNode copied(Tensor(2, 3), /*requires_grad=*/true);
+    copied.AccumulateGrad(expected);
+    EXPECT_NE(copied.grad().data(), expected.data());
+    EXPECT_TRUE(BitwiseEqual(copied.grad(), expected));
+  }
+}
+
+TEST(AutogradTest, FanInThreeGradientMatchesZeroFillPlusSequentialAdds) {
+  Rng rng(23);
+  const Tensor g1 = RandomTensor(4, 5, rng);
+  const Tensor g2 = RandomTensor(4, 5, rng);
+  const Tensor g3 = RandomTensor(4, 5, rng);
+  Tensor expected(4, 5);
+  AddInPlace(expected, g1);
+  AddInPlace(expected, g2);
+  AddInPlace(expected, g3);
+  for (const bool rvalues : {false, true}) {
+    AgNode node(Tensor(4, 5), /*requires_grad=*/true);
+    if (rvalues) {
+      node.AccumulateGrad(Tensor(g1));
+      node.AccumulateGrad(Tensor(g2));
+      node.AccumulateGrad(Tensor(g3));
+    } else {
+      node.AccumulateGrad(g1);
+      node.AccumulateGrad(g2);
+      node.AccumulateGrad(g3);
+    }
+    EXPECT_TRUE(BitwiseEqual(node.grad(), expected)) << "rvalues " << rvalues;
+  }
+}
+
+// ---- Fused attention-weighted segment sum ----
+
+TEST(AutogradTest, SegmentWeightedSumGradients) {
+  Rng rng(24);
+  const Tensor v = RandomTensor(6, 3, rng);
+  const Tensor w = RandomTensor(6, 1, rng, 0.1f, 1.0f);
+  const auto offsets = std::make_shared<const std::vector<uint64_t>>(
+      std::vector<uint64_t>{0, 2, 2, 3, 6});
+  ExpectGradientsMatch(v, [&](const Variable& x) {
+    return AgSegmentWeightedSum(x, Variable::Leaf(w), offsets);
+  });
+  ExpectGradientsMatch(w, [&](const Variable& x) {
+    return AgSegmentWeightedSum(Variable::Leaf(v), x, offsets);
+  });
+}
+
+// Segment widths mixing empty, single-row and wide segments.
+std::vector<uint64_t> MixedSegmentOffsets(int64_t rows, Rng& rng) {
+  std::vector<uint64_t> offsets = {0, 0, 1};  // an empty, then a single-row segment
+  while (offsets.back() < static_cast<uint64_t>(rows)) {
+    const uint64_t width = rng.NextBounded(3) == 0 ? rng.NextBounded(2) : rng.NextBounded(12);
+    offsets.push_back(std::min<uint64_t>(offsets.back() + width, static_cast<uint64_t>(rows)));
+  }
+  offsets.push_back(offsets.back());  // trailing empty segment
+  return offsets;
+}
+
+struct WeightedSumResult {
+  Tensor out;
+  Tensor dvalues;
+  Tensor dweights;
+};
+
+TEST(AutogradTest, SegmentWeightedSumBitwiseMatchesMulRowScalarThenSegmentReduce) {
+  struct Restore {
+    ~Restore() {
+      exec::SetNumThreads(0);
+      simd::ResetIsa();
+    }
+  } restore;
+  for (const int64_t d : {1, 7, 16, 33, 64}) {
+    // Enough rows that the segment loops fan out to the pool at >1 thread.
+    const int64_t rows = exec::kMinParallelWork / d + 300;
+    Rng rng(static_cast<uint64_t>(100 + d));
+    const auto offsets =
+        std::make_shared<const std::vector<uint64_t>>(MixedSegmentOffsets(rows, rng));
+    const auto chunks =
+        std::make_shared<const std::vector<int64_t>>(MakeSegmentChunks(*offsets, 64));
+    const int64_t segments = static_cast<int64_t>(offsets->size()) - 1;
+    const Tensor v = RandomTensor(rows, d, rng);
+    const Tensor w = RandomTensor(rows, 1, rng, 0.0f, 1.0f);
+    const Tensor seed = RandomTensor(segments, d, rng);
+
+    const auto run = [&](bool fused, I64VecPtr ch) {
+      Variable vl = Variable::Leaf(v, /*requires_grad=*/true);
+      Variable wl = Variable::Leaf(w, /*requires_grad=*/true);
+      Variable out = fused ? AgSegmentWeightedSum(vl, wl, offsets, ch)
+                           : AgSegmentReduce(AgMulRowScalar(vl, wl), offsets,
+                                             ReduceKind::kSum, ch);
+      out.Backward(seed);
+      return WeightedSumResult{out.value(), vl.grad(), wl.grad()};
+    };
+
+    for (const bool with_chunks : {false, true}) {
+      const I64VecPtr ch = with_chunks ? chunks : nullptr;
+      for (const simd::IsaLevel isa : {simd::IsaLevel::kScalar, simd::IsaLevel::kSse2,
+                                       simd::IsaLevel::kAvx2, simd::IsaLevel::kAvx512}) {
+        if (!simd::SetIsa(isa)) {
+          continue;
+        }
+        for (const int threads : {1, 2, 8}) {
+          exec::SetNumThreads(threads);
+          const WeightedSumResult ref = run(/*fused=*/false, ch);
+          const WeightedSumResult got = run(/*fused=*/true, ch);
+          const std::string where = "d=" + std::to_string(d) + " isa=" + simd::IsaName(isa) +
+                                    " threads=" + std::to_string(threads) +
+                                    " chunks=" + std::to_string(with_chunks);
+          EXPECT_TRUE(BitwiseEqual(ref.out, got.out)) << where;
+          EXPECT_TRUE(BitwiseEqual(ref.dvalues, got.dvalues)) << where;
+          EXPECT_TRUE(BitwiseEqual(ref.dweights, got.dweights)) << where;
+        }
+      }
+    }
+  }
+}
+
+TEST(AutogradTest, SegmentWeightedSumSkipsValueGradientOfFrozenValues) {
+  Rng rng(25);
+  Variable v = Variable::Leaf(RandomTensor(5, 4, rng));
+  Variable w = Variable::Leaf(RandomTensor(5, 1, rng), /*requires_grad=*/true);
+  const auto offsets =
+      std::make_shared<const std::vector<uint64_t>>(std::vector<uint64_t>{0, 3, 5});
+  AgSegmentWeightedSum(v, w, offsets).Backward();
+  EXPECT_TRUE(w.node()->has_grad());
+  EXPECT_FALSE(v.node()->has_grad());
+}
+
+// ---- Pruning parity on full models ----
+
+// Bitwise equality except that +0 and -0 compare equal: adopting a first
+// gradient keeps the sign of an exact zero that 0 + g would have cleared.
+::testing::AssertionResult EqualUpToSignedZero(const Tensor& a, const Tensor& b) {
+  if (!a.SameShape(b)) {
+    return ::testing::AssertionFailure() << "shape mismatch";
+  }
+  for (int64_t i = 0; i < a.numel(); ++i) {
+    const float x = a.data()[i];
+    const float y = b.data()[i];
+    if (std::memcmp(&x, &y, sizeof(float)) != 0 && !(x == 0.0f && y == 0.0f)) {
+      return ::testing::AssertionFailure()
+             << "first difference at flat index " << i << ": " << x << " vs " << y;
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+TEST(AutogradTest, PrunedBackwardMatchesFullBackwardOnTwoLayerModels) {
+  for (const std::string name : {"gcn", "magnn"}) {
+    const bool magnn = name == "magnn";
+    const Dataset ds = magnn ? MakeImdbLike(/*scale=*/0.2, /*seed=*/3)
+                             : MakeRedditLike(/*scale=*/0.05, /*seed=*/3);
+    Rng model_rng(31);
+    GnnModel model;
+    if (magnn) {
+      MagnnConfig c;
+      c.in_dim = ds.feature_dim();
+      c.num_classes = ds.num_classes;
+      model = MakeMagnnModel(c, model_rng);
+    } else {
+      GcnConfig c;
+      c.in_dim = ds.feature_dim();
+      c.num_classes = ds.num_classes;
+      model = MakeGcnModel(c, model_rng);
+    }
+    ASSERT_EQ(model.layers.size(), 2u);
+    Engine engine(ds.graph);
+    Rng hdg_rng(37);
+    const Hdg& hdg = engine.EnsureHdg(model, hdg_rng, nullptr);
+    const HdgAggregator agg(hdg, engine.strategy(), nullptr, engine.plan());
+    std::vector<Variable> params = model.Parameters();
+
+    // A trainable input leaf forces the backward through every node, as
+    // before pruning; a frozen one prunes the layer-0 aggregation backward.
+    const auto param_grads = [&](bool input_requires_grad) {
+      Variable input = Variable::Leaf(ds.features, input_requires_grad);
+      Variable feats = input;
+      for (const auto& layer : model.layers) {
+        feats = layer->Update(feats, layer->Aggregate(feats, agg));
+      }
+      AgSoftmaxCrossEntropy(feats, ds.labels).Backward();
+      EXPECT_EQ(input.node()->has_grad(), input_requires_grad) << name;
+      std::vector<Tensor> grads;
+      for (Variable p : params) {
+        grads.push_back(p.grad());
+      }
+      SgdOptimizer::ZeroGrad(params);
+      return grads;
+    };
+    const std::vector<Tensor> pruned = param_grads(false);
+    const std::vector<Tensor> full = param_grads(true);
+    ASSERT_EQ(pruned.size(), full.size());
+    for (std::size_t i = 0; i < full.size(); ++i) {
+      EXPECT_TRUE(EqualUpToSignedZero(full[i], pruned[i])) << name << " param " << i;
+    }
+  }
 }
 
 TEST(LinearTest, TrainsToFitLinearTarget) {

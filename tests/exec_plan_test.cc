@@ -225,6 +225,53 @@ TEST(ExecutionPlanTest, SteadyStateEpochsDoZeroKernelHeapAllocation) {
   }
 }
 
+// The arena keeps every tensor an epoch allocates until the next Reset, so a
+// steady epoch's high-water mark is everything that epoch allocated. MAGNN's
+// instance-sized share of it is the two layers' instance features ([I, d_in]
+// and [I, h]) and layer 1's two instance gradients (from the attention
+// scores and from the weighted reduce, 2 x [I, h]), plus a handful of [I, 1]
+// score/weight columns. Layer 0's instance gradients are pruned (the input
+// features are not trainable), first gradients are adopted rather than
+// zero-filled and added, and the fused weighted reduce materializes neither
+// the weighted rows nor their broadcast gradient — before those, an epoch
+// allocated about six [I, d] buffers per layer. The rest of the epoch is
+// vertex-, slot- and root-sized.
+TEST(ExecutionPlanTest, MagnnSteadyEpochArenaStaysWithinShapeBound) {
+  Dataset ds = SmallHetero();
+  Rng rng(17);
+  GnnModel model = MakeModelFor("magnn", ds, rng);
+  Engine engine(ds.graph);
+  SgdOptimizer opt(0.05f);
+  Rng epoch_rng(23);
+  for (int epoch = 0; epoch < 3; ++epoch) {
+    engine.TrainEpoch(model, ds.features, ds.labels, opt, epoch_rng);
+  }
+  const Hdg& hdg = engine.EnsureHdg(model, epoch_rng, nullptr);  // static: cache hit
+  ASSERT_NE(engine.plan(), nullptr);
+  const LevelPlan& bottom = engine.plan()->bottom();
+
+  const auto instances = static_cast<int64_t>(hdg.num_instances());
+  const auto roots = static_cast<int64_t>(hdg.num_roots());
+  const int64_t slots = roots * hdg.num_types();
+  const int64_t vertices = static_cast<int64_t>(ds.graph.num_vertices()) +
+                           (bottom.fusion != nullptr ? bottom.fusion->num_partials : 0);
+  const int64_t d_in = ds.feature_dim();
+  const int64_t hidden = MagnnConfig{}.hidden_dim;
+  const int64_t classes = ds.num_classes;
+  // Floats per shape class, counted tensor by tensor over one epoch.
+  const int64_t instance_floats = instances * (d_in + 3 * hidden + 12);
+  const int64_t vertex_floats = vertices * (2 * d_in + 4 * hidden);
+  const int64_t slot_floats = slots * 2 * (d_in + hidden);
+  const int64_t root_floats = roots * (2 * d_in + 7 * hidden + 5 * classes);
+  const double estimate =
+      4.0 * static_cast<double>(instance_floats + vertex_floats + slot_floats + root_floats);
+  // 25% headroom for parameter-sized tensors, packed GEMM panels and the
+  // arena's cache-line rounding.
+  const auto bound = static_cast<std::size_t>(1.25 * estimate);
+  EXPECT_LE(engine.workspace().high_water_bytes(), bound)
+      << "I=" << instances << " R=" << roots << " vertices=" << vertices;
+}
+
 TEST(ExecutionPlanTest, WorkspaceReservationComesFromPlanEstimate) {
   Dataset ds = SmallHomogeneous();
   Rng rng(19);

@@ -427,7 +427,9 @@ TEST(SocketRecoveryTest, TrainerRealKillKeepsLossTrajectoryBitIdentical) {
 class RotatingCheckpointTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = ::testing::TempDir() + "/flexgraph_fault_ckpt_test";
+    // One directory per case: ctest runs the cases of this fixture in parallel.
+    dir_ = ::testing::TempDir() + "/flexgraph_fault_ckpt_test_" +
+           ::testing::UnitTest::GetInstance()->current_test_info()->name();
     std::filesystem::remove_all(dir_);
   }
   void TearDown() override { std::filesystem::remove_all(dir_); }

@@ -19,6 +19,7 @@
 #include "src/models/magnn.h"
 #include "src/models/pgnn.h"
 #include "src/models/pinsage.h"
+#include "src/tensor/nn.h"
 #include "src/tensor/ops_dense.h"
 
 namespace flexgraph {
@@ -418,6 +419,86 @@ TEST(EngineTest, GcnLearnsCommunityLabels) {
   Tensor logits = engine.Infer(model, ds.features, rng, &times);
   const float acc = Accuracy(logits, ds.labels);
   EXPECT_GT(acc, 2.0f / static_cast<float>(ds.num_classes));
+}
+
+// MAGNN with the instance-level attention spelled out as the materializing
+// composition — softmax, scale every [I, d] row, then segment-sum — in place
+// of the planned fused weighted reduce. Parameters are drawn from the rng in
+// the same order as MakeMagnnModel's layers (attention, then update).
+class MaterializingMagnnLayer : public GnnLayer {
+ public:
+  MaterializingMagnnLayer(int64_t in_dim, int64_t out_dim, bool final_layer, Rng& rng)
+      : attention_(in_dim, 1, rng), update_(in_dim, out_dim, rng), final_layer_(final_layer) {}
+
+  Variable Aggregate(const Variable& feats, const HdgAggregator& agg) const override {
+    Variable instances = agg.BottomLevel(feats, ReduceKind::kMean);
+    const auto slots = agg.hdg().slot_offsets();
+    const auto offsets =
+        std::make_shared<const std::vector<uint64_t>>(slots.begin(), slots.end());
+    Variable weights = AgSegmentSoftmax(attention_.Apply(instances), offsets);
+    Variable weighted = AgMulRowScalar(instances, weights);
+    return agg.SchemaLevel(AgSegmentReduce(weighted, offsets, ReduceKind::kSum),
+                           ReduceKind::kMean);
+  }
+
+  Variable Update(const Variable& feats, const Variable& nbr_feats) const override {
+    (void)feats;
+    Variable out = update_.Apply(nbr_feats);
+    return final_layer_ ? out : AgRelu(out);
+  }
+
+  void CollectParameters(std::vector<Variable>& params) const override {
+    attention_.CollectParameters(params);
+    update_.CollectParameters(params);
+  }
+
+ private:
+  Linear attention_;
+  Linear update_;
+  bool final_layer_;
+};
+
+TEST(MagnnTest, FusedInstanceAttentionTrainsBitwiseLikeMaterializingReference) {
+  const Dataset ds = SmallHetero();
+  MagnnConfig config;
+  config.in_dim = ds.feature_dim();
+  config.num_classes = ds.num_classes;
+  Rng real_rng(51);
+  GnnModel real = MakeMagnnModel(config, real_rng);
+
+  GnnModel reference;
+  reference.name = real.name;
+  reference.schema = real.schema;
+  reference.cache_policy = real.cache_policy;
+  reference.neighbor_udf = real.neighbor_udf;
+  Rng reference_rng(51);
+  int64_t dim = config.in_dim;
+  for (int l = 0; l < config.num_layers; ++l) {
+    const bool final_layer = l == config.num_layers - 1;
+    const int64_t out = final_layer ? config.num_classes : config.hidden_dim;
+    reference.layers.push_back(
+        std::make_unique<MaterializingMagnnLayer>(dim, out, final_layer, reference_rng));
+    dim = out;
+  }
+
+  for (const ExecStrategy strategy : {ExecStrategy::kSparseFused, ExecStrategy::kHybrid}) {
+    Engine real_engine(ds.graph, strategy);
+    Engine reference_engine(ds.graph, strategy);
+    const SgdOptimizer opt(0.05f);
+    Rng real_epoch_rng(53);
+    Rng reference_epoch_rng(53);
+    for (int epoch = 0; epoch < 3; ++epoch) {
+      const float got =
+          real_engine.TrainEpoch(real, ds.features, ds.labels, opt, real_epoch_rng).loss;
+      const float want = reference_engine
+                             .TrainEpoch(reference, ds.features, ds.labels, opt,
+                                         reference_epoch_rng)
+                             .loss;
+      EXPECT_EQ(std::memcmp(&got, &want, sizeof(float)), 0)
+          << ExecStrategyName(strategy) << " epoch " << epoch << ": " << got << " vs "
+          << want;
+    }
+  }
 }
 
 TEST(EngineTest, StageTimesArePopulated) {

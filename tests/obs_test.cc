@@ -266,6 +266,34 @@ TEST(HistogramTest, PercentilesAcrossOctaves) {
   EXPECT_NEAR(s.p99 / 1.0, 1.0, 0.12);
 }
 
+TEST(HistogramTest, QuantilesStayInsideMinMax) {
+  // A bucket's representative value may lie outside the observed range: one
+  // sample of 4.125 lands in a bucket whose geometric mean is ~4.18. Every
+  // quantile of a single value (or of identical values) is that value.
+  for (double v : {4.125, 0.003, 1.0, 7.3e8}) {
+    for (int n : {1, 5}) {
+      Histogram h;
+      for (int i = 0; i < n; ++i) {
+        h.Observe(v);
+      }
+      const Histogram::Stats s = h.Snapshot();
+      EXPECT_EQ(s.p50, v) << "value " << v << " count " << n;
+      EXPECT_EQ(s.p95, v) << "value " << v << " count " << n;
+      EXPECT_EQ(s.p99, v) << "value " << v << " count " << n;
+    }
+  }
+  // Mixed samples: quantiles never leave [min, max].
+  Histogram h;
+  for (double v : {4.125, 4.126, 4.127}) {
+    h.Observe(v);
+  }
+  const Histogram::Stats s = h.Snapshot();
+  for (double q : {s.p50, s.p95, s.p99}) {
+    EXPECT_GE(q, s.min);
+    EXPECT_LE(q, s.max);
+  }
+}
+
 TEST(HistogramTest, UnderflowAndOverflowDoNotCrash) {
   Histogram h;
   h.Observe(0.0);

@@ -10,6 +10,7 @@
 
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <vector>
 
 #include "src/exec/parallel.h"
@@ -120,16 +121,20 @@ TEST_F(ProfTest, GatherRowsCountsIndexBytes) {
 
 TEST_F(ProfTest, WorkspaceFillAndCopyAccounting) {
   const Tensor zeroed = WsTensor(4, 4);
-  const KernelProfileRow after_fill = Row(ProfKernel::kRowCopy);
-  EXPECT_EQ(after_fill.calls, 1);
-  EXPECT_EQ(after_fill.bytes_read, 0);  // a zero fill is pure stores
-  EXPECT_EQ(after_fill.bytes_written, 16 * kF);
+  const KernelProfileRow fill = Row(ProfKernel::kZeroFill);
+  EXPECT_EQ(fill.calls, 1);
+  EXPECT_EQ(fill.timed_calls, 1);
+  EXPECT_EQ(fill.bytes_read, 0);  // a zero fill is pure stores
+  EXPECT_EQ(fill.bytes_written, 16 * kF);
+  EXPECT_EQ(fill.flops, 0);
+  EXPECT_EQ(Row(ProfKernel::kRowCopy).calls, 0);  // zero fills have their own row
 
   (void)WsTensorCopy(zeroed);
-  const KernelProfileRow after_copy = Row(ProfKernel::kRowCopy);
-  EXPECT_EQ(after_copy.calls, 2);
-  EXPECT_EQ(after_copy.bytes_read, 16 * kF);
-  EXPECT_EQ(after_copy.bytes_written, 32 * kF);
+  const KernelProfileRow copy = Row(ProfKernel::kRowCopy);
+  EXPECT_EQ(copy.calls, 1);
+  EXPECT_EQ(copy.bytes_read, 16 * kF);
+  EXPECT_EQ(copy.bytes_written, 16 * kF);
+  EXPECT_EQ(Row(ProfKernel::kZeroFill).calls, 1);
 }
 
 TEST_F(ProfTest, SgdStepAccounting) {
@@ -225,6 +230,44 @@ TEST_F(ProfTest, SegmentReduceExtAccountingIsTileInvariant) {
                 0)
           << "tile " << tile;
     }
+  }
+}
+
+// The fused attention-weighted segment sum: the forward is a coarse kernel
+// (segment_reduce's contiguous shape plus one weight per row, a multiply-add
+// per element); the backward is one elementwise pass per chunk whose
+// formula covers exactly the gradients that are needed.
+TEST_F(ProfTest, SegmentWeightedSumAccounting) {
+  const int64_t d = 4;
+  const int64_t rows = 5;
+  const int64_t segs = 3;
+  const int64_t kOff = static_cast<int64_t>(sizeof(uint64_t));
+  const auto offsets =
+      std::make_shared<const std::vector<uint64_t>>(std::vector<uint64_t>{0, 2, 2, 5});
+  for (const bool weights_trainable : {true, false}) {
+    KernelProfiler::Get().Reset();
+    Variable v = Variable::Leaf(Filled(rows, d), /*requires_grad=*/true);
+    Variable w = Variable::Leaf(Filled(rows, 1, 0.5f), weights_trainable);
+    Variable out = AgSegmentWeightedSum(v, w, offsets);
+    const KernelProfileRow fwd = Row(ProfKernel::kSegmentWeightedSum);
+    EXPECT_EQ(fwd.calls, 1);
+    EXPECT_EQ(fwd.timed_calls, 1);
+    EXPECT_EQ(fwd.bytes_read, rows * (d * kF + kF) + (segs + 1) * kOff);
+    EXPECT_EQ(fwd.bytes_written, segs * d * kF);
+    EXPECT_EQ(fwd.flops, 2 * rows * d);
+    EXPECT_EQ(Row(ProfKernel::kAxpyRow).calls, 0);  // no per-row double billing
+    EXPECT_EQ(Row(ProfKernel::kElementwise).calls, 0);
+
+    out.Backward(Filled(segs, d, 2.0f));
+    const KernelProfileRow bwd = Row(ProfKernel::kElementwise);
+    EXPECT_EQ(bwd.calls, 1);  // both gradients are adopted: no accumulate pass
+    EXPECT_EQ(bwd.timed_calls, 1);
+    // Per row: the segment's gradient row, the weight (d(values) = w * G)
+    // and, for d(w) = <G, v>, the value row.
+    const int64_t m = rows;
+    EXPECT_EQ(bwd.bytes_read, m * d * kF + m * kF + (weights_trainable ? m * d * kF : 0));
+    EXPECT_EQ(bwd.bytes_written, m * d * kF + (weights_trainable ? m * kF : 0));
+    EXPECT_EQ(bwd.flops, m * d + (weights_trainable ? 2 * m * d : 0));
   }
 }
 

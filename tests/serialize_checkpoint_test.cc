@@ -64,7 +64,9 @@ TEST(SerializeTest, FileRoundTrip) {
 class CheckpointTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_ = ::testing::TempDir() + "/flexgraph_checkpoint_test.ckpt";
+    // One file per case: ctest runs the cases of this fixture in parallel.
+    path_ = ::testing::TempDir() + "/flexgraph_checkpoint_test_" +
+            ::testing::UnitTest::GetInstance()->current_test_info()->name() + ".ckpt";
   }
   void TearDown() override { std::remove(path_.c_str()); }
   std::string path_;

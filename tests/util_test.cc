@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "src/util/aligned_buffer.h"
+#include "src/util/alloc_stats.h"
 #include "src/util/check.h"
 #include "src/util/crc32.h"
 #include "src/util/env.h"
@@ -174,6 +175,22 @@ TEST(AlignedBufferTest, BorrowKeepsAlignmentContract) {
   EXPECT_TRUE(IsCacheLineAligned(borrowed.data()));
   // A misaligned borrow trips the contract check.
   EXPECT_THROW(AlignedBuffer::Borrow(backing.data() + 1, 8), CheckError);
+}
+
+TEST(AllocStatsTest, ThreadHeapAllocsCountWithoutAWorkspaceScope) {
+  // Heap-computing paths (DistributedTrainer::TrainEpoch) are measured as a
+  // delta of the per-thread total; it must not need, or feed, the scoped
+  // counting that backs exec.alloc_count.
+  ASSERT_FALSE(allocstats::ScopedCountingActive());
+  const uint64_t total_before = allocstats::ThreadHeapAllocs();
+  const uint64_t scoped_before = allocstats::ScopedHeapAllocs();
+  {
+    AlignedBuffer a(16);
+    AlignedBuffer b(1000);
+    AlignedBuffer none;  // no storage, no allocation
+  }
+  EXPECT_EQ(allocstats::ThreadHeapAllocs(), total_before + 2);
+  EXPECT_EQ(allocstats::ScopedHeapAllocs(), scoped_before);
 }
 
 TEST(AlignedBufferTest, ZeroAndEmpty) {

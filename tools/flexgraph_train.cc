@@ -92,6 +92,7 @@
 #include "src/obs/metrics.h"
 #include "src/obs/prof.h"
 #include "src/obs/trace.h"
+#include "src/util/alloc_stats.h"
 #include "src/util/crc32.h"
 #include "src/util/table_printer.h"
 
@@ -130,8 +131,10 @@ struct CliOptions {
 
 // Prints the per-stage breakdown (Table 4 shape) from the metric registry:
 // every stage histogram's total seconds and its share of the instrumented
-// stage time.
-void PrintStageBreakdown() {
+// stage time. `distributed` (--workers > 1) relabels the arena rows: there
+// they come from the RunEpoch worker arenas, while DistributedTrainer's
+// TrainEpoch computes on the heap and is reported on its own row.
+void PrintStageBreakdown(bool distributed) {
   const obs::MetricsSnapshot snap = obs::MetricRegistry::Get().Snapshot();
   struct StageRow {
     const char* label;
@@ -213,10 +216,16 @@ void PrintStageBreakdown() {
       {"arena planned KiB", TablePrinter::Num(gauge("exec.planned_bytes") / 1024.0, 1)});
   exec_table.AddRow({"arena reserved KiB",
                      TablePrinter::Num(gauge("exec.arena_reserved_bytes") / 1024.0, 1)});
-  exec_table.AddRow({"arena high-water KiB",
+  const std::string arena_owner = distributed ? "RunEpoch worker " : "";
+  exec_table.AddRow({arena_owner + "arena high-water KiB",
                      TablePrinter::Num(gauge("exec.arena_high_water_bytes") / 1024.0, 1)});
   exec_table.AddRow({"arena growths", std::to_string(counter("exec.arena_grow"))});
-  exec_table.AddRow({"kernel heap allocs", std::to_string(counter("exec.alloc_count"))});
+  exec_table.AddRow(
+      {arena_owner + "kernel heap allocs", std::to_string(counter("exec.alloc_count"))});
+  if (distributed) {
+    exec_table.AddRow({"TrainEpoch heap allocs (no arena)",
+                       std::to_string(counter("dist.trainer_heap_allocs"))});
+  }
   std::printf("\n== planned execution (exec.*) ==\n");
   exec_table.Print(std::cout);
 }
@@ -612,7 +621,7 @@ int RunSingleMachine(const CliOptions& opts, const Dataset& ds, GnnModel& model)
       std::printf("epoch %3d  loss %.4f  val_acc %.4f\n", epoch, loss, val_acc);
     }
     if (opts.metrics_every > 0 && (epoch + 1) % opts.metrics_every == 0) {
-      PrintStageBreakdown();
+      PrintStageBreakdown(/*distributed=*/false);
     }
     if (!opts.checkpoint.empty()) {
       SaveCheckpoint(opts.checkpoint, model, start_epoch + epoch);
@@ -712,7 +721,7 @@ int RunDistributed(const CliOptions& opts, const Dataset& ds, GnnModel& model) {
                     stats.retry_wait_seconds);
       }
       if (opts.metrics_every > 0 && (epoch + 1) % opts.metrics_every == 0) {
-        PrintStageBreakdown();
+        PrintStageBreakdown(/*distributed=*/true);
       }
     }
     if (config.fault != nullptr) {
@@ -741,8 +750,14 @@ int RunDistributed(const CliOptions& opts, const Dataset& ds, GnnModel& model) {
   Rng train_rng(opts.seed + 2);
   float final_loss = 0.0f;
   for (int epoch = 0; epoch < opts.epochs; ++epoch) {
+    // TrainEpoch runs its forward and backward outside any workspace arena,
+    // so its tensor heap allocations are counted here, apart from the
+    // worker arenas' exec.alloc_count.
+    const uint64_t allocs_before = allocstats::ThreadHeapAllocs();
     const DistTrainEpochResult result =
         trainer.TrainEpoch(model, ds.features, ds.labels, train_rng);
+    FLEX_COUNTER_ADD("dist.trainer_heap_allocs",
+                     static_cast<int64_t>(allocstats::ThreadHeapAllocs() - allocs_before));
     final_loss = result.loss;
     if (epoch % 5 == 0 || epoch == opts.epochs - 1 || result.crashes_recovered > 0) {
       std::printf("train epoch %3d  loss %.6f  compute %.4fs  allreduce %.4fs\n", epoch,
@@ -762,7 +777,7 @@ int RunDistributed(const CliOptions& opts, const Dataset& ds, GnnModel& model) {
 // the final stage table. Called once, after the selected run mode returns.
 // Returns false if any requested export file could not be written.
 bool FinishObservability(const CliOptions& opts) {
-  PrintStageBreakdown();
+  PrintStageBreakdown(/*distributed=*/opts.workers > 1);
   bool ok = true;
   if (!opts.metrics_json.empty()) {
     if (obs::MetricRegistry::Get().WriteJsonFile(opts.metrics_json)) {
