@@ -26,13 +26,12 @@ namespace flexgraph {
 
 class HdgAggregator {
  public:
-  // `plan` (optional) must be compiled from this HDG with this strategy; when
-  // present the level methods draw indices, segment offsets and chunk
-  // boundaries from it instead of rebuilding them per call. Numerics are
-  // bitwise identical either way.
-  HdgAggregator(const Hdg& hdg, ExecStrategy strategy, AggregationStats* stats = nullptr,
-                const ExecutionPlan* plan = nullptr)
-      : hdg_(hdg), strategy_(strategy), stats_(stats), plan_(plan) {}
+  // `plan` must be compiled from this HDG with this strategy (a null plan, or
+  // one compiled for another strategy or HDG shape, fails a FLEX_CHECK): the
+  // level methods draw every index, segment offset and chunk boundary from
+  // it. `stats` may be null.
+  HdgAggregator(const Hdg& hdg, ExecStrategy strategy, AggregationStats* stats,
+                const ExecutionPlan* plan);
 
   const Hdg& hdg() const { return hdg_; }
   ExecStrategy strategy() const { return strategy_; }
@@ -66,8 +65,8 @@ class HdgAggregator {
 
   // Attention-weighted instance → slot reduction: weights are a segment
   // softmax of `scores` ([I, 1]) within each slot (MAGNN's scatter_softmax
-  // step), output is the weighted sum per slot. Planned SA+FA/HA runs the
-  // fused AgSegmentWeightedSum; SA scales the [I, d] rows, then reduces.
+  // step), output is the weighted sum per slot. SA+FA/HA run the fused
+  // AgSegmentWeightedSum; SA scales the [I, d] rows, then reduces.
   Variable InstanceLevelAttention(const Variable& instance_feats, const Variable& scores) const;
 
   // Schema level, [R·T, d] → [R, d].
@@ -76,12 +75,14 @@ class HdgAggregator {
   Variable SchemaLevelConcat(const Variable& slot_feats) const;
 
  private:
-  std::vector<uint64_t> SlotOffsetsCopy() const;
+  // The bottom level's source tensor in the plan's row space: permuted once
+  // at the level boundary under the locality reorder, `x` itself otherwise.
+  Variable BottomSource(const Variable& x) const;
 
   const Hdg& hdg_;
   ExecStrategy strategy_;
   AggregationStats* stats_;
-  const ExecutionPlan* plan_;
+  const ExecutionPlan& plan_;
 };
 
 }  // namespace flexgraph

@@ -42,16 +42,17 @@ Variable Engine::Forward(const GnnModel& model, const Hdg& hdg, const Tensor& fe
                          StageTimes* times) {
   FLEX_CHECK(!model.layers.empty());
   FLEX_CHECK_EQ(features.rows(), static_cast<int64_t>(graph_.num_vertices()));
-  // The plan only applies when executing the HDG it was compiled from.
-  // Snapshot the pointer under the lock; the plan object itself stays alive
-  // for as long as `hdg` does (they live and die together in the cache).
+  // Aggregation runs only through the plan compiled beside the cached HDG,
+  // so `hdg` must be the one EnsureHdg returned for this model. Snapshot the
+  // plan pointer under the lock; the plan stays alive for as long as `hdg`
+  // does (they live and die together in the cache).
   const ExecutionPlan* plan = nullptr;
   {
     MutexLock lock(cache_mutex_);
-    if (cached_plan_ != nullptr && cached_hdg_.has_value() && &hdg == &*cached_hdg_ &&
-        cached_model_ == model.name) {
-      plan = cached_plan_.get();
-    }
+    FLEX_CHECK_MSG(cached_hdg_.has_value() && &hdg == &*cached_hdg_ &&
+                       cached_model_ == model.name,
+                   "Engine::Forward runs only the HDG EnsureHdg cached for this model");
+    plan = cached_plan_.get();
   }
   HdgAggregator aggregator(hdg, strategy_, &stats_, plan);
   Variable feats = Variable::Leaf(WsTensorCopy(features));

@@ -79,7 +79,9 @@ class Engine {
   Workspace& workspace() { return workspace_; }
 
   // Forward pass through all layers: features for every graph vertex in,
-  // final-layer features (logits) out.
+  // final-layer features (logits) out. `hdg` must be the one EnsureHdg
+  // returned for `model` (FLEX_CHECKed): aggregation runs through the plan
+  // compiled beside it.
   Variable Forward(const GnnModel& model, const Hdg& hdg, const Tensor& features,
                    StageTimes* times) FLEX_EXCLUDES(cache_mutex_);
 

@@ -43,43 +43,15 @@ Tensor FusedSegmentGatherReduce(const Tensor& x, std::span<const VertexId> leaf_
 
 namespace {
 
-// Shared backward for the indirect segment reduce: route each output-segment
-// gradient back to the source rows that fed it. Sequential — source rows
-// collide arbitrarily; the planned path below replaces this with a parallel
-// per-source gather.
-Tensor IndirectSegmentReduceBackward(const Tensor& grad_out, const std::vector<VertexId>& leaf_ids,
-                                     const std::vector<uint64_t>& offsets, ReduceKind kind,
-                                     int64_t src_rows, int64_t d) {
-  Tensor gx = WsTensor(src_rows, d);
-  const int64_t num_segments = static_cast<int64_t>(offsets.size()) - 1;
-  const simd::KernelTable& kt = simd::Kernels();
-  for (int64_t s = 0; s < num_segments; ++s) {
-    const uint64_t lo = offsets[static_cast<std::size_t>(s)];
-    const uint64_t hi = offsets[static_cast<std::size_t>(s) + 1];
-    if (lo == hi) {
-      continue;
-    }
-    const float* grow = grad_out.Row(s);
-    for (uint64_t e = lo; e < hi; ++e) {
-      float* dst = gx.Row(static_cast<int64_t>(leaf_ids[e]));
-      if (kind == ReduceKind::kMean) {
-        kt.axpy_row(dst, grow, 1.0f / static_cast<float>(hi - lo), d);
-      } else {
-        kt.add_row(dst, grow, d);
-      }
-    }
-  }
-  return gx;
-}
-
-// Planned backward: the inverse (source→segment) map turns the scatter-add
-// into a gather — each source row is owned by exactly one task. Contributions
-// are listed in ascending edge order, the same order the sequential
-// scatter-add visits them, so sums are bitwise identical.
-Tensor PlannedIndirectBackward(const Tensor& grad_out, const U64Vec& src_offsets,
-                               const U32Vec& src_edge_segments, const I64Vec& src_chunks,
-                               const U64Vec& offsets, ReduceKind kind, int64_t src_rows,
-                               int64_t d, int64_t tile_cols) {
+// Backward of the indirect segment reduce: the inverse (source→segment) map
+// turns the scatter-add into a gather — each source row is owned by exactly
+// one task. Contributions are listed in ascending edge order, the order a
+// sequential scatter-add over the edges visits them, so sums are bitwise
+// identical to it at every thread count.
+Tensor InverseMapBackward(const Tensor& grad_out, const U64Vec& src_offsets,
+                          const U32Vec& src_edge_segments, const I64Vec& src_chunks,
+                          const U64Vec& offsets, ReduceKind kind, int64_t src_rows, int64_t d,
+                          int64_t tile_cols) {
   Tensor gx = WsTensor(src_rows, d);
   const auto& soff = *src_offsets;
   const auto& ssegs = *src_edge_segments;
@@ -92,7 +64,7 @@ Tensor PlannedIndirectBackward(const Tensor& grad_out, const U64Vec& src_offsets
                          tile_cols, v_lo, v_hi, gx.data());
   };
   const int64_t total_work = static_cast<int64_t>(ssegs.size()) * d;
-  if (total_work < kMinParallelWork || exec::NumThreads() <= 1 || !src_chunks) {
+  if (total_work < kMinParallelWork || exec::NumThreads() <= 1) {
     gather_range(0, mapped_rows);
   } else {
     const auto& bounds = *src_chunks;
@@ -135,7 +107,7 @@ Tensor FusedSubtreeForward(const Tensor& x, const FusionPlan& fp, ReduceKind kin
                              poffs[static_cast<std::size_t>(start)]) *
         d;
     const I64Vec& chunks = fp.level_chunks[l];
-    if (level_work < kMinParallelWork || exec::NumThreads() <= 1 || !chunks) {
+    if (level_work < kMinParallelWork || exec::NumThreads() <= 1) {
       build_range(start, end);
     } else {
       const auto& bounds = *chunks;
@@ -152,14 +124,11 @@ Tensor FusedSubtreeForward(const Tensor& x, const FusionPlan& fp, ReduceKind kin
   Tensor out = WsTensor(num_segments, d);
   const simd::Reduce sk = ToSimdReduce(kind);
   const int64_t total_work = static_cast<int64_t>(fp.ids->size()) * d;
-  ForEachSegmentChunk(offs, fp.chunks ? std::span<const int64_t>(*fp.chunks)
-                                      : std::span<const int64_t>{},
-                      total_work, [&](int64_t s_lo, int64_t s_hi) {
-                        kt.segment_reduce_ext(x.data(), fp.base_rows, partials.data(), d,
-                                              fp.ids->data(), offs.data(),
-                                              fp.scale_offsets->data(), s_lo, s_hi, sk,
-                                              tile_cols, out.data());
-                      });
+  ForEachSegmentChunk(offs, *fp.chunks, total_work, [&](int64_t s_lo, int64_t s_hi) {
+    kt.segment_reduce_ext(x.data(), fp.base_rows, partials.data(), d, fp.ids->data(),
+                          offs.data(), fp.scale_offsets->data(), s_lo, s_hi, sk, tile_cols,
+                          out.data());
+  });
   return out;
 }
 
@@ -174,9 +143,9 @@ Tensor FusedSubtreeForward(const Tensor& x, const FusionPlan& fp, ReduceKind kin
 // to the unfused backward (different — but fixed — accumulation order).
 Tensor FusedSubtreeBackward(const Tensor& grad_out, const FusionPlan& fp, ReduceKind kind,
                             int64_t src_rows, int64_t d, int64_t tile_cols) {
-  Tensor gx_ext = PlannedIndirectBackward(grad_out, fp.src_offsets, fp.src_edge_segments,
-                                          fp.src_chunks, fp.scale_offsets, kind, fp.src_rows,
-                                          d, tile_cols);
+  Tensor gx_ext = InverseMapBackward(grad_out, fp.src_offsets, fp.src_edge_segments,
+                                     fp.src_chunks, fp.scale_offsets, kind, fp.src_rows, d,
+                                     tile_cols);
   const simd::KernelTable& kt = simd::Kernels();
   const auto& poffs = *fp.partial_offsets;
   const auto& pids = *fp.partial_ids;
@@ -195,64 +164,12 @@ Tensor FusedSubtreeBackward(const Tensor& grad_out, const FusionPlan& fp, Reduce
 
 }  // namespace
 
-Variable AgIndirectSegmentReduce(const Variable& x, std::vector<VertexId> leaf_ids,
-                                 std::vector<uint64_t> offsets, ReduceKind kind,
-                                 ExecStrategy strategy, AggregationStats* stats) {
-  FLEX_CHECK_MSG(kind == ReduceKind::kSum || kind == ReduceKind::kMean,
-                 "differentiable aggregation supports sum/mean");
-  const int64_t d = x.cols();
-  const int64_t src_rows = x.rows();
-  Tensor out;
-
-  if (strategy == ExecStrategy::kSparse) {
-    // SA: materialize the gathered message tensor, then scatter-reduce it
-    // with an explicit COO destination index — two [E, d]-sized passes plus
-    // an [E]-sized index, which is exactly the overhead feature fusion
-    // removes.
-    FLEX_TRACE_SPAN("kernel.sa_gather_scatter",
-                    {{"rows", static_cast<double>(leaf_ids.size())}});
-    FLEX_COUNTER_ADD("kernel.sparse_leaf_refs",
-                     static_cast<int64_t>(leaf_ids.size()));
-    Tensor gathered = GatherRows(x.value(), leaf_ids);
-    std::vector<uint32_t> dst_index(leaf_ids.size());
-    const int64_t num_segments = static_cast<int64_t>(offsets.size()) - 1;
-    for (int64_t s = 0; s < num_segments; ++s) {
-      for (uint64_t e = offsets[static_cast<std::size_t>(s)];
-           e < offsets[static_cast<std::size_t>(s) + 1]; ++e) {
-        dst_index[e] = static_cast<uint32_t>(s);
-      }
-    }
-    if (stats != nullptr) {
-      stats->materialized_bytes += gathered.ByteSize() + dst_index.size() * sizeof(uint32_t);
-      stats->sparse_rows += static_cast<uint64_t>(gathered.rows());
-    }
-    out = Scatter(gathered, dst_index, num_segments, kind);
-  } else {
-    // FA: fused gather-reduce.
-    FLEX_TRACE_SPAN("kernel.fa_fused_gather_reduce",
-                    {{"rows", static_cast<double>(leaf_ids.size())}});
-    FLEX_COUNTER_ADD("kernel.fused_leaf_refs",
-                     static_cast<int64_t>(leaf_ids.size()));
-    out = FusedSegmentGatherReduce(x.value(), leaf_ids, offsets, kind);
-    if (stats != nullptr) {
-      stats->fused_rows += leaf_ids.size();
-    }
-  }
-
-  auto xn = x.node();
-  auto ids = std::make_shared<std::vector<VertexId>>(std::move(leaf_ids));
-  auto offs = std::make_shared<std::vector<uint64_t>>(std::move(offsets));
-  return MakeVariable(std::move(out), {x}, [xn, ids, offs, kind, src_rows, d](AgNode& self) {
-    xn->AccumulateGrad(
-        IndirectSegmentReduceBackward(self.grad(), *ids, *offs, kind, src_rows, d));
-  });
-}
-
 Variable AgIndirectSegmentReduce(const Variable& x, const LevelPlan& level, ReduceKind kind,
                                  ExecStrategy strategy, AggregationStats* stats) {
   FLEX_CHECK_MSG(kind == ReduceKind::kSum || kind == ReduceKind::kMean,
                  "differentiable aggregation supports sum/mean");
-  FLEX_CHECK(level.offsets && level.leaf_ids && level.gather_index);
+  FLEX_CHECK(level.offsets && level.leaf_ids && level.gather_index && level.src_offsets &&
+             level.src_edge_segments);
   const int64_t d = x.cols();
   const int64_t src_rows = x.rows();
   const std::size_t num_refs = level.leaf_ids->size();
@@ -289,9 +206,7 @@ Variable AgIndirectSegmentReduce(const Variable& x, const LevelPlan& level, Redu
     FLEX_TRACE_SPAN("kernel.fa_fused_gather_reduce", {{"rows", static_cast<double>(num_refs)}});
     FLEX_COUNTER_ADD("kernel.fused_leaf_refs", static_cast<int64_t>(num_refs));
     out = FusedSegmentGatherReduce(x.value(), *level.leaf_ids, *level.offsets, kind,
-                                   level.chunks ? std::span<const int64_t>(*level.chunks)
-                                                : std::span<const int64_t>{},
-                                   level.tile_cols);
+                                   *level.chunks, level.tile_cols);
     if (stats != nullptr) {
       stats->fused_rows += num_refs;
     }
@@ -299,7 +214,6 @@ Variable AgIndirectSegmentReduce(const Variable& x, const LevelPlan& level, Redu
 
   auto xn = x.node();
   const U64Vec offs = level.offsets;
-  const IdVec ids = level.leaf_ids;
   const U64Vec soff = level.src_offsets;
   const U32Vec ssegs = level.src_edge_segments;
   const I64Vec schunks = level.src_chunks;
@@ -307,19 +221,14 @@ Variable AgIndirectSegmentReduce(const Variable& x, const LevelPlan& level, Redu
   const std::shared_ptr<const FusionPlan> fused =
       strategy == ExecStrategy::kSparse ? nullptr : level.fusion;
   return MakeVariable(std::move(out), {x},
-                      [xn, offs, ids, soff, ssegs, schunks, fused, kind, src_rows, d,
+                      [xn, offs, soff, ssegs, schunks, fused, kind, src_rows, d,
                        tile](AgNode& self) {
-                        if (fused != nullptr) {
-                          xn->AccumulateGrad(FusedSubtreeBackward(self.grad(), *fused, kind,
-                                                                  src_rows, d, tile));
-                        } else if (soff && ssegs) {
-                          xn->AccumulateGrad(
-                              PlannedIndirectBackward(self.grad(), soff, ssegs, schunks, offs,
-                                                      kind, src_rows, d, tile));
-                        } else {
-                          xn->AccumulateGrad(IndirectSegmentReduceBackward(
-                              self.grad(), *ids, *offs, kind, src_rows, d));
-                        }
+                        xn->AccumulateGrad(
+                            fused != nullptr
+                                ? FusedSubtreeBackward(self.grad(), *fused, kind, src_rows, d,
+                                                       tile)
+                                : InverseMapBackward(self.grad(), soff, ssegs, schunks, offs,
+                                                     kind, src_rows, d, tile));
                       });
 }
 
@@ -362,31 +271,6 @@ Variable AgReorderSource(const Variable& x, const ReorderPlan& reorder) {
     }
     xn->AccumulateGrad(std::move(gx));
   });
-}
-
-Variable AgSchemaReduce(const Variable& slots, int64_t group, ReduceKind kind,
-                        ExecStrategy strategy, AggregationStats* stats) {
-  FLEX_CHECK_EQ(slots.rows() % group, 0);
-  if (strategy == ExecStrategy::kHybrid) {
-    // Dense path: [R·T, d] viewed as [R, T, d], reduced over T — a reshape
-    // plus a regular reduction, no index tensors at all (paper Figure 10).
-    if (stats != nullptr) {
-      stats->dense_rows += static_cast<uint64_t>(slots.rows());
-    }
-    return kind == ReduceKind::kMean ? AgGroupMean(slots, group) : AgGroupSum(slots, group);
-  }
-  // Sparse path: the same reduction executed as a scatter with an explicit
-  // index tensor, as a sparse-only runtime would.
-  const int64_t out_rows = slots.rows() / group;
-  std::vector<uint32_t> index(static_cast<std::size_t>(slots.rows()));
-  for (int64_t i = 0; i < slots.rows(); ++i) {
-    index[static_cast<std::size_t>(i)] = static_cast<uint32_t>(i / group);
-  }
-  if (stats != nullptr) {
-    stats->sparse_rows += static_cast<uint64_t>(slots.rows());
-    stats->materialized_bytes += index.size() * sizeof(uint32_t);
-  }
-  return AgScatter(slots, std::move(index), out_rows, kind);
 }
 
 Variable AgSchemaReduce(const Variable& slots, const LevelPlan& level, ReduceKind kind,

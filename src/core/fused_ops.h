@@ -1,4 +1,5 @@
-// Differentiable aggregation kernels parameterized by execution strategy.
+// Differentiable aggregation kernels parameterized by execution strategy,
+// each executing one level of a compiled ExecutionPlan.
 //
 // The central op is an *indirect segment reduce*:
 //     out[s] = reduce_{e ∈ [offsets[s], offsets[s+1])} x[leaf_ids[e]]
@@ -7,13 +8,13 @@
 // message tensor first — modelling scatter-op pipelines — while the fused
 // (FA) path streams source rows into per-destination accumulators with a
 // contiguous, auto-vectorizable inner loop (the paper's SIMD feature fusion).
-// Both paths share one backward: grad_x[leaf_ids[e]] += grad_out[segment(e)].
+// Both run the same backward, grad_x[leaf_ids[e]] += grad_out[segment(e)],
+// as a per-source gather over the plan's inverse (source→segment) map.
 #ifndef SRC_CORE_FUSED_OPS_H_
 #define SRC_CORE_FUSED_OPS_H_
 
 #include <cstdint>
 #include <span>
-#include <vector>
 
 #include "src/exec/exec_strategy.h"
 #include "src/exec/plan.h"
@@ -56,30 +57,21 @@ Tensor FusedSegmentGatherReduce(const Tensor& x, std::span<const VertexId> leaf_
 // in the gather stream and receive zero gradient, exactly as without reorder.
 Variable AgReorderSource(const Variable& x, const ReorderPlan& reorder);
 
-// Differentiable indirect segment reduce with strategy-selected forward.
-// kind must be kSum or kMean (the differentiable aggregators GNNs use).
-// stats may be null.
-Variable AgIndirectSegmentReduce(const Variable& x, std::vector<VertexId> leaf_ids,
-                                 std::vector<uint64_t> offsets, ReduceKind kind,
-                                 ExecStrategy strategy, AggregationStats* stats);
-
-// Planned-execution form: indices, chunk boundaries and the inverse
-// (source→segment) backward map all come precompiled from the level plan, so
-// steady-state epochs build no index tensors and the backward runs as a
-// race-free parallel per-source gather. Numerics are bitwise identical to the
-// ad-hoc overload above for every strategy.
+// Differentiable indirect segment reduce over one level plan, with a
+// strategy-selected forward. kind must be kSum or kMean (the differentiable
+// aggregators GNNs use); stats may be null. Indices, chunk boundaries and the
+// inverse (source→segment) backward map all come precompiled from the level,
+// so steady-state epochs build no index tensors and the backward runs as a
+// race-free parallel per-source gather, bitwise identical for every strategy
+// and thread count.
 Variable AgIndirectSegmentReduce(const Variable& x, const LevelPlan& level, ReduceKind kind,
                                  ExecStrategy strategy, AggregationStats* stats);
 
-// Dense schema-level reduce with strategy selection: under kHybrid this is a
-// reshape+reduce (AgGroupSum/Mean); under SA/SA+FA the same math runs through
-// a scatter op with an explicit index tensor, modelling sparse execution of
-// the schema level. group = number of consecutive rows per output row.
-Variable AgSchemaReduce(const Variable& slots, int64_t group, ReduceKind kind,
-                        ExecStrategy strategy, AggregationStats* stats);
-
-// Planned form of the schema reduce: the sparse path reuses the plan's
-// precompiled scatter index instead of rebuilding it per call.
+// Schema-level reduce over level.group consecutive rows per output row, with
+// strategy selection: under kHybrid this is a dense reshape+reduce
+// (AgGroupSum/Mean); under SA/SA+FA the same math runs as a scatter over the
+// level's precompiled index tensor, modelling sparse execution of the schema
+// level.
 Variable AgSchemaReduce(const Variable& slots, const LevelPlan& level, ReduceKind kind,
                         ExecStrategy strategy, AggregationStats* stats);
 

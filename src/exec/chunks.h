@@ -1,8 +1,9 @@
 // Fixed, thread-count-independent chunk boundary computation shared by the
-// plan compiler and the ad-hoc (plan-less) parallel kernels. Boundaries live
-// in segment space — a chunk never straddles a segment — so every output row
-// is written by exactly one task and per-segment accumulation order matches
-// the sequential kernels: results are bitwise identical across thread counts.
+// plan compiler and the kernels that derive chunks on the fly when called
+// without a precompiled chunk table. Boundaries live in segment space — a
+// chunk never straddles a segment — so every output row is written by
+// exactly one task and per-segment accumulation order matches the
+// sequential kernels: results are bitwise identical across thread counts.
 #ifndef SRC_EXEC_CHUNKS_H_
 #define SRC_EXEC_CHUNKS_H_
 
@@ -12,7 +13,7 @@
 
 namespace flexgraph {
 
-// Default chunk target used by plan compilation and ad-hoc kernels. Fixed
+// Default chunk target used by plan compilation and on-the-fly chunking. Fixed
 // (not a function of the thread count) so chunkings — and therefore results —
 // are identical no matter how many threads execute them; 64 balances well up
 // to 16 threads. Re-checked after the RunBatch pool change: ParallelChunks

@@ -112,11 +112,12 @@ void LowerPass(PlanDraft& draft, const Hdg& hdg) {
     schema.group = group;
     schema.num_segments = num_roots;
     schema.input_rows = num_roots * group;
-    std::vector<uint32_t> schema_index(static_cast<std::size_t>(schema.input_rows));
-    for (std::size_t i = 0; i < schema_index.size(); ++i) {
-      schema_index[i] = static_cast<uint32_t>(i / static_cast<std::size_t>(group));
+    // Fixed-width segments: root r reduces slots [r·T, (r+1)·T).
+    schema.offsets.resize(static_cast<std::size_t>(num_roots) + 1);
+    for (std::size_t r = 0; r < schema.offsets.size(); ++r) {
+      schema.offsets[r] = r * static_cast<uint64_t>(group);
     }
-    schema.scatter_index = std::move(schema_index);
+    schema.scatter_index = SegmentOfRow(schema.offsets);
     schema.chunks = MakeRowChunks(num_roots, kPlanChunkTarget);
     draft.has_schema = true;
   }

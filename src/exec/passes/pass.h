@@ -60,8 +60,8 @@ struct LevelDraft {
 
   int64_t tile_cols = 0;
 
-  // Empty vectors freeze to null shared_ptrs: "absent" in the frozen plan
-  // (the schema level has no offsets, only the bottom has an inverse map).
+  // Every vector freezes to a non-null shared array, empty ones included
+  // (only the bottom level fills its inverse map, for instance).
   LevelPlan Freeze() &&;
 };
 

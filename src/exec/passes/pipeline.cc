@@ -22,11 +22,11 @@
 namespace flexgraph {
 namespace {
 
+// An empty array freezes as present and empty, never as null: a level
+// whose roots have no leaves (a small partition's worker) is still a level
+// the executor runs, and every kernel dereferences its arrays.
 template <typename T>
 std::shared_ptr<const std::vector<T>> Shared(std::vector<T> v) {
-  if (v.empty()) {
-    return nullptr;  // absent in the frozen plan
-  }
   return std::make_shared<const std::vector<T>>(std::move(v));
 }
 

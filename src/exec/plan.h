@@ -4,12 +4,12 @@
 // src/exec/passes/ (analyze → lower → fuse → reorder → finalize over a
 // mutable PlanDraft, frozen into this type at the end), the plan records for every
 // HDG aggregation level which kernel class runs it, the segment boundaries it
-// reduces over, precompiled index tensors (gather/scatter indices that the
-// ad-hoc dispatch used to rebuild on every call), fixed parallel chunk
-// boundaries, and the inverse leaf→segment map that makes the bottom-level
-// backward a deterministic parallel gather. It also carries a workspace-size
-// estimate so the arena can be reserved up front and steady-state epochs run
-// without heap allocation.
+// reduces over, precompiled index tensors (gather/scatter indices built once
+// instead of on every call), fixed parallel chunk boundaries, and the inverse
+// leaf→segment map that makes the bottom-level backward a deterministic
+// parallel gather. It also carries a workspace-size estimate so the arena can
+// be reserved up front and steady-state epochs run without heap allocation.
+// The plan is the only way aggregation runs: HdgAggregator requires one.
 //
 // Determinism contract: chunk boundaries live in segment space — a chunk
 // never straddles a segment, so each output row is written by exactly one
@@ -127,7 +127,9 @@ struct ReorderPlan {
   U32Vec inv;            // inv[new_row] = old_row
 };
 
-// Everything needed to execute one aggregation level.
+// Everything needed to execute one aggregation level. In a compiled plan
+// every index array below is non-null; an array the level does not use, or
+// one over zero rows (roots without leaves), is present and empty.
 struct LevelPlan {
   LevelKernelClass kernel = LevelKernelClass::kFused;
   int64_t num_segments = 0;  // output rows
@@ -135,6 +137,7 @@ struct LevelPlan {
   int64_t group = 0;         // group size for kDenseGroupReduce
 
   U64Vec offsets;       // [S+1] segment boundaries over the input rows
+                        // (the schema level's are [0, T, 2T, …])
   IdVec leaf_ids;       // bottom level: graph vertex id per leaf ref
   U32Vec gather_index;  // bottom level: leaf_ids as u32 (gather index tensor)
   U32Vec scatter_index; // destination segment per input row (scatter paths

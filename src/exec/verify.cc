@@ -338,10 +338,10 @@ VerifyResult VerifyHdg(const Hdg& hdg, uint64_t num_graph_vertices) {
 
 namespace {
 
-// Verifies one LevelPlan's self-consistency. `offsets_required` is false for
-// the schema level, which addresses rows by fixed group size instead.
+// Verifies one LevelPlan's self-consistency. Every level carries offsets
+// (the schema level's are fixed-width, [0, T, 2T, …]).
 void VerifyLevel(VerifyResult* result, const std::string& level_name,
-                 const LevelPlan& level, bool offsets_required) {
+                 const LevelPlan& level) {
   IssueSink sink(result, level_name);
   if (level.num_segments < 0 || level.input_rows < 0) {
     sink.Fail("level", -1,
@@ -349,39 +349,15 @@ void VerifyLevel(VerifyResult* result, const std::string& level_name,
                   " input_rows=" + I64(level.input_rows));
     return;
   }
-  if (level.offsets != nullptr) {
-    CheckOffsets(sink, "offsets", *level.offsets, level.num_segments, level.input_rows);
-  } else if (offsets_required) {
+  if (level.offsets == nullptr) {
     sink.Fail("offsets", -1, "level has no offset array");
     return;
   }
-  if (level.scatter_index != nullptr && level.offsets != nullptr &&
+  CheckOffsets(sink, "offsets", *level.offsets, level.num_segments, level.input_rows);
+  if (level.scatter_index != nullptr &&
       static_cast<int64_t>(level.offsets->size()) == level.num_segments + 1) {
     CheckScatter(sink, *level.scatter_index, *level.offsets, level.num_segments,
                  level.input_rows);
-  } else if (level.scatter_index != nullptr) {
-    // No offsets to cross-check (dense group level): bounds + ordering only.
-    const auto& scatter = *level.scatter_index;
-    if (static_cast<int64_t>(scatter.size()) != level.input_rows) {
-      sink.Fail("scatter_index", -1,
-                "scatter_index has " + U64(scatter.size()) + " entries, expected " +
-                    I64(level.input_rows));
-    } else {
-      for (std::size_t i = 0; i < scatter.size(); ++i) {
-        if (scatter[i] >= static_cast<uint64_t>(level.num_segments)) {
-          sink.Fail("scatter_index", static_cast<int64_t>(i),
-                    "destination segment " + U64(scatter[i]) + " out of range [0, " +
-                        I64(level.num_segments) + ")");
-          break;
-        }
-        if (i > 0 && scatter[i] < scatter[i - 1]) {
-          sink.Fail("scatter_index", static_cast<int64_t>(i),
-                    "elided-Dst ordering violated: destinations not non-decreasing (" +
-                        U64(scatter[i]) + " after " + U64(scatter[i - 1]) + ")");
-          break;
-        }
-      }
-    }
   }
   if (level.chunks != nullptr) {
     CheckChunks(sink, "chunks", *level.chunks, level.num_segments);
@@ -401,9 +377,7 @@ void VerifyInverseMap(VerifyResult* result, const LevelPlan& bottom) {
   IssueSink sink(result, "bottom");
   if (bottom.src_offsets == nullptr || bottom.src_edge_segments == nullptr ||
       bottom.leaf_ids == nullptr || bottom.scatter_index == nullptr) {
-    if (bottom.input_rows > 0) {
-      sink.Fail("src_offsets", -1, "bottom level is missing its inverse map");
-    }
+    sink.Fail("src_offsets", -1, "bottom level is missing its inverse map");
     return;
   }
   const auto& src_offsets = *bottom.src_offsets;
@@ -563,12 +537,12 @@ VerifyResult VerifyPlan(const ExecutionPlan& plan, const HdgView& view,
                         uint64_t num_graph_vertices) {
   VerifyResult result;
 
-  VerifyLevel(&result, "bottom", plan.bottom(), /*offsets_required=*/true);
+  VerifyLevel(&result, "bottom", plan.bottom());
   if (plan.has_instance()) {
-    VerifyLevel(&result, "instance", plan.instance(), /*offsets_required=*/true);
+    VerifyLevel(&result, "instance", plan.instance());
   }
   if (plan.has_schema()) {
-    VerifyLevel(&result, "schema", plan.schema(), /*offsets_required=*/false);
+    VerifyLevel(&result, "schema", plan.schema());
   }
 
   IssueSink bottom_sink(&result, "bottom");
@@ -577,9 +551,7 @@ VerifyResult VerifyPlan(const ExecutionPlan& plan, const HdgView& view,
   // graph vertex, and byte-for-byte the leaf id array (it is the same data in
   // gather-kernel dtype).
   if (plan.bottom().gather_index == nullptr || plan.bottom().leaf_ids == nullptr) {
-    if (plan.bottom().input_rows > 0) {
-      bottom_sink.Fail("gather_index", -1, "bottom level is missing its gather index");
-    }
+    bottom_sink.Fail("gather_index", -1, "bottom level is missing its gather index");
   } else {
     const auto& gather = *plan.bottom().gather_index;
     const auto& leaf_ids = *plan.bottom().leaf_ids;

@@ -25,8 +25,8 @@ class AgNode;
 using AgNodePtr = std::shared_ptr<AgNode>;
 
 // Shared immutable index metadata (an ExecutionPlan's precompiled vectors, or
-// ad-hoc ones built by the legacy overloads). Ops hold these by shared_ptr so
-// steady-state epochs copy no index data.
+// the per-call ones the by-value overloads wrap). Ops hold these by shared_ptr
+// so steady-state epochs copy no index data.
 using U32VecPtr = std::shared_ptr<const std::vector<uint32_t>>;
 using U64VecPtr = std::shared_ptr<const std::vector<uint64_t>>;
 using I64VecPtr = std::shared_ptr<const std::vector<int64_t>>;
@@ -133,9 +133,9 @@ Variable AgScale(const Variable& x, float s);
 Variable AgDropout(const Variable& x, float p, Rng& rng);
 
 // Row gather / scatter (COO aggregation path). Scatter supports kSum/kMean.
-// The shared_ptr overloads are the planned-execution path: the index lives in
-// the ExecutionPlan and is referenced, never copied, per call. The by-value
-// overloads wrap ad-hoc indices for the legacy/unplanned path.
+// The shared_ptr overloads reference an index that outlives the call (an
+// ExecutionPlan's), never copying it; the by-value overloads take ownership
+// of an index built for this one call.
 Variable AgGatherRows(const Variable& x, std::vector<uint32_t> index);
 Variable AgGatherRows(const Variable& x, U32VecPtr index);
 Variable AgScatter(const Variable& values, std::vector<uint32_t> index, int64_t out_rows,

@@ -58,10 +58,10 @@ Tensor Scatter(const Tensor& values, std::span<const uint32_t> index, int64_t ou
   FLEX_CHECK_EQ(static_cast<int64_t>(index.size()), values.rows());
   const int64_t d = values.cols();
   // Sequential by design: the index is arbitrary, so destination rows can
-  // collide across input rows. The planned paths replace this kernel with a
-  // segment reduce; it stays as the unplanned/COO fallback. The per-row
-  // accumulation runs through the dispatched vector kernel in ascending i
-  // order, the same order as ever.
+  // collide across input rows. It serves the COO paths — the scatter levels
+  // of SA plans and the backward of a row gather; reductions over segment
+  // offsets replace it everywhere else. The per-row accumulation runs
+  // through the dispatched vector kernel in ascending i order.
   Tensor out = WsTensor(out_rows, d);
   const simd::KernelTable& kt = simd::Kernels();
 

@@ -1,13 +1,20 @@
 // Tests for the hybrid execution layer: strategy equivalence (SA, SA+FA and
-// HA must compute identical values), fused-op gradients, and the level-wise
-// aggregator on the paper's worked example.
+// HA must compute identical values), fused-op gradients, the level-wise
+// aggregator on the paper's worked example, and levels with no input rows.
+// Every level op runs over a compiled ExecutionPlan, as in production.
 #include "src/core/aggregation.h"
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <span>
+#include <string>
+
 #include "src/core/fused_ops.h"
 #include "src/exec/chunks.h"
 #include "src/exec/parallel.h"
+#include "src/exec/simd.h"
+#include "src/exec/verify.h"
 #include "src/tensor/ops_dense.h"
 #include "src/tensor/ops_sparse.h"
 #include "tests/test_util.h"
@@ -15,17 +22,71 @@
 namespace flexgraph {
 namespace {
 
+constexpr ExecStrategy kAllStrategies[] = {ExecStrategy::kSparse, ExecStrategy::kSparseFused,
+                                           ExecStrategy::kHybrid};
+
+// Flat HDG over roots 0..R-1 (R = offsets.size() - 1): root r aggregates
+// leaf_ids[offsets[r] .. offsets[r+1]).
+Hdg FlatHdg(std::span<const VertexId> leaf_ids, std::span<const uint64_t> offsets) {
+  std::vector<VertexId> roots(offsets.size() - 1);
+  for (std::size_t r = 0; r < roots.size(); ++r) {
+    roots[r] = static_cast<VertexId>(r);
+  }
+  HdgBuilder builder(SchemaTree::Flat(), roots);
+  for (std::size_t r = 0; r < roots.size(); ++r) {
+    for (uint64_t e = offsets[r]; e < offsets[r + 1]; ++e) {
+      builder.AddRecord(roots[r], 0, leaf_ids.subspan(e, 1));
+    }
+  }
+  return builder.Build();
+}
+
+// Hierarchical HDG over roots 0..num_roots-1 and `num_types` neighbor types;
+// each (root, type) slot holds `per_slot` single-leaf instances.
+Hdg HierarchicalHdg(uint32_t num_roots, uint32_t num_types, uint32_t per_slot) {
+  std::vector<std::string> types;
+  for (uint32_t t = 0; t < num_types; ++t) {
+    types.push_back("T" + std::to_string(t));
+  }
+  std::vector<VertexId> roots(num_roots);
+  for (uint32_t r = 0; r < num_roots; ++r) {
+    roots[r] = r;
+  }
+  HdgBuilder builder(SchemaTree::WithLeafTypes(types), roots);
+  for (uint32_t r = 0; r < num_roots; ++r) {
+    for (uint32_t t = 0; t < num_types; ++t) {
+      for (uint32_t i = 0; i < per_slot; ++i) {
+        const VertexId leaf[] = {(r + t + i) % num_roots};
+        builder.AddRecord(r, t, leaf);
+      }
+    }
+  }
+  return builder.Build();
+}
+
+// The plan compiled without the locality reorder, so its bottom level
+// addresses the input tensor's own rows and the level ops can run on it
+// directly (HdgAggregator applies the reorder itself).
+ExecutionPlan InputOrderPlan(const Hdg& hdg, ExecStrategy strategy) {
+  PlanOptions options = DefaultPlanOptions();
+  options.reorder = false;
+  return CompileExecutionPlan("test", hdg, strategy, /*hint_dim=*/64, options);
+}
+
 TEST(FusedOpsTest, FusedMatchesSparseForward) {
   Rng rng(1);
   Tensor x = RandomTensor(10, 5, rng);
-  std::vector<VertexId> leaf_ids = {0, 3, 3, 9, 1, 2, 2};
-  std::vector<uint64_t> offsets = {0, 2, 2, 5, 7};
+  const std::vector<VertexId> leaf_ids = {0, 3, 3, 9, 1, 2, 2};
+  const std::vector<uint64_t> offsets = {0, 2, 2, 5, 7};
+  const Hdg hdg = FlatHdg(leaf_ids, offsets);
+  const ExecutionPlan sparse_plan = InputOrderPlan(hdg, ExecStrategy::kSparse);
+  const ExecutionPlan fused_plan = InputOrderPlan(hdg, ExecStrategy::kHybrid);
 
   for (ReduceKind kind : {ReduceKind::kSum, ReduceKind::kMean}) {
     Variable vx = Variable::Leaf(x);
-    Variable sparse = AgIndirectSegmentReduce(vx, leaf_ids, offsets, kind,
+    Variable sparse = AgIndirectSegmentReduce(vx, sparse_plan.bottom(), kind,
                                               ExecStrategy::kSparse, nullptr);
-    Variable fused = AgIndirectSegmentReduce(vx, leaf_ids, offsets, kind,
+    Variable fused = AgIndirectSegmentReduce(vx, fused_plan.bottom(), kind,
                                              ExecStrategy::kHybrid, nullptr);
     EXPECT_TRUE(AllClose(sparse.value(), fused.value(), 1e-5f))
         << "kind=" << ReduceKindName(kind);
@@ -45,35 +106,37 @@ TEST(FusedOpsTest, FusedKernelMaxMin) {
 TEST(FusedOpsTest, GradientsMatchNumeric) {
   Rng rng(2);
   Tensor x = RandomTensor(8, 4, rng);
-  std::vector<VertexId> leaf_ids = {7, 0, 0, 3, 5, 5};
-  std::vector<uint64_t> offsets = {0, 3, 4, 6};
+  const std::vector<VertexId> leaf_ids = {7, 0, 0, 3, 5, 5};
+  const std::vector<uint64_t> offsets = {0, 3, 4, 6};
+  const Hdg hdg = FlatHdg(leaf_ids, offsets);
   for (ExecStrategy strategy : {ExecStrategy::kSparse, ExecStrategy::kHybrid}) {
-    ExpectGradientsMatch(x, [&](const Variable& v) {
-      return AgIndirectSegmentReduce(v, leaf_ids, offsets, ReduceKind::kSum, strategy, nullptr);
-    });
-    ExpectGradientsMatch(x, [&](const Variable& v) {
-      return AgIndirectSegmentReduce(v, leaf_ids, offsets, ReduceKind::kMean, strategy, nullptr);
-    });
+    const ExecutionPlan plan = InputOrderPlan(hdg, strategy);
+    for (ReduceKind kind : {ReduceKind::kSum, ReduceKind::kMean}) {
+      ExpectGradientsMatch(x, [&](const Variable& v) {
+        return AgIndirectSegmentReduce(v, plan.bottom(), kind, strategy, nullptr);
+      });
+    }
   }
 }
 
 TEST(FusedOpsTest, StatsAccounting) {
   Rng rng(3);
   Tensor x = RandomTensor(6, 8, rng);
-  std::vector<VertexId> leaf_ids = {0, 1, 2, 3};
-  std::vector<uint64_t> offsets = {0, 2, 4};
+  const std::vector<VertexId> leaf_ids = {0, 1, 2, 3};
+  const std::vector<uint64_t> offsets = {0, 2, 4};
+  const Hdg hdg = FlatHdg(leaf_ids, offsets);
 
   AggregationStats sparse_stats;
-  AgIndirectSegmentReduce(Variable::Leaf(x), leaf_ids, offsets, ReduceKind::kSum,
-                          ExecStrategy::kSparse, &sparse_stats);
+  AgIndirectSegmentReduce(Variable::Leaf(x), InputOrderPlan(hdg, ExecStrategy::kSparse).bottom(),
+                          ReduceKind::kSum, ExecStrategy::kSparse, &sparse_stats);
   // SA materializes the [4, 8] gathered tensor plus the index.
   EXPECT_EQ(sparse_stats.materialized_bytes, 4 * 8 * sizeof(float) + 4 * sizeof(uint32_t));
   EXPECT_EQ(sparse_stats.sparse_rows, 4u);
   EXPECT_EQ(sparse_stats.fused_rows, 0u);
 
   AggregationStats fused_stats;
-  AgIndirectSegmentReduce(Variable::Leaf(x), leaf_ids, offsets, ReduceKind::kSum,
-                          ExecStrategy::kHybrid, &fused_stats);
+  AgIndirectSegmentReduce(Variable::Leaf(x), InputOrderPlan(hdg, ExecStrategy::kHybrid).bottom(),
+                          ReduceKind::kSum, ExecStrategy::kHybrid, &fused_stats);
   EXPECT_EQ(fused_stats.materialized_bytes, 0u);
   EXPECT_EQ(fused_stats.fused_rows, 4u);
 }
@@ -81,10 +144,13 @@ TEST(FusedOpsTest, StatsAccounting) {
 TEST(SchemaReduceTest, DenseMatchesSparse) {
   Rng rng(4);
   Tensor slots = RandomTensor(12, 5, rng);  // 4 roots × 3 types
+  const Hdg hdg = HierarchicalHdg(4, 3, 1);
+  const ExecutionPlan dense_plan = CompileExecutionPlan("test", hdg, ExecStrategy::kHybrid);
+  const ExecutionPlan sparse_plan = CompileExecutionPlan("test", hdg, ExecStrategy::kSparseFused);
   for (ReduceKind kind : {ReduceKind::kSum, ReduceKind::kMean}) {
-    Variable dense = AgSchemaReduce(Variable::Leaf(slots), 3, kind,
+    Variable dense = AgSchemaReduce(Variable::Leaf(slots), dense_plan.schema(), kind,
                                     ExecStrategy::kHybrid, nullptr);
-    Variable sparse = AgSchemaReduce(Variable::Leaf(slots), 3, kind,
+    Variable sparse = AgSchemaReduce(Variable::Leaf(slots), sparse_plan.schema(), kind,
                                      ExecStrategy::kSparseFused, nullptr);
     EXPECT_TRUE(AllClose(dense.value(), sparse.value(), 1e-5f));
   }
@@ -92,9 +158,11 @@ TEST(SchemaReduceTest, DenseMatchesSparse) {
 
 TEST(SchemaReduceTest, DenseGradient) {
   Rng rng(5);
-  Tensor slots = RandomTensor(6, 3, rng);
-  ExpectGradientsMatch(slots, [](const Variable& v) {
-    return AgSchemaReduce(v, 2, ReduceKind::kSum, ExecStrategy::kHybrid, nullptr);
+  Tensor slots = RandomTensor(6, 3, rng);  // 3 roots × 2 types
+  const ExecutionPlan plan =
+      CompileExecutionPlan("test", HierarchicalHdg(3, 2, 1), ExecStrategy::kHybrid);
+  ExpectGradientsMatch(slots, [&](const Variable& v) {
+    return AgSchemaReduce(v, plan.schema(), ReduceKind::kSum, ExecStrategy::kHybrid, nullptr);
   });
 }
 
@@ -138,7 +206,8 @@ class AggregatorPaperExample : public ::testing::Test {
 };
 
 TEST_F(AggregatorPaperExample, BottomLevelMeans) {
-  HdgAggregator agg(hdg_, ExecStrategy::kHybrid);
+  const ExecutionPlan plan = CompileExecutionPlan("magnn", hdg_, ExecStrategy::kHybrid);
+  HdgAggregator agg(hdg_, ExecStrategy::kHybrid, nullptr, &plan);
   Variable inst = agg.BottomLevel(Variable::Leaf(feats_), ReduceKind::kMean);
   ASSERT_EQ(inst.rows(), 5);
   // p1 = mean(0,3,2) = 5/3; p2 = mean(0,4,1) = 5/3; p3 = mean(0,5,6) = 11/3;
@@ -152,9 +221,9 @@ TEST_F(AggregatorPaperExample, BottomLevelMeans) {
 
 TEST_F(AggregatorPaperExample, FullHierarchyAllStrategiesAgree) {
   Tensor reference;
-  for (ExecStrategy strategy :
-       {ExecStrategy::kSparse, ExecStrategy::kSparseFused, ExecStrategy::kHybrid}) {
-    HdgAggregator agg(hdg_, strategy);
+  for (ExecStrategy strategy : kAllStrategies) {
+    const ExecutionPlan plan = CompileExecutionPlan("magnn", hdg_, strategy);
+    HdgAggregator agg(hdg_, strategy, nullptr, &plan);
     Variable inst = agg.BottomLevel(Variable::Leaf(feats_), ReduceKind::kMean);
     Variable slots = agg.InstanceLevel(inst, ReduceKind::kMean);
     Variable root = agg.SchemaLevel(slots, ReduceKind::kMean);
@@ -174,7 +243,8 @@ TEST_F(AggregatorPaperExample, FullHierarchyAllStrategiesAgree) {
 }
 
 TEST_F(AggregatorPaperExample, AttentionWeightsSumToOnePerSlot) {
-  HdgAggregator agg(hdg_, ExecStrategy::kHybrid);
+  const ExecutionPlan plan = CompileExecutionPlan("magnn", hdg_, ExecStrategy::kHybrid);
+  HdgAggregator agg(hdg_, ExecStrategy::kHybrid, nullptr, &plan);
   Variable inst = agg.BottomLevel(Variable::Leaf(feats_), ReduceKind::kMean);
   // Uniform scores → attention degenerates to the mean.
   Variable scores = Variable::Leaf(Tensor(5, 1));
@@ -271,9 +341,34 @@ TEST(PlannedKernelTest, GatherAndMatMulBitwiseAcrossThreadCounts) {
   }
 }
 
+// Sequential reference for the indirect reduce's backward: a scatter-add,
+// grad_x[leaf_ids[e]] += grad_out[segment(e)] (times 1/width for mean), in
+// ascending edge order, through the same vector row kernels.
+Tensor ScatterAddBackwardReference(const Tensor& grad_out, std::span<const VertexId> leaf_ids,
+                                   std::span<const uint64_t> offsets, ReduceKind kind,
+                                   int64_t src_rows) {
+  const int64_t d = grad_out.cols();
+  Tensor gx(src_rows, d);
+  const simd::KernelTable& kt = simd::Kernels();
+  for (std::size_t s = 0; s + 1 < offsets.size(); ++s) {
+    const uint64_t lo = offsets[s];
+    const uint64_t hi = offsets[s + 1];
+    const float* grow = grad_out.Row(static_cast<int64_t>(s));
+    for (uint64_t e = lo; e < hi; ++e) {
+      float* dst = gx.Row(static_cast<int64_t>(leaf_ids[e]));
+      if (kind == ReduceKind::kMean) {
+        kt.axpy_row(dst, grow, 1.0f / static_cast<float>(hi - lo), d);
+      } else {
+        kt.add_row(dst, grow, d);
+      }
+    }
+  }
+  return gx;
+}
+
 // The planned bottom level — parallel fused forward plus the parallel
 // per-source backward over the inverse leaf→segment map — must match the
-// legacy sequential kernels bitwise at every thread count.
+// sequential kernels bitwise at every thread count.
 TEST(PlannedKernelTest, PlannedIndirectReduceBitwiseMatchesLegacy) {
   ThreadCountGuard guard;
   Rng rng(31);
@@ -295,25 +390,20 @@ TEST(PlannedKernelTest, PlannedIndirectReduceBitwiseMatchesLegacy) {
     }
   }
   const Hdg hdg = builder.Build();
-  const auto leaf_span = hdg.leaf_vertex_ids();
-  const std::vector<VertexId> leaf_ids(leaf_span.begin(), leaf_span.end());
-  const auto offs_span = hdg.slot_offsets();
-  const std::vector<uint64_t> offsets(offs_span.begin(), offs_span.end());
+  const auto leaf_ids = hdg.leaf_vertex_ids();
+  const auto offsets = hdg.slot_offsets();
   const ExecutionPlan plan =
       CompileExecutionPlan("test", hdg, ExecStrategy::kSparseFused);
 
   for (ReduceKind kind : {ReduceKind::kSum, ReduceKind::kMean}) {
-    // Legacy sequential reference.
+    // Sequential references.
     exec::SetNumThreads(1);
-    Variable leaf_seq = Variable::Leaf(x, /*requires_grad=*/true);
-    Variable out_seq = AgIndirectSegmentReduce(leaf_seq, leaf_ids, offsets, kind,
-                                               ExecStrategy::kSparseFused, nullptr);
+    const Tensor out_seq = FusedSegmentGatherReduce(x, leaf_ids, offsets, kind);
     Tensor seed = Tensor::Uninitialized(out_seq.rows(), out_seq.cols());
     for (int64_t i = 0; i < seed.numel(); ++i) {
       seed.data()[i] = rng.NextUniform(-1.0f, 1.0f);
     }
-    out_seq.Backward(seed);
-    const Tensor grad_seq = leaf_seq.grad();
+    const Tensor grad_seq = ScatterAddBackwardReference(seed, leaf_ids, offsets, kind, x.rows());
 
     for (int threads : {1, 2, 8}) {
       exec::SetNumThreads(threads);
@@ -326,7 +416,7 @@ TEST(PlannedKernelTest, PlannedIndirectReduceBitwiseMatchesLegacy) {
       Variable out_par = AgIndirectSegmentReduce(src_par, plan.bottom(), kind,
                                                  ExecStrategy::kSparseFused, nullptr);
       out_par.Backward(seed);
-      EXPECT_TRUE(BitwiseEqual(out_seq.value(), out_par.value()))
+      EXPECT_TRUE(BitwiseEqual(out_seq, out_par.value()))
           << ReduceKindName(kind) << " forward, " << threads << " threads";
       EXPECT_TRUE(BitwiseEqual(grad_seq, leaf_par.grad()))
           << ReduceKindName(kind) << " backward, " << threads << " threads";
@@ -339,10 +429,99 @@ TEST_F(AggregatorPaperExample, FlatHdgRejectsHierarchyLevels) {
   const VertexId leaf[] = {1};
   builder.AddRecord(0, 0, leaf);
   Hdg flat = builder.Build();
-  HdgAggregator agg(flat, ExecStrategy::kHybrid);
+  const ExecutionPlan plan = CompileExecutionPlan("gcn", flat, ExecStrategy::kHybrid);
+  HdgAggregator agg(flat, ExecStrategy::kHybrid, nullptr, &plan);
   Variable inst = agg.BottomLevel(Variable::Leaf(feats_), ReduceKind::kSum);
   EXPECT_THROW(agg.InstanceLevel(inst, ReduceKind::kSum), CheckError);
   EXPECT_THROW(agg.SchemaLevel(inst, ReduceKind::kSum), CheckError);
+}
+
+// ---- Levels with no input rows ----
+//
+// A small partition can hand a worker roots that have no leaves, or no
+// metapath instances at all. Every level method must run over such a plan
+// under every strategy, yield all-zero rows and route an all-zero gradient
+// back to its input.
+
+bool AllZero(const Tensor& t) {
+  for (int64_t i = 0; i < t.numel(); ++i) {
+    if (t.data()[i] != 0.0f) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// Runs `level` on a requires-grad leaf over `feats`, expects `rows` all-zero
+// output rows, then seeds the backward with ones and expects a zero input
+// gradient.
+void ExpectZeroRowsAndGradient(const Tensor& feats, int64_t rows, const std::string& what,
+                               const std::function<Variable(const Variable&)>& level) {
+  Variable leaf = Variable::Leaf(feats, /*requires_grad=*/true);
+  Variable out = level(leaf);
+  EXPECT_EQ(out.rows(), rows) << what;
+  EXPECT_TRUE(AllZero(out.value())) << what;
+  out.Backward(Tensor::Full(out.rows(), out.cols(), 1.0f));
+  EXPECT_TRUE(AllZero(leaf.grad())) << what;
+}
+
+TEST(EmptyLevelTest, FlatRootsWithoutLeaves) {
+  Rng rng(11);
+  const Tensor feats = RandomTensor(6, 4, rng);
+  const LstmCell cell(4, 3, rng);
+  const Variable a_src = Variable::Leaf(RandomTensor(4, 1, rng));
+  const Variable a_dst = Variable::Leaf(RandomTensor(4, 1, rng));
+  const Hdg hdg = HdgBuilder(SchemaTree::Flat(), {0, 2, 5}).Build();
+  for (ExecStrategy strategy : kAllStrategies) {
+    const std::string name = ExecStrategyName(strategy);
+    const ExecutionPlan plan = CompileExecutionPlan("gcn", hdg, strategy);
+    const VerifyResult verified = VerifyPlan(plan, hdg, feats.rows());
+    EXPECT_TRUE(verified.ok()) << name << "\n" << verified.Summary();
+    const HdgAggregator agg(hdg, strategy, nullptr, &plan);
+    for (ReduceKind kind : {ReduceKind::kSum, ReduceKind::kMean}) {
+      ExpectZeroRowsAndGradient(feats, 3, name + " " + ReduceKindName(kind),
+                                [&](const Variable& x) { return agg.BottomLevel(x, kind); });
+    }
+    ExpectZeroRowsAndGradient(feats, 3, name + " max",
+                              [&](const Variable& x) { return agg.BottomLevelMax(x); });
+    ExpectZeroRowsAndGradient(feats, 3, name + " lstm",
+                              [&](const Variable& x) { return agg.BottomLevelLstm(x, cell); });
+    ExpectZeroRowsAndGradient(feats, 3, name + " edge attention", [&](const Variable& x) {
+      return agg.BottomLevelEdgeAttention(x, AgMatMul(x, a_src), AgMatMul(x, a_dst));
+    });
+  }
+}
+
+TEST(EmptyLevelTest, HierarchyWithoutInstances) {
+  Rng rng(13);
+  const Tensor feats = RandomTensor(6, 4, rng);
+  const LstmCell cell(4, 3, rng);
+  const Variable a_inst = Variable::Leaf(RandomTensor(4, 1, rng));
+  const Hdg hdg = HierarchicalHdg(/*num_roots=*/3, /*num_types=*/2, /*per_slot=*/0);
+  ASSERT_EQ(hdg.num_instances(), 0u);
+  for (ExecStrategy strategy : kAllStrategies) {
+    const std::string name = ExecStrategyName(strategy);
+    const ExecutionPlan plan = CompileExecutionPlan("magnn", hdg, strategy);
+    const VerifyResult verified = VerifyPlan(plan, hdg, feats.rows());
+    EXPECT_TRUE(verified.ok()) << name << "\n" << verified.Summary();
+    const HdgAggregator agg(hdg, strategy, nullptr, &plan);
+    ExpectZeroRowsAndGradient(feats, 3, name + " mean levels", [&](const Variable& x) {
+      Variable inst = agg.BottomLevel(x, ReduceKind::kMean);
+      return agg.SchemaLevel(agg.InstanceLevel(inst, ReduceKind::kMean), ReduceKind::kMean);
+    });
+    ExpectZeroRowsAndGradient(feats, 3, name + " attention + concat", [&](const Variable& x) {
+      Variable inst = agg.BottomLevel(x, ReduceKind::kSum);
+      return agg.SchemaLevelConcat(agg.InstanceLevelAttention(inst, AgMatMul(inst, a_inst)));
+    });
+    ExpectZeroRowsAndGradient(feats, 3, name + " max", [&](const Variable& x) {
+      Variable inst = agg.BottomLevelMax(x);
+      return agg.SchemaLevel(agg.InstanceLevel(inst, ReduceKind::kSum), ReduceKind::kSum);
+    });
+    ExpectZeroRowsAndGradient(feats, 3, name + " lstm", [&](const Variable& x) {
+      Variable inst = agg.BottomLevelLstm(x, cell);
+      return agg.SchemaLevel(agg.InstanceLevel(inst, ReduceKind::kMean), ReduceKind::kMean);
+    });
+  }
 }
 
 }  // namespace

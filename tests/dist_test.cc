@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "src/data/datasets.h"
 #include "src/dist/adb_driver.h"
 #include "src/dist/dist_trainer.h"
@@ -350,6 +352,46 @@ TEST(DistBackendParityTest, SocketParitySweep) {
     // supervisor FLEX_CHECKs it against its own — reaching here means no
     // replica diverged.
   }
+}
+
+TEST(DistBackendParityTest, EmptyLevelWorkersOnBothBackends) {
+  // Thirty-two partitions of a 40-vertex graph hand some workers roots
+  // without a single MAGNN metapath instance, so every level of their plans
+  // has zero input rows. Both backends must run those workers and agree bit
+  // for bit, and the distributed logits must match single-machine ones.
+  constexpr uint32_t kWorkers = 32;
+  Dataset ds = WithSyntheticVertexTypes(MakeRedditLike(0.005, 1), 3);
+  MagnnConfig config;
+  config.in_dim = ds.feature_dim();
+  config.num_classes = ds.num_classes;
+  const Partitioning parts = HashPartition(ds.graph.num_vertices(), kWorkers);
+
+  Rng model_rng(41);
+  GnnModel model = MakeMagnnModel(config, model_rng);
+  Engine engine(ds.graph);
+  Rng single_rng(5);
+  StageTimes times;
+  const Tensor single = engine.Infer(model, ds.features, single_rng, &times);
+
+  DistributedRuntime modeled_rt(ds.graph, parts, DistConfig{});
+  DistConfig socket_config;
+  socket_config.backend = DistBackend::kSocket;
+  DistributedRuntime socket_rt(ds.graph, parts, socket_config);
+  Rng modeled_rng(5);
+  Rng socket_rng(5);
+  for (int epoch = 0; epoch < 2; ++epoch) {
+    Tensor modeled_logits;
+    Tensor socket_logits;
+    modeled_rt.RunEpoch(model, ds.features, modeled_rng, &modeled_logits);
+    socket_rt.RunEpoch(model, ds.features, socket_rng, &socket_logits);
+    EXPECT_TRUE(BitwiseEqual(modeled_logits, socket_logits)) << "epoch " << epoch;
+    EXPECT_TRUE(AllClose(single, modeled_logits, 1e-3f)) << "epoch " << epoch;
+  }
+
+  const auto& workers = modeled_rt.workers();
+  EXPECT_TRUE(std::any_of(workers.begin(), workers.end(), [](const WorkerState& w) {
+    return !w.roots.empty() && w.hdg.num_instances() == 0;
+  })) << "no worker has an empty level; the case no longer covers it";
 }
 
 TEST(DistBackendParityTest, NetworkModelValidatedAtConstruction) {

@@ -1,12 +1,14 @@
 // Tests for the planned execution layer: ExecutionPlan compilation (segment
 // layout, precompiled index tensors, inverse leaf→segment map, chunk tables),
 // the workspace arena's steady-state zero-allocation contract, plan-cache
-// invalidation, and bitwise determinism of full-model forward passes across
-// execution strategies and kernel thread counts.
+// invalidation, the mandatory-plan checks, and bitwise determinism of
+// full-model forward passes across execution strategies and kernel thread
+// counts.
 #include "src/exec/plan.h"
 
 #include <gtest/gtest.h>
 
+#include "src/core/aggregation.h"
 #include "src/core/engine.h"
 #include "src/core/neighbor_selection.h"
 #include "src/data/datasets.h"
@@ -17,6 +19,7 @@
 #include "src/models/gin.h"
 #include "src/models/magnn.h"
 #include "src/obs/metrics.h"
+#include "src/util/check.h"
 #include "tests/test_util.h"
 
 namespace flexgraph {
@@ -283,25 +286,37 @@ TEST(ExecutionPlanTest, WorkspaceReservationComesFromPlanEstimate) {
   EXPECT_GE(engine.workspace().reserved_bytes(), engine.plan()->planned_bytes());
 }
 
-// ---- Bitwise determinism: the plan path vs. the legacy path ----
+// ---- The plan is mandatory: no aggregation runs without one ----
 
-TEST(ExecutionPlanTest, PlanForwardBitwiseMatchesLegacyForward) {
-  ThreadCountGuard guard;
-  for (const char* name : {"gcn", "magnn", "gat"}) {
-    Dataset ds = std::string(name) == "magnn" ? SmallHetero() : SmallHomogeneous();
-    Rng rng(31);
-    GnnModel model = MakeModelFor(name, ds, rng);
-    Engine engine(ds.graph);
-    Rng hdg_rng(37);
-    const Hdg& hdg = engine.EnsureHdg(model, hdg_rng, nullptr);
+TEST(ExecutionPlanTest, AggregatorRejectsNullPlan) {
+  Dataset ds = SmallHomogeneous();
+  Rng rng(31);
+  GnnModel model = MakeModelFor("gcn", ds, rng);
+  const Hdg hdg = BuildHdgAllVertices(model, ds.graph, rng);
+  EXPECT_THROW(HdgAggregator(hdg, ExecStrategy::kHybrid, nullptr, nullptr), CheckError);
+}
 
-    // Same engine, same HDG *contents*: the cached instance dispatches through
-    // the compiled plan, a copy forces the legacy ad-hoc path.
-    const Hdg legacy_copy = hdg;
-    Variable planned = engine.Forward(model, hdg, ds.features, nullptr);
-    Variable legacy = engine.Forward(model, legacy_copy, ds.features, nullptr);
-    EXPECT_TRUE(BitwiseEqual(planned.value(), legacy.value())) << name;
-  }
+TEST(ExecutionPlanTest, AggregatorRejectsPlanForAnotherStrategy) {
+  Dataset ds = SmallHetero();
+  Rng rng(31);
+  GnnModel model = MakeModelFor("magnn", ds, rng);
+  const Hdg hdg = BuildHdgAllVertices(model, ds.graph, rng);
+  const ExecutionPlan sparse_plan = CompileExecutionPlan("magnn", hdg, ExecStrategy::kSparse);
+  EXPECT_THROW(HdgAggregator(hdg, ExecStrategy::kHybrid, nullptr, &sparse_plan), CheckError);
+  EXPECT_NO_THROW(HdgAggregator(hdg, ExecStrategy::kSparse, nullptr, &sparse_plan));
+}
+
+TEST(ExecutionPlanTest, ForwardRejectsNonCachedHdg) {
+  Dataset ds = SmallHomogeneous();
+  Rng rng(31);
+  GnnModel model = MakeModelFor("gcn", ds, rng);
+  Engine engine(ds.graph);
+  Rng hdg_rng(37);
+  const Hdg& hdg = engine.EnsureHdg(model, hdg_rng, nullptr);
+  // Same contents, but not the HDG the engine compiled its plan beside.
+  const Hdg copy = hdg;
+  EXPECT_THROW(engine.Forward(model, copy, ds.features, nullptr), CheckError);
+  EXPECT_NO_THROW(engine.Forward(model, hdg, ds.features, nullptr));
 }
 
 // ---- Bitwise determinism: strategies × thread counts, full models ----

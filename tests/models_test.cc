@@ -273,20 +273,23 @@ INSTANTIATE_TEST_SUITE_P(AllModels, IsaDeterminismSweep,
 class ReorderParitySweep : public ::testing::TestWithParam<const char*> {};
 
 // The locality reorder is a pure bijective relabeling applied and inverted at
-// the level boundary, so logits and loss must be bitwise identical with it on
-// or off — under fusion on or off, at any thread count. The model set covers
-// every bottom-level path the reorder touches: fused segment reduce (gcn,
-// pinsage), edge attention (gat), gather+max (sage-max), hetero schema
-// levels (magnn).
+// the level boundary, so it must not move a single bit of the logits or of
+// the training loss, epoch after epoch, at any thread count. Fusion's forward
+// is bitwise too, so the logits and the first epoch's loss also match across
+// fuse settings; its backward accumulates in a different (fixed) order, so
+// later losses are compared within one fuse setting only. Every model runs,
+// covering each bottom-level path the reorder touches: fused segment reduce,
+// edge attention, gather+max, gather+LSTM and the hetero schema levels.
 TEST_P(ReorderParitySweep, LogitsAndLossBitwiseIdenticalAcrossReorderAndFuse) {
+  constexpr int kEpochs = 3;
   const std::string name = GetParam();
   Dataset ds = name == "magnn" ? SmallHetero() : SmallHomogeneous();
 
   Tensor ref_logits;
-  float ref_loss = 0.0f;
-  bool have_reference = false;
-  for (const char* reorder : {"off", "on"}) {
-    for (const char* fuse : {"off", "on"}) {
+  float ref_first_loss = 0.0f;
+  for (const char* fuse : {"off", "on"}) {
+    std::vector<float> ref_losses;
+    for (const char* reorder : {"off", "on"}) {
       setenv("FLEXGRAPH_REORDER", reorder, 1);
       setenv("FLEXGRAPH_FUSE", fuse, 1);
       for (int threads : {1, 8}) {
@@ -300,18 +303,27 @@ TEST_P(ReorderParitySweep, LogitsAndLossBitwiseIdenticalAcrossReorderAndFuse) {
 
         SgdOptimizer opt(0.05f);
         Rng train_rng(7);
-        EpochResult epoch = engine.TrainEpoch(model, ds.features, ds.labels, opt, train_rng);
+        std::vector<float> losses;
+        for (int epoch = 0; epoch < kEpochs; ++epoch) {
+          losses.push_back(engine.TrainEpoch(model, ds.features, ds.labels, opt, train_rng).loss);
+        }
 
-        if (!have_reference) {
+        if (ref_logits.empty()) {
           ref_logits = logits;
-          ref_loss = epoch.loss;
-          have_reference = true;
+          ref_first_loss = losses.front();
         } else {
           EXPECT_TRUE(BitwiseEqual(ref_logits, logits))
               << name << " @ reorder=" << reorder << " fuse=" << fuse << " x " << threads
               << " threads";
-          EXPECT_EQ(std::memcmp(&ref_loss, &epoch.loss, sizeof(float)), 0)
-              << name << " loss @ reorder=" << reorder << " fuse=" << fuse << " x "
+          EXPECT_EQ(std::memcmp(&ref_first_loss, losses.data(), sizeof(float)), 0)
+              << name << " first loss @ reorder=" << reorder << " fuse=" << fuse << " x "
+              << threads << " threads";
+        }
+        if (ref_losses.empty()) {
+          ref_losses = losses;
+        } else {
+          EXPECT_EQ(std::memcmp(ref_losses.data(), losses.data(), kEpochs * sizeof(float)), 0)
+              << name << " losses @ reorder=" << reorder << " fuse=" << fuse << " x "
               << threads << " threads";
         }
       }
@@ -323,7 +335,8 @@ TEST_P(ReorderParitySweep, LogitsAndLossBitwiseIdenticalAcrossReorderAndFuse) {
 }
 
 INSTANTIATE_TEST_SUITE_P(BottomLevelPaths, ReorderParitySweep,
-                         ::testing::Values("gcn", "pinsage", "magnn", "gat", "sage-max"));
+                         ::testing::Values("gcn", "pinsage", "magnn", "gat", "sage-max", "pgnn",
+                                           "jknet", "gin", "sage-mean", "sage-lstm"));
 
 // Same contract across distributed backends: the modeled (in-process) and
 // socket (forked real processes) transports must both be invariant to the

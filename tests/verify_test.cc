@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -93,6 +94,13 @@ struct SweepCase {
   const char* model;
   ExecStrategy strategy;
 };
+
+// gtest prints a parameter it has no printer for as raw bytes — here the
+// `model` pointer — into every discovered ctest name, so the names would
+// move whenever the binary's string layout does.
+void PrintTo(const SweepCase& c, std::ostream* os) {
+  *os << c.model << '/' << ExecStrategyName(c.strategy);
+}
 
 std::string SweepName(const ::testing::TestParamInfo<SweepCase>& info) {
   std::string name = info.param.model;
