@@ -4,6 +4,11 @@
 // vectorized fused (FlexGraph's feature fusion) — plus the dense-vs-sparse
 // schema-level reduce. These isolate the per-kernel gaps that the
 // macro-benches (Table 2, Figure 14) aggregate.
+//
+// Every benchmark runs a fixed ->Iterations(n): with FLEXGRAPH_PROFILE=1 the
+// exported prof.* counters sum over all iterations, and the bench gate
+// compares them at ±15%, so a timing-chosen count would move them whenever a
+// kernel got faster or the host slower.
 #include <benchmark/benchmark.h>
 
 #include "bench/bench_common.h"
@@ -60,7 +65,7 @@ void BM_FusedAggregate(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(f.leaf_ids.size()) * state.range(0));
 }
-BENCHMARK(BM_FusedAggregate)->Arg(16)->Arg(64)->Arg(256);
+BENCHMARK(BM_FusedAggregate)->Arg(16)->Arg(64)->Arg(256)->Iterations(50);
 
 void BM_ScalarFusedAggregate(benchmark::State& state) {
   AggFixture f = MakeFixture(state.range(0));
@@ -71,7 +76,7 @@ void BM_ScalarFusedAggregate(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(f.leaf_ids.size()) * state.range(0));
 }
-BENCHMARK(BM_ScalarFusedAggregate)->Arg(16)->Arg(64)->Arg(256);
+BENCHMARK(BM_ScalarFusedAggregate)->Arg(16)->Arg(64)->Arg(256)->Iterations(5);
 
 void BM_SparseGatherScatterAggregate(benchmark::State& state) {
   AggFixture f = MakeFixture(state.range(0));
@@ -84,7 +89,7 @@ void BM_SparseGatherScatterAggregate(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(f.leaf_ids.size()) * state.range(0));
 }
-BENCHMARK(BM_SparseGatherScatterAggregate)->Arg(16)->Arg(64)->Arg(256);
+BENCHMARK(BM_SparseGatherScatterAggregate)->Arg(16)->Arg(64)->Arg(256)->Iterations(3);
 
 void BM_DenseSchemaReduce(benchmark::State& state) {
   const int64_t roots = 16384;
@@ -99,7 +104,7 @@ void BM_DenseSchemaReduce(benchmark::State& state) {
     benchmark::DoNotOptimize(out.data());
   }
 }
-BENCHMARK(BM_DenseSchemaReduce)->Arg(16)->Arg(64);
+BENCHMARK(BM_DenseSchemaReduce)->Arg(16)->Arg(64)->Iterations(300);
 
 void BM_SparseSchemaReduce(benchmark::State& state) {
   const int64_t roots = 16384;
@@ -118,7 +123,7 @@ void BM_SparseSchemaReduce(benchmark::State& state) {
     benchmark::DoNotOptimize(out.data());
   }
 }
-BENCHMARK(BM_SparseSchemaReduce)->Arg(16)->Arg(64);
+BENCHMARK(BM_SparseSchemaReduce)->Arg(16)->Arg(64)->Iterations(300);
 
 // Thread sweep over the planned fused kernel. The plan's chunk boundaries are
 // fixed up front (independent of the pool size), so the output is bitwise
@@ -138,7 +143,7 @@ void BM_FusedAggregateThreads(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(f.leaf_ids.size()) * 128);
 }
-BENCHMARK(BM_FusedAggregateThreads)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
+BENCHMARK(BM_FusedAggregateThreads)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Iterations(100);
 
 // Workspace ablation: the same kernel drawing its output from a bump arena
 // (steady-state: zero heap allocation) vs. plain heap tensors every call.
@@ -158,7 +163,7 @@ void BM_FusedAggregateWorkspace(benchmark::State& state) {
   }
   state.SetLabel(use_arena ? "arena" : "heap");
 }
-BENCHMARK(BM_FusedAggregateWorkspace)->Arg(0)->Arg(1);
+BENCHMARK(BM_FusedAggregateWorkspace)->Arg(0)->Arg(1)->Iterations(100);
 
 void BM_MatMul(benchmark::State& state) {
   Rng rng(3);
@@ -175,7 +180,7 @@ void BM_MatMul(benchmark::State& state) {
     benchmark::DoNotOptimize(c.data());
   }
 }
-BENCHMARK(BM_MatMul)->Arg(64)->Arg(256);
+BENCHMARK(BM_MatMul)->Arg(64)->Arg(256)->Iterations(200);
 
 // SIMD-vs-scalar ablation: the same fused gather-reduce and packed-GEMM calls
 // with the kernel table rebound to the scalar variant vs. the startup-
@@ -239,7 +244,46 @@ void RecordSimdComparison(BenchReporter& reporter, const AggFixture& f,
   exec::SetNumThreads(0);
 }
 
-// Records the thread sweep (with explicit speedup ratios vs. 1 thread), the
+// Thread sweep over the weight gradient of MAGNN's attention score:
+// MatMulTransA of a [131072 × 64] forward input against its [131072 × 1]
+// output gradient. The timings and speedups are informational, like the
+// fig14 ones: the gate keys on prof.* counters, never on seconds.
+void RecordGemmTransAThreads(BenchReporter& reporter) {
+  constexpr int kReps = 10;
+  Rng rng(5);
+  Tensor x = Tensor::Uninitialized(131072, 64);
+  Tensor g = Tensor::Uninitialized(131072, 1);
+  for (int64_t i = 0; i < x.numel(); ++i) {
+    x.data()[i] = rng.NextFloat();
+  }
+  for (int64_t i = 0; i < g.numel(); ++i) {
+    g.data()[i] = rng.NextFloat();
+  }
+  double threads1 = 0.0;
+  for (int threads : {1, 2, 4}) {
+    exec::SetNumThreads(threads);
+    {  // warm-up rep: spins up the resized pool before timing starts
+      Tensor c = MatMulTransA(x, g);
+      benchmark::DoNotOptimize(c.data());
+    }
+    WallTimer timer;
+    for (int r = 0; r < kReps; ++r) {
+      Tensor c = MatMulTransA(x, g);
+      benchmark::DoNotOptimize(c.data());
+    }
+    const double avg = timer.ElapsedSeconds() / kReps;
+    reporter.Record("gemm_trans_a_t" + std::to_string(threads) + "_seconds", avg);
+    if (threads == 1) {
+      threads1 = avg;
+    } else {
+      reporter.Record("gemm_trans_a_speedup_t" + std::to_string(threads) + "_vs_t1",
+                      threads1 / avg);
+    }
+  }
+  exec::SetNumThreads(0);
+}
+
+// Records the thread sweeps (with explicit speedup ratios vs. 1 thread), the
 // workspace ablation, and the SIMD-vs-scalar ablation into the registry so
 // they land in BENCH_kernels.json (google-benchmark's own output goes to
 // stdout).
@@ -287,6 +331,7 @@ void RecordSweeps(BenchReporter& reporter) {
                     timer.ElapsedSeconds() / kReps);
   }
   RecordSimdComparison(reporter, f, chunks);
+  RecordGemmTransAThreads(reporter);
 }
 
 }  // namespace

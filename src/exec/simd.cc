@@ -210,10 +210,15 @@ void ProfGemmPackB(const float* b, int64_t k, int64_t n, bool transpose, float* 
   ProfBase()->gemm_pack_b(b, k, n, transpose, packed);
 }
 
+// The packed panel (gemm) and b (gemm_trans_a) are read by every chunk of a
+// call. Billing them per chunk would make the totals follow ParallelFor's
+// split, which follows the thread count; instead the chunk that starts at
+// row 0 bills them once per call — a fence term that telescopes, because
+// the chunks of a call partition its output rows.
 void ProfGemm(const float* a, int64_t lda, const float* packed_b, int64_t k, int64_t n,
               float* c, int64_t ldc, int64_t row_lo, int64_t row_hi) {
   const int64_t range = row_hi - row_lo;
-  const int64_t read = range * k * kF + k * PackedStride(n) * kF;
+  const int64_t read = range * k * kF + (row_lo == 0 ? k * PackedStride(n) * kF : 0);
   obs::TimedKernelScope scope(ProfKernel::kGemm, read, range * n * kF, 2 * range * n * k);
   ProfBase()->gemm(a, lda, packed_b, k, n, c, ldc, row_lo, row_hi);
 }
@@ -221,10 +226,10 @@ void ProfGemm(const float* a, int64_t lda, const float* packed_b, int64_t k, int
 void ProfGemmTransA(const float* a, int64_t k, int64_t m, const float* b, int64_t n,
                     float* c, int64_t i_lo, int64_t i_hi) {
   const int64_t range = i_hi - i_lo;
-  // c accumulates (RMW) — counted on both sides. FLOPs are nominal: the
-  // zero-skip fast path depends on the data, and data-dependent counts would
-  // break the bit-identical-accounting contract.
-  const int64_t read = range * k * kF + k * n * kF + range * n * kF;
+  // c is written once (the kernel overwrites the rows it owns). FLOPs are
+  // nominal: the zero skip depends on the data, and data-dependent counts
+  // would break the bit-identical-accounting contract.
+  const int64_t read = range * k * kF + (i_lo == 0 ? k * n * kF : 0);
   obs::TimedKernelScope scope(ProfKernel::kGemmTransA, read, range * n * kF,
                               2 * range * n * k);
   ProfBase()->gemm_trans_a(a, k, m, b, n, c, i_lo, i_hi);

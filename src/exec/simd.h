@@ -9,9 +9,10 @@
 // environment override, and is rebindable at runtime for tests (SetIsa).
 //
 // Determinism contract (inherited from the planned execution layer and
-// extended across ISA levels): every kernel vectorizes along the feature
-// dimension only — per output element the accumulation order over edges /
-// rows / k is exactly the sequential scalar kernel's, lanes never mix, and
+// extended across ISA levels): every vector lane holds one output element
+// (kernels vectorize along the feature dimension, the narrow gemm_trans_a
+// along a's columns) — per output element the accumulation order over edges
+// / rows / k is exactly the sequential scalar kernel's, lanes never mix, and
 // no variant uses FMA contraction (variant TUs build with -ffp-contract=off).
 // Results are therefore bitwise identical across scalar/sse2/avx2/avx512 and
 // across thread counts.
@@ -137,9 +138,13 @@ struct KernelTable {
   void (*gemm)(const float* a, int64_t lda, const float* packed_b, int64_t k, int64_t n,
                float* c, int64_t ldc, int64_t row_lo, int64_t row_hi);
 
-  // A-transposed GEMM over output rows [i_lo, i_hi): c[i][j] += a[kk*m + i] *
-  // b[kk*n + j] for kk ascending, skipping kk where a[kk*m + i] == 0 (the
-  // sparse-gradient fast path). c must be zeroed.
+  // A-transposed GEMM over output rows [i_lo, i_hi): c[i][j] = the sum over
+  // kk ascending of a[kk*m + i] * b[kk*n + j] (multiply, then add, from
+  // +0), skipping the kk where a[kk*m + i] == 0. Overwrites the c rows it
+  // owns, so c needs no zero fill. Narrow b (n < vector_width) vectorizes
+  // over a's columns, one lane per output element; callers that split rows
+  // across threads should cut at multiples of kPackAlignFloats, which keeps
+  // every task on whole cache lines of c and on whole vectors.
   void (*gemm_trans_a)(const float* a, int64_t k, int64_t m, const float* b, int64_t n,
                        float* c, int64_t i_lo, int64_t i_hi);
 };

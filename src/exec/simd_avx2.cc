@@ -25,6 +25,10 @@ struct Vec256 {
   static Reg Min(Reg a, Reg b) { return _mm256_min_ps(a, b); }  // a<b?a:b — b on ties/NaN
   static Reg Broadcast(float s) { return _mm256_set1_ps(s); }
   static Reg Zero() { return _mm256_setzero_ps(); }
+  // acc + p in the lanes where a != 0 (NaN counts as nonzero), acc elsewhere.
+  static Reg AddWhereNonzero(Reg acc, Reg a, Reg p) {
+    return _mm256_blendv_ps(acc, _mm256_add_ps(acc, p), _mm256_cmp_ps(a, Zero(), _CMP_NEQ_UQ));
+  }
 };
 
 const KernelTable kTable = detail::MakeTable<Vec256>(IsaLevel::kAvx2, "avx2");

@@ -1,14 +1,18 @@
 // Shared kernel bodies for the SIMD dispatch layer. Each variant TU
 // (simd_scalar.cc, simd_sse2.cc, simd_avx2.cc, simd_avx512.cc) defines a
 // vector policy V — register type, lane count, load/store/add/mul/max/min/
-// broadcast — includes this header, and exports MakeTable<V>().
+// broadcast, and a masked add for the zero skip — includes this header, and
+// exports MakeTable<V>().
 //
-// Every body vectorizes along the feature (j) dimension only and finishes
-// with a scalar tail, so per output element the accumulation order over
-// edges / rows / k is identical at every lane width: results are bitwise
-// identical across scalar, 128-bit, 256-bit, and 512-bit variants. Variant
-// TUs compile with -ffp-contract=off so the scalar tails (and the scalar
-// policy) never fuse the multiply-add pairs the vector paths keep separate.
+// Every lane holds one output element. The bodies vectorize along the
+// feature (j) dimension and finish with a scalar tail — except the narrow
+// GemmTransA (n below the lane count), which vectorizes along a's columns,
+// one lane per row of c. Either way each output element's accumulation
+// order over edges / rows / k is identical at every lane width: results are
+// bitwise identical across scalar, 128-bit, 256-bit, and 512-bit variants.
+// Variant TUs compile with -ffp-contract=off so the scalar tails (and the
+// scalar policy) never fuse the multiply-add pairs the vector paths keep
+// separate.
 //
 // Comparison semantics are pinned to maxps/minps: max(acc, src) returns acc
 // when acc > src and src otherwise (so src wins on NaN and ±0 ties), and the
@@ -18,6 +22,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <utility>
 
 #include "src/exec/simd.h"
 
@@ -352,8 +357,20 @@ struct Body {
     }
   }
 
-  // 4-row × 2-vector register block. Accumulators live in registers for the
-  // whole ascending-kk loop, so each c[i][j] sums in exactly the scalar
+  // Calls f.template operator()<r>() for r = 0 .. N-1. The register tiles
+  // below index their accumulator arrays only through these template
+  // constants, so the arrays scalarize into registers; a runtime
+  // `for (r < MR)` loop is not unrolled at -O2 and leaves them on the stack,
+  // one load and one store per accumulator per kk step.
+  template <int64_t N, typename F>
+  static void Unroll(const F& f) {
+    [&]<int64_t... R>(std::integer_sequence<int64_t, R...>) {
+      (f.template operator()<R>(), ...);
+    }(std::make_integer_sequence<int64_t, N>{});
+  }
+
+  // MR-row × 2-vector register block. Accumulators live in registers for
+  // the whole ascending-kk loop, so each c[i][j] sums in exactly the scalar
   // order; the padded panel makes every vector load safe while stores only
   // touch the real n columns.
   static constexpr int64_t kMr = 4;
@@ -365,52 +382,59 @@ struct Body {
     for (; j + 2 * kW <= n; j += 2 * kW) {
       Reg acc0[static_cast<std::size_t>(MR)];
       Reg acc1[static_cast<std::size_t>(MR)];
-      for (int64_t r = 0; r < MR; ++r) {
+      Unroll<MR>([&]<int64_t r>() {
         acc0[r] = V::Zero();
         acc1[r] = V::Zero();
-      }
+      });
       const float* pbj = pb + j;
       for (int64_t kk = 0; kk < k; ++kk) {
         const Reg b0 = V::Load(pbj + kk * stride);
         const Reg b1 = V::Load(pbj + kk * stride + kW);
-        for (int64_t r = 0; r < MR; ++r) {
+        Unroll<MR>([&]<int64_t r>() {
           const Reg av = V::Broadcast(a[(i + r) * lda + kk]);
           acc0[r] = V::Add(acc0[r], V::Mul(av, b0));
           acc1[r] = V::Add(acc1[r], V::Mul(av, b1));
-        }
+        });
       }
-      for (int64_t r = 0; r < MR; ++r) {
+      Unroll<MR>([&]<int64_t r>() {
         V::Store(c + (i + r) * ldc + j, acc0[r]);
         V::Store(c + (i + r) * ldc + j + kW, acc1[r]);
-      }
+      });
     }
     for (; j + kW <= n; j += kW) {
       Reg acc[static_cast<std::size_t>(MR)];
-      for (int64_t r = 0; r < MR; ++r) {
-        acc[r] = V::Zero();
-      }
+      Unroll<MR>([&]<int64_t r>() { acc[r] = V::Zero(); });
       const float* pbj = pb + j;
       for (int64_t kk = 0; kk < k; ++kk) {
         const Reg b0 = V::Load(pbj + kk * stride);
-        for (int64_t r = 0; r < MR; ++r) {
+        Unroll<MR>([&]<int64_t r>() {
           acc[r] = V::Add(acc[r], V::Mul(V::Broadcast(a[(i + r) * lda + kk]), b0));
-        }
+        });
       }
-      for (int64_t r = 0; r < MR; ++r) {
-        V::Store(c + (i + r) * ldc + j, acc[r]);
-      }
+      Unroll<MR>([&]<int64_t r>() { V::Store(c + (i + r) * ldc + j, acc[r]); });
     }
     for (; j < n; ++j) {
-      for (int64_t r = 0; r < MR; ++r) {
-        float acc = 0.0f;
-        const float* arow = a + (i + r) * lda;
-        for (int64_t kk = 0; kk < k; ++kk) {
-          const float p = arow[kk] * pb[kk * stride + j];
-          acc = acc + p;
-        }
-        c[(i + r) * ldc + j] = acc;
-      }
+      GemmTail<MR>(a, lda, pb, stride, k, c, ldc, i, j);
     }
+  }
+
+  // Scalar tail of a panel: column j of its MR rows. The MR element chains
+  // run interleaved through one kk loop, so the loop is bound by add
+  // throughput, not by one add's latency per step; each chain is still its
+  // element's kk-ascending multiply-then-add.
+  template <int64_t MR>
+  static void GemmTail(const float* a, int64_t lda, const float* pb, int64_t stride, int64_t k,
+                       float* c, int64_t ldc, int64_t i, int64_t j) {
+    float acc[static_cast<std::size_t>(MR)];
+    Unroll<MR>([&]<int64_t r>() { acc[r] = 0.0f; });
+    for (int64_t kk = 0; kk < k; ++kk) {
+      const float bk = pb[kk * stride + j];
+      Unroll<MR>([&]<int64_t r>() {
+        const float p = a[(i + r) * lda + kk] * bk;
+        acc[r] = acc[r] + p;
+      });
+    }
+    Unroll<MR>([&]<int64_t r>() { c[(i + r) * ldc + j] = acc[r]; });
   }
 
   static void Gemm(const float* a, int64_t lda, const float* packed_b, int64_t k, int64_t n,
@@ -425,17 +449,140 @@ struct Body {
     }
   }
 
+  // ---- A-transposed GEMM (weight gradients) ----
+
+  // Narrow-path register tile: rows [i0, i0 + NB·kW) of c — NB vectors of
+  // a's columns — in column j. Lane l of acc[q] is c[i0 + q·kW + l][j]:
+  // lanes never mix, and each lane folds its own element's kk-ascending
+  // multiply-then-add chain, skipping the kk where its a[kk][i] is zero (a
+  // per-lane mask, so an Inf or NaN in b's row stays out of that element).
+  template <int64_t NB>
+  static void GemmTransATile(const float* a, int64_t k, int64_t m, const float* b, int64_t n,
+                             float* c, int64_t i0, int64_t j) {
+    Reg acc[static_cast<std::size_t>(NB)];
+    Unroll<NB>([&]<int64_t q>() { acc[q] = V::Zero(); });
+    for (int64_t kk = 0; kk < k; ++kk) {
+      const float* arow = a + kk * m + i0;
+      const Reg bv = V::Broadcast(b[kk * n + j]);
+      Unroll<NB>([&]<int64_t q>() {
+        const Reg av = V::Load(arow + q * kW);
+        acc[q] = V::AddWhereNonzero(acc[q], av, V::Mul(av, bv));
+      });
+    }
+    // c rows are n floats apart, so the lanes leave through a stack buffer
+    // (after the kk loop; n == 1 makes it a contiguous copy).
+    float lanes[static_cast<std::size_t>(kW)];
+    Unroll<NB>([&]<int64_t q>() {
+      V::Store(lanes, acc[q]);
+      for (int64_t l = 0; l < kW; ++l) {
+        c[(i0 + q * kW + l) * n + j] = lanes[l];
+      }
+    });
+  }
+
+  // Wide-path register tile: rows [i, i + MR) × columns [j, j + NV·kW) of c
+  // over the k-block [k0, k1). The accumulators start at +0 in the first
+  // block and reload what the previous block stored otherwise, so every
+  // element folds the same kk-ascending chain whatever the block size; one
+  // broadcast a[kk][i + r] masks its whole row of lanes for the zero skip.
+  template <int64_t MR, int64_t NV>
+  static void GemmTransAWideTile(const float* a, int64_t m, const float* b, int64_t n,
+                                 float* c, int64_t i, int64_t j, int64_t k0, int64_t k1) {
+    Reg acc[static_cast<std::size_t>(MR)][static_cast<std::size_t>(NV)];
+    Unroll<MR>([&]<int64_t r>() {
+      Unroll<NV>([&]<int64_t v>() {
+        acc[r][v] = k0 == 0 ? V::Zero() : V::Load(c + (i + r) * n + j + v * kW);
+      });
+    });
+    for (int64_t kk = k0; kk < k1; ++kk) {
+      const float* arow = a + kk * m + i;
+      const float* brow = b + kk * n + j;
+      Reg bv[static_cast<std::size_t>(NV)];
+      Unroll<NV>([&]<int64_t v>() { bv[v] = V::Load(brow + v * kW); });
+      Unroll<MR>([&]<int64_t r>() {
+        const Reg av = V::Broadcast(arow[r]);
+        Unroll<NV>([&]<int64_t v>() {
+          acc[r][v] = V::AddWhereNonzero(acc[r][v], av, V::Mul(av, bv[v]));
+        });
+      });
+    }
+    Unroll<MR>([&]<int64_t r>() {
+      Unroll<NV>([&]<int64_t v>() { V::Store(c + (i + r) * n + j + v * kW, acc[r][v]); });
+    });
+  }
+
+  // Rows [i, i + MR) of c over the k-block [k0, k1): register tiles for the
+  // whole vectors of each row, one scalar chain per element (from the value
+  // the previous block stored) for the n % kW columns after them.
+  template <int64_t MR>
+  static void GemmTransAWideRows(const float* a, int64_t m, const float* b, int64_t n,
+                                 float* c, int64_t i, int64_t k0, int64_t k1) {
+    const int64_t n_vec = n / kW * kW;
+    int64_t j = 0;
+    for (; j + 2 * kW <= n_vec; j += 2 * kW) {
+      GemmTransAWideTile<MR, 2>(a, m, b, n, c, i, j, k0, k1);
+    }
+    if (j < n_vec) {
+      GemmTransAWideTile<MR, 1>(a, m, b, n, c, i, j, k0, k1);
+    }
+    for (int64_t r = i; r < i + MR; ++r) {
+      for (int64_t jt = n_vec; jt < n; ++jt) {
+        float acc = k0 == 0 ? 0.0f : c[r * n + jt];
+        for (int64_t kk = k0; kk < k1; ++kk) {
+          const float ak = a[kk * m + r];
+          if (ak != 0.0f) {
+            const float p = ak * b[kk * n + jt];
+            acc = acc + p;
+          }
+        }
+        c[r * n + jt] = acc;
+      }
+    }
+  }
+
+  // k-block of the wide path: its slices of a and b stay cache-resident
+  // while every row tile of the range sweeps them.
+  static constexpr int64_t kTransAKBlock = 256;
+
+  // c rows [i_lo, i_hi) = aᵀ·b over all k, overwritten. Narrow b (n < kW)
+  // vectorizes over a's columns for every whole vector of the range; wide
+  // b vectorizes over b's columns in k-blocked register tiles, and what
+  // neither covers (the n % kW columns; for narrow b, the rows past the last
+  // whole vector) runs one scalar chain per element. Every element folds
+  // its own kk-ascending multiply-then-add chain from +0 with the zero skip.
   static void GemmTransA(const float* a, int64_t k, int64_t m, const float* b, int64_t n,
                          float* c, int64_t i_lo, int64_t i_hi) {
-    for (int64_t kk = 0; kk < k; ++kk) {
-      const float* arow = a + kk * m;
-      const float* brow = b + kk * n;
-      for (int64_t i = i_lo; i < i_hi; ++i) {
-        const float aki = arow[i];
-        if (aki == 0.0f) {
-          continue;  // sparse-gradient fast path (post-ReLU zeros)
+    int64_t i_rest = i_lo;
+    if (kW > 1 && n < kW) {
+      // Per column of b: tiles of 4 vectors, then one of 2 and one of 1 for
+      // what is left, so each tile reads a row of a once per kk.
+      i_rest = i_lo + (i_hi - i_lo) / kW * kW;
+      for (int64_t j = 0; j < n; ++j) {
+        int64_t i = i_lo;
+        for (; i + 4 * kW <= i_rest; i += 4 * kW) {
+          GemmTransATile<4>(a, k, m, b, n, c, i, j);
         }
-        AxpyRow(c + i * n, brow, aki, n);
+        if (i + 2 * kW <= i_rest) {
+          GemmTransATile<2>(a, k, m, b, n, c, i, j);
+          i += 2 * kW;
+        }
+        if (i < i_rest) {
+          GemmTransATile<1>(a, k, m, b, n, c, i, j);
+        }
+      }
+    }
+    if (i_rest == i_hi) {
+      return;
+    }
+    // k == 0 still makes one pass, which stores the zeros.
+    for (int64_t k0 = 0; k0 < std::max<int64_t>(k, 1); k0 += kTransAKBlock) {
+      const int64_t k1 = std::min(k, k0 + kTransAKBlock);
+      int64_t i = i_rest;
+      for (; i + kMr <= i_hi; i += kMr) {
+        GemmTransAWideRows<kMr>(a, m, b, n, c, i, k0, k1);
+      }
+      for (; i < i_hi; ++i) {
+        GemmTransAWideRows<1>(a, m, b, n, c, i, k0, k1);
       }
     }
   }

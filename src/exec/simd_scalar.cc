@@ -18,6 +18,7 @@ struct VecScalar {
   static Reg Min(Reg a, Reg b) { return a < b ? a : b; }
   static Reg Broadcast(float s) { return s; }
   static Reg Zero() { return 0.0f; }
+  static Reg AddWhereNonzero(Reg acc, Reg a, Reg p) { return a == 0.0f ? acc : acc + p; }
 };
 
 const KernelTable kTable = detail::MakeTable<VecScalar>(IsaLevel::kScalar, "scalar");

@@ -27,6 +27,12 @@ struct Vec128 {
   static Reg Min(Reg a, Reg b) { return _mm_min_ps(a, b); }  // a<b?a:b — b on ties/NaN
   static Reg Broadcast(float s) { return _mm_set1_ps(s); }
   static Reg Zero() { return _mm_setzero_ps(); }
+  // acc + p in the lanes where a != 0 (cmpneqps is true on NaN), acc
+  // elsewhere; SSE2 has no blendv, so the select is and/andnot/or.
+  static Reg AddWhereNonzero(Reg acc, Reg a, Reg p) {
+    const Reg keep = _mm_cmpneq_ps(a, Zero());
+    return _mm_or_ps(_mm_and_ps(keep, _mm_add_ps(acc, p)), _mm_andnot_ps(keep, acc));
+  }
 };
 
 const KernelTable kTable = detail::MakeTable<Vec128>(IsaLevel::kSse2, "sse2");
@@ -47,6 +53,11 @@ struct Vec128 {
   static Reg Min(Reg a, Reg b) { return vbslq_f32(vcltq_f32(a, b), a, b); }
   static Reg Broadcast(float s) { return vdupq_n_f32(s); }
   static Reg Zero() { return vdupq_n_f32(0.0f); }
+  // acc where a == 0 (false on NaN, so NaN counts as nonzero), acc + p
+  // elsewhere.
+  static Reg AddWhereNonzero(Reg acc, Reg a, Reg p) {
+    return vbslq_f32(vceqq_f32(a, Zero()), acc, vaddq_f32(acc, p));
+  }
 };
 
 const KernelTable kTable = detail::MakeTable<Vec128>(IsaLevel::kSse2, "neon");

@@ -64,12 +64,19 @@ Tensor MatMulTransA(const Tensor& a, const Tensor& b) {
   const int64_t k = a.rows();
   const int64_t m = a.cols();
   const int64_t n = b.cols();
-  Tensor c = WsTensor(m, n);
-  // Output-row parallel, kk-outer with the zero skip (aᵀ here is usually a
-  // post-ReLU activation gradient, so whole rows drop out).
+  // The kernel overwrites every c row it owns, so c needs no zero fill.
+  Tensor c = WsTensorUninit(m, n);
+  // Tasks own whole blocks of 16 of a's columns — 16·n floats of c, whole
+  // cache lines, so no two tasks write one line — and run all of k: each
+  // output element keeps its single kk-ascending chain (a split of k would
+  // reorder its sums). a is the layer's forward input and b the output
+  // gradient, so a block streams its 64-byte slice of every a row plus b.
+  constexpr int64_t kBlock = simd::kPackAlignFloats;
+  const int64_t blocks = (m + kBlock - 1) / kBlock;
   const simd::KernelTable& kt = simd::Kernels();
-  exec::ParallelFor(0, m, RowGrain(k * n), [&](int64_t row_lo, int64_t row_hi) {
-    kt.gemm_trans_a(a.data(), k, m, b.data(), n, c.data(), row_lo, row_hi);
+  exec::ParallelFor(0, blocks, RowGrain(kBlock * k * n), [&](int64_t lo, int64_t hi) {
+    kt.gemm_trans_a(a.data(), k, m, b.data(), n, c.data(), lo * kBlock,
+                    std::min(m, hi * kBlock));
   });
   return c;
 }

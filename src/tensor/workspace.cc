@@ -5,6 +5,7 @@
 #include <cstring>
 #include <new>
 
+#include "src/exec/parallel.h"
 #include "src/exec/simd.h"
 #include "src/obs/metrics.h"
 #include "src/obs/prof.h"
@@ -123,13 +124,14 @@ Workspace* CurrentWorkspace() { return g_current; }
 
 Tensor WsTensor(int64_t rows, int64_t cols) {
   Tensor t = WsTensorUninit(rows, cols);
-  {
+  float* p = t.data();
+  const bool prof = simd::KernelProfilingEnabled();
+  exec::ParallelFor(0, t.numel(), exec::kMinParallelWork, [&](int64_t lo, int64_t hi) {
     // Zero fills are pure stores: no reads, no FLOPs.
     obs::TimedKernelScope scope(obs::ProfKernel::kZeroFill, 0,
-                                t.numel() * static_cast<int64_t>(sizeof(float)), 0,
-                                simd::KernelProfilingEnabled());
-    t.Zero();
-  }
+                                (hi - lo) * static_cast<int64_t>(sizeof(float)), 0, prof);
+    std::memset(p + lo, 0, static_cast<std::size_t>(hi - lo) * sizeof(float));
+  });
   return t;
 }
 

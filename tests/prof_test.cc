@@ -137,6 +137,51 @@ TEST_F(ProfTest, WorkspaceFillAndCopyAccounting) {
   EXPECT_EQ(Row(ProfKernel::kZeroFill).calls, 1);
 }
 
+// The GEMMs and the zero fill fan out to the pool on these shapes, and
+// ParallelFor's split follows the thread count; the byte/FLOP totals must
+// not. The operand every chunk shares (b for gemm_trans_a, the packed panel
+// for gemm) is billed once per call.
+TEST_F(ProfTest, GemmAndZeroFillTotalsAreIndependentOfThreadCount) {
+  struct RestoreThreads {
+    ~RestoreThreads() { exec::SetNumThreads(0); }
+  } restore;
+  const Tensor x = Filled(131072, 64);   // MatMulTransA(x, g): k, m
+  const Tensor g = Filled(131072, 1);    // n = 1, MAGNN's attention score
+  const Tensor a = Filled(8192, 256);    // MatMul(a, w): m, k
+  const Tensor w = Filled(256, 32);      // n = 32
+  for (const int threads : {1, 2, 4}) {
+    exec::SetNumThreads(threads);
+    KernelProfiler::Get().Reset();
+    (void)MatMulTransA(x, g);
+    const KernelProfileRow trans_a = Row(ProfKernel::kGemmTransA);
+    EXPECT_EQ(trans_a.bytes_read, (131072 * 64 + 131072 * 1) * kF) << threads;
+    EXPECT_EQ(trans_a.bytes_written, 64 * 1 * kF) << threads;
+    EXPECT_EQ(trans_a.flops, 2 * 64 * 1 * 131072) << threads;
+    // gemm_trans_a overwrites its output: no zero fill precedes it.
+    EXPECT_EQ(Row(ProfKernel::kZeroFill).calls, 0) << threads;
+
+    KernelProfiler::Get().Reset();
+    (void)MatMul(a, w);
+    const KernelProfileRow gemm = Row(ProfKernel::kGemm);
+    EXPECT_EQ(gemm.bytes_read, (8192 * 256 + 256 * simd::PackedStride(32)) * kF) << threads;
+    EXPECT_EQ(gemm.bytes_written, 8192 * 32 * kF) << threads;
+    EXPECT_EQ(gemm.flops, 2 * 8192 * 32 * 256) << threads;
+
+    KernelProfiler::Get().Reset();
+    (void)WsTensor(1024, 1024);
+    const KernelProfileRow fill = Row(ProfKernel::kZeroFill);
+    EXPECT_EQ(fill.bytes_read, 0) << threads;
+    EXPECT_EQ(fill.bytes_written, 1024 * 1024 * kF) << threads;
+    EXPECT_EQ(fill.flops, 0) << threads;
+    // One chunk per task: the fill runs on the pool once there is one.
+    if (threads == 1) {
+      EXPECT_EQ(fill.calls, 1);
+    } else {
+      EXPECT_GT(fill.calls, 1) << threads;
+    }
+  }
+}
+
 TEST_F(ProfTest, SgdStepAccounting) {
   Variable p = Variable::Leaf(Filled(2, 3), /*requires_grad=*/true);
   p.grad() = Filled(2, 3, 0.5f);  // materialize outside the measured window

@@ -1,21 +1,25 @@
 // Scalar-vs-SIMD bitwise parity for the dispatched kernel suite.
 //
-// The determinism contract says every KernelTable variant vectorizes along
-// the feature dimension only, never reassociates an accumulation and never
+// The determinism contract says every KernelTable variant keeps one output
+// element per vector lane, never reassociates an accumulation and never
 // fuses a multiply-add — so for identical inputs every variant must produce
 // byte-identical outputs. These tests sweep every reduce op, odd feature
 // dims (1, 3, 17, 63, 65 — exercising full vectors, partial vectors, and
 // pure tail lanes at every lane width), empty segments, and both the
 // gathered and contiguous segment layouts, under every ISA level the host
 // supports (SetIsa; CI additionally pins FLEXGRAPH_ISA at process level).
+#include <algorithm>
 #include <cstring>
+#include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "src/core/fused_ops.h"
 #include "src/exec/cpu_features.h"
+#include "src/exec/parallel.h"
 #include "src/exec/simd.h"
 #include "src/tensor/ops_dense.h"
 #include "src/tensor/ops_sparse.h"
@@ -400,6 +404,116 @@ TEST_F(SimdTest, GemmTransABitwiseParity) {
       simd::Kernels().gemm_trans_a(a.data(), k, m, b.data(), n, c.data(), 0, m);
       return c;
     });
+  }
+}
+
+// Naive reference for gemm_trans_a with the contract's exact per-element
+// chain: c[i][j] folds a[kk][i] * b[kk][j] over kk ascending from +0,
+// skipping kk where a[kk][i] == 0. Rows outside [i_lo, i_hi) keep `fill`.
+// The volatile product keeps this TU from contracting mul+add into an FMA.
+Tensor NaiveMatMulTransA(const Tensor& a, const Tensor& b, int64_t i_lo, int64_t i_hi,
+                         float fill) {
+  Tensor c(a.cols(), b.cols());
+  c.Fill(fill);
+  for (int64_t i = i_lo; i < i_hi; ++i) {
+    for (int64_t j = 0; j < b.cols(); ++j) {
+      float acc = 0.0f;
+      for (int64_t kk = 0; kk < a.rows(); ++kk) {
+        const float aki = a.At(kk, i);
+        if (aki == 0.0f) {
+          continue;
+        }
+        volatile float p = aki * b.At(kk, j);
+        acc = acc + p;
+      }
+      c.At(i, j) = acc;
+    }
+  }
+  return c;
+}
+
+// Output-row ranges for an m-row gemm_trans_a: the whole range plus ranges
+// that start and end off the 16-float blocks the tensor layer cuts at.
+std::vector<std::pair<int64_t, int64_t>> TransARanges(int64_t m) {
+  std::vector<std::pair<int64_t, int64_t>> ranges = {{0, m}};
+  for (const auto& r : {std::pair<int64_t, int64_t>{1, m}, {m / 3, m - m / 5},
+                        {5, m - 1}}) {
+    if (r.first < r.second && std::find(ranges.begin(), ranges.end(), r) == ranges.end()) {
+      ranges.push_back(r);
+    }
+  }
+  return ranges;
+}
+
+TEST_F(SimdTest, GemmTransAMatchesNaiveReferenceAtEveryIsa) {
+  const float kInf = std::numeric_limits<float>::infinity();
+  const float kNan = std::numeric_limits<float>::quiet_NaN();
+  const float kFill = -7.5f;  // rows the call does not own must keep it
+  for (const int64_t m : {1, 15, 16, 17, 33, 64, 65}) {
+    for (const int64_t n : {1, 3, 5, 15, 16, 17, 32, 33, 64}) {
+      const int64_t k = 23;
+      Rng rng(static_cast<uint64_t>(1000 * m + n));
+      Tensor a = RandomTensor(k, m, rng);
+      Tensor b = RandomTensor(k, n, rng);
+      // Exact zeros (and -0) sprinkled over a exercise the per-element skip.
+      for (int64_t e = 0; e < a.numel(); e += 3) {
+        a.data()[e] = (e % 2 == 0) ? 0.0f : -0.0f;
+      }
+      // b row 4 is all Inf against a row that is zero in every other column:
+      // the zero columns must skip it, the rest turn ±Inf. b row 9 is all NaN
+      // against an all-zero a row: no output element may see it.
+      for (int64_t i = 0; i < m; ++i) {
+        a.At(4, i) = (i % 2 == 0) ? 0.0f : 1.5f;
+        a.At(9, i) = 0.0f;
+      }
+      for (int64_t j = 0; j < n; ++j) {
+        b.At(4, j) = kInf;
+        b.At(9, j) = kNan;
+      }
+      for (const auto& [i_lo, i_hi] : TransARanges(m)) {
+        const Tensor want = NaiveMatMulTransA(a, b, i_lo, i_hi, kFill);
+        for (simd::IsaLevel level : SupportedLevels()) {
+          ASSERT_TRUE(simd::SetIsa(level));
+          Tensor c(m, n);
+          c.Fill(kFill);
+          simd::Kernels().gemm_trans_a(a.data(), k, m, b.data(), n, c.data(), i_lo, i_hi);
+          EXPECT_TRUE(BitwiseEqual(want, c))
+              << "isa=" << simd::IsaName(level) << " m=" << m << " n=" << n << " rows=["
+              << i_lo << ", " << i_hi << ")";
+        }
+      }
+    }
+  }
+}
+
+// The tensor-layer GEMMs fan out to the pool once k·n passes
+// kMinParallelWork; every thread count must reproduce the 1-thread result
+// bit for bit (and gemm_trans_a the naive reference).
+TEST_F(SimdTest, DenseGemmsBitwiseAcrossThreadCounts) {
+  struct RestoreThreads {
+    ~RestoreThreads() { exec::SetNumThreads(0); }
+  } restore;
+  const int64_t m = 33;  // two whole 16-column blocks and a 1-column tail
+  for (const int64_t n : {1, 5, 32}) {
+    const int64_t k = exec::kMinParallelWork / n + 7;
+    Rng rng(static_cast<uint64_t>(77 + n));
+    Tensor x = RandomTensor(k, m, rng);
+    for (int64_t e = 0; e < x.numel(); e += 5) {
+      x.data()[e] = 0.0f;
+    }
+    const Tensor g = RandomTensor(k, n, rng);
+    const Tensor xt = RandomTensor(m, k, rng);  // MatMul: [m, k] · [k, n]
+    exec::SetNumThreads(1);
+    const Tensor trans_a_ref = MatMulTransA(x, g);
+    const Tensor matmul_ref = MatMul(xt, g);
+    EXPECT_TRUE(BitwiseEqual(NaiveMatMulTransA(x, g, 0, m, 0.0f), trans_a_ref)) << "n=" << n;
+    for (const int threads : {2, 4, 8}) {
+      exec::SetNumThreads(threads);
+      EXPECT_TRUE(BitwiseEqual(trans_a_ref, MatMulTransA(x, g)))
+          << "MatMulTransA n=" << n << " threads=" << threads;
+      EXPECT_TRUE(BitwiseEqual(matmul_ref, MatMul(xt, g)))
+          << "MatMul n=" << n << " threads=" << threads;
+    }
   }
 }
 
