@@ -130,8 +130,9 @@ int main() {
     // probe ran, else the rate of the pure-movement kernels (row copies and
     // zero fills, which row_copy billed together before zero_fill got its
     // own row) from the same profiled epoch: pure sequential movement, the
-    // best a gather could do. The reorder + tiling work exists to push this
-    // ratio up.
+    // best a gather could do. The gather reads leaf rows in the HDG's own
+    // order at full feature width, so the ratio guards how close that fused
+    // gather stays to sequential movement.
     {
       const bool was_profiling = simd::KernelProfilingEnabled();
       if (!was_profiling) {

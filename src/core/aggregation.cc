@@ -26,21 +26,12 @@ HdgAggregator::HdgAggregator(const Hdg& hdg, ExecStrategy strategy, AggregationS
                              const ExecutionPlan* plan)
     : hdg_(hdg), strategy_(strategy), stats_(stats), plan_(CheckedPlan(hdg, strategy, plan)) {}
 
-Variable HdgAggregator::BottomSource(const Variable& x) const {
-  // Under the locality reorder the plan's gather stream addresses relabeled
-  // rows: permute the source tensor once at the level boundary (a bijective
-  // row copy, numerically invisible) and reduce over the relabeled arrays.
-  const ReorderPlan* reorder = plan_.reorder();
-  return reorder != nullptr ? AgReorderSource(x, *reorder) : x;
-}
-
 Variable HdgAggregator::BottomLevel(const Variable& vertex_feats, ReduceKind kind) const {
   FLEX_TRACE_SPAN("hybrid_agg.bottom",
                   {{"leaf_refs", static_cast<double>(hdg_.leaf_vertex_ids().size())}});
   FLEX_SCOPED_SECONDS("nau.bottom_level_seconds",
                       stats_ != nullptr ? &stats_->bottom_seconds : nullptr);
-  return AgIndirectSegmentReduce(BottomSource(vertex_feats), plan_.bottom(), kind, strategy_,
-                                 stats_);
+  return AgIndirectSegmentReduce(vertex_feats, plan_.bottom(), kind, strategy_, stats_);
 }
 
 Variable HdgAggregator::BottomLevelMax(const Variable& vertex_feats) const {
@@ -49,7 +40,7 @@ Variable HdgAggregator::BottomLevelMax(const Variable& vertex_feats) const {
     stats_->materialized_bytes += hdg_.leaf_vertex_ids().size() *
                                   static_cast<uint64_t>(vertex_feats.cols()) * sizeof(float);
   }
-  Variable gathered = AgGatherRows(BottomSource(vertex_feats), plan_.bottom().gather_index);
+  Variable gathered = AgGatherRows(vertex_feats, plan_.bottom().gather_index);
   return AgSegmentMax(gathered, plan_.bottom().offsets);
 }
 
@@ -62,7 +53,7 @@ Variable HdgAggregator::BottomLevelLstm(const Variable& vertex_feats,
   }
   // The recurrence is inherently sequential within a segment, so the LSTM
   // takes its own copy of the offsets; the gather index comes from the plan.
-  Variable gathered = AgGatherRows(BottomSource(vertex_feats), plan_.bottom().gather_index);
+  Variable gathered = AgGatherRows(vertex_feats, plan_.bottom().gather_index);
   return AgSegmentLstm(gathered, std::vector<uint64_t>(*plan_.bottom().offsets), cell);
 }
 
@@ -80,15 +71,11 @@ Variable HdgAggregator::BottomLevelEdgeAttention(const Variable& transformed,
                                   static_cast<uint64_t>(transformed.cols() + 2) * sizeof(float);
   }
   const LevelPlan& bottom = plan_.bottom();
-  // The reorder relabels source vertices only; edge_dst_index holds root
-  // vertex ids into dst_scores and is left in the original numbering.
-  Variable src_sc = BottomSource(src_scores);
-  Variable msgs_src = BottomSource(transformed);
-  Variable edge_scores = AgLeakyRelu(AgAdd(AgGatherRows(src_sc, bottom.gather_index),
+  Variable edge_scores = AgLeakyRelu(AgAdd(AgGatherRows(src_scores, bottom.gather_index),
                                            AgGatherRows(dst_scores, plan_.edge_dst_index())),
                                      leaky_slope);
   Variable weights = AgSegmentSoftmax(edge_scores, bottom.offsets, bottom.chunks);
-  Variable messages = AgGatherRows(msgs_src, bottom.gather_index);
+  Variable messages = AgGatherRows(transformed, bottom.gather_index);
   Variable weighted = AgMulRowScalar(messages, weights);
   return AgSegmentReduce(weighted, bottom.offsets, ReduceKind::kSum, bottom.chunks);
 }

@@ -75,10 +75,6 @@ class HdgAggregator {
   Variable SchemaLevelConcat(const Variable& slot_feats) const;
 
  private:
-  // The bottom level's source tensor in the plan's row space: permuted once
-  // at the level boundary under the locality reorder, `x` itself otherwise.
-  Variable BottomSource(const Variable& x) const;
-
   const Hdg& hdg_;
   ExecStrategy strategy_;
   AggregationStats* stats_;

@@ -21,7 +21,7 @@ using exec::kMinParallelWork;
 
 Tensor FusedSegmentGatherReduce(const Tensor& x, std::span<const VertexId> leaf_ids,
                                 std::span<const uint64_t> offsets, ReduceKind kind,
-                                std::span<const int64_t> chunks, int64_t tile_cols) {
+                                std::span<const int64_t> chunks) {
   FLEX_CHECK_GE(offsets.size(), 1u);
   FLEX_CHECK_EQ(offsets[offsets.size() - 1], leaf_ids.size());
   const int64_t num_segments = static_cast<int64_t>(offsets.size()) - 1;
@@ -35,8 +35,7 @@ Tensor FusedSegmentGatherReduce(const Tensor& x, std::span<const VertexId> leaf_
   const simd::KernelTable& kt = simd::Kernels();
   const simd::Reduce sk = ToSimdReduce(kind);
   ForEachSegmentChunk(offsets, chunks, total_work, [&](int64_t s_lo, int64_t s_hi) {
-    kt.segment_reduce(x.data(), d, leaf_ids.data(), offsets.data(), s_lo, s_hi, sk, tile_cols,
-                      out.data());
+    kt.segment_reduce(x.data(), d, leaf_ids.data(), offsets.data(), s_lo, s_hi, sk, out.data());
   });
   return out;
 }
@@ -50,8 +49,7 @@ namespace {
 // identical to it at every thread count.
 Tensor InverseMapBackward(const Tensor& grad_out, const U64Vec& src_offsets,
                           const U32Vec& src_edge_segments, const I64Vec& src_chunks,
-                          const U64Vec& offsets, ReduceKind kind, int64_t src_rows, int64_t d,
-                          int64_t tile_cols) {
+                          const U64Vec& offsets, ReduceKind kind, int64_t src_rows, int64_t d) {
   Tensor gx = WsTensor(src_rows, d);
   const auto& soff = *src_offsets;
   const auto& ssegs = *src_edge_segments;
@@ -60,8 +58,8 @@ Tensor InverseMapBackward(const Tensor& grad_out, const U64Vec& src_offsets,
   const simd::KernelTable& kt = simd::Kernels();
   const simd::Reduce sk = ToSimdReduce(kind);
   const auto gather_range = [&](int64_t v_lo, int64_t v_hi) {
-    kt.indirect_backward(grad_out.data(), d, soff.data(), ssegs.data(), segs.data(), sk,
-                         tile_cols, v_lo, v_hi, gx.data());
+    kt.indirect_backward(grad_out.data(), d, soff.data(), ssegs.data(), segs.data(), sk, v_lo,
+                         v_hi, gx.data());
   };
   const int64_t total_work = static_cast<int64_t>(ssegs.size()) * d;
   if (total_work < kMinParallelWork || exec::NumThreads() <= 1) {
@@ -83,8 +81,7 @@ Tensor InverseMapBackward(const Tensor& grad_out, const U64Vec& src_offsets,
 // Partials are plain sums; mean segments scale by the ORIGINAL width at the
 // root, so the fused result is bitwise identical to the unfused fold (a
 // zero-seeded left-fold never produces -0.0, hence 0 + P == P bitwise).
-Tensor FusedSubtreeForward(const Tensor& x, const FusionPlan& fp, ReduceKind kind,
-                           int64_t tile_cols) {
+Tensor FusedSubtreeForward(const Tensor& x, const FusionPlan& fp, ReduceKind kind) {
   const int64_t d = x.cols();
   const simd::KernelTable& kt = simd::Kernels();
   const auto& poffs = *fp.partial_offsets;
@@ -100,7 +97,7 @@ Tensor FusedSubtreeForward(const Tensor& x, const FusionPlan& fp, ReduceKind kin
     const auto build_range = [&](int64_t p_lo, int64_t p_hi) {
       kt.segment_reduce_ext(x.data(), fp.base_rows, partials.data(), d, pids.data(),
                             poffs.data(), /*scale_offsets=*/nullptr, p_lo, p_hi,
-                            simd::Reduce::kSum, tile_cols, partials.data());
+                            simd::Reduce::kSum, partials.data());
     };
     const int64_t level_work =
         static_cast<int64_t>(poffs[static_cast<std::size_t>(end)] -
@@ -126,8 +123,7 @@ Tensor FusedSubtreeForward(const Tensor& x, const FusionPlan& fp, ReduceKind kin
   const int64_t total_work = static_cast<int64_t>(fp.ids->size()) * d;
   ForEachSegmentChunk(offs, *fp.chunks, total_work, [&](int64_t s_lo, int64_t s_hi) {
     kt.segment_reduce_ext(x.data(), fp.base_rows, partials.data(), d, fp.ids->data(),
-                          offs.data(), fp.scale_offsets->data(), s_lo, s_hi, sk, tile_cols,
-                          out.data());
+                          offs.data(), fp.scale_offsets->data(), s_lo, s_hi, sk, out.data());
   });
   return out;
 }
@@ -142,10 +138,9 @@ Tensor FusedSubtreeForward(const Tensor& x, const FusionPlan& fp, ReduceKind kin
 // gradient. Deterministic across threads and ISA levels; not bitwise equal
 // to the unfused backward (different — but fixed — accumulation order).
 Tensor FusedSubtreeBackward(const Tensor& grad_out, const FusionPlan& fp, ReduceKind kind,
-                            int64_t src_rows, int64_t d, int64_t tile_cols) {
+                            int64_t src_rows, int64_t d) {
   Tensor gx_ext = InverseMapBackward(grad_out, fp.src_offsets, fp.src_edge_segments,
-                                     fp.src_chunks, fp.scale_offsets, kind, fp.src_rows, d,
-                                     tile_cols);
+                                     fp.src_chunks, fp.scale_offsets, kind, fp.src_rows, d);
   const simd::KernelTable& kt = simd::Kernels();
   const auto& poffs = *fp.partial_offsets;
   const auto& pids = *fp.partial_ids;
@@ -198,7 +193,7 @@ Variable AgIndirectSegmentReduce(const Variable& x, const LevelPlan& level, Redu
                     {{"rows", static_cast<double>(fp.leaf_refs_after)},
                      {"shared_partials", static_cast<double>(fp.num_partials)}});
     FLEX_COUNTER_ADD("kernel.fused_leaf_refs", static_cast<int64_t>(fp.leaf_refs_after));
-    out = FusedSubtreeForward(x.value(), fp, kind, level.tile_cols);
+    out = FusedSubtreeForward(x.value(), fp, kind);
     if (stats != nullptr) {
       stats->fused_rows += num_refs;
     }
@@ -206,7 +201,7 @@ Variable AgIndirectSegmentReduce(const Variable& x, const LevelPlan& level, Redu
     FLEX_TRACE_SPAN("kernel.fa_fused_gather_reduce", {{"rows", static_cast<double>(num_refs)}});
     FLEX_COUNTER_ADD("kernel.fused_leaf_refs", static_cast<int64_t>(num_refs));
     out = FusedSegmentGatherReduce(x.value(), *level.leaf_ids, *level.offsets, kind,
-                                   *level.chunks, level.tile_cols);
+                                   *level.chunks);
     if (stats != nullptr) {
       stats->fused_rows += num_refs;
     }
@@ -217,60 +212,16 @@ Variable AgIndirectSegmentReduce(const Variable& x, const LevelPlan& level, Redu
   const U64Vec soff = level.src_offsets;
   const U32Vec ssegs = level.src_edge_segments;
   const I64Vec schunks = level.src_chunks;
-  const int64_t tile = level.tile_cols;
   const std::shared_ptr<const FusionPlan> fused =
       strategy == ExecStrategy::kSparse ? nullptr : level.fusion;
   return MakeVariable(std::move(out), {x},
-                      [xn, offs, soff, ssegs, schunks, fused, kind, src_rows, d,
-                       tile](AgNode& self) {
+                      [xn, offs, soff, ssegs, schunks, fused, kind, src_rows, d](AgNode& self) {
                         xn->AccumulateGrad(
                             fused != nullptr
-                                ? FusedSubtreeBackward(self.grad(), *fused, kind, src_rows, d,
-                                                       tile)
+                                ? FusedSubtreeBackward(self.grad(), *fused, kind, src_rows, d)
                                 : InverseMapBackward(self.grad(), soff, ssegs, schunks, offs,
-                                                     kind, src_rows, d, tile));
+                                                     kind, src_rows, d));
                       });
-}
-
-Variable AgReorderSource(const Variable& x, const ReorderPlan& reorder) {
-  FLEX_CHECK(reorder.inv != nullptr);
-  FLEX_CHECK_GE(x.rows(), reorder.num_rows);
-  const int64_t d = x.cols();
-  const int64_t num_rows = reorder.num_rows;
-  const int64_t num_hot = reorder.num_hot;
-  const auto& inv = *reorder.inv;
-  const std::size_t row_bytes = static_cast<std::size_t>(d) * sizeof(float);
-
-  Tensor out = WsTensorUninit(num_rows, d);
-  const float* src = x.value().data();
-  for (int64_t u = 0; u < num_hot; ++u) {
-    std::memcpy(out.Row(u), src + static_cast<int64_t>(inv[static_cast<std::size_t>(u)]) * d,
-                row_bytes);
-  }
-  if (num_hot < num_rows) {
-    // Cold tail: rows the gather stream never references. Zero-filled so the
-    // tensor is fully initialized (and harmless if a future reader sums it).
-    std::memset(out.Row(num_hot), 0,
-                static_cast<std::size_t>(num_rows - num_hot) * row_bytes);
-  }
-
-  auto xn = x.node();
-  const auto inv_ptr = reorder.inv;
-  const int64_t x_rows = x.rows();
-  return MakeVariable(std::move(out), {x}, [xn, inv_ptr, num_hot, x_rows, d](AgNode& self) {
-    // inv is injective, so destination rows never collide: the scatter is a
-    // plain per-row copy. Unreferenced (cold and beyond-permutation) rows get
-    // zero gradient, exactly as without the reorder.
-    Tensor gx = WsTensor(x_rows, d);
-    const Tensor& g = self.grad();
-    const auto& inv_rows = *inv_ptr;
-    const std::size_t bytes = static_cast<std::size_t>(d) * sizeof(float);
-    for (int64_t u = 0; u < num_hot; ++u) {
-      std::memcpy(gx.Row(static_cast<int64_t>(inv_rows[static_cast<std::size_t>(u)])),
-                  g.Row(u), bytes);
-    }
-    xn->AccumulateGrad(std::move(gx));
-  });
 }
 
 Variable AgSchemaReduce(const Variable& slots, const LevelPlan& level, ReduceKind kind,

@@ -39,23 +39,11 @@ struct AggregationStats {
 // The raw fused forward kernel (no autograd): for each segment s reduce the
 // rows x[leaf_ids[e]]. kind may be kSum/kMean/kMin/kMax. `chunks` (optional)
 // are precompiled segment-aligned parallel chunk boundaries; without them
-// fixed boundaries are derived on the fly. `tile_cols` > 0 sweeps the
-// feature dimension in L2-sized column tiles (LevelPlan::tile_cols).
-// Bitwise identical across thread counts and tile widths either way.
+// fixed boundaries are derived on the fly. Bitwise identical across thread
+// counts either way.
 Tensor FusedSegmentGatherReduce(const Tensor& x, std::span<const VertexId> leaf_ids,
                                 std::span<const uint64_t> offsets, ReduceKind kind,
-                                std::span<const int64_t> chunks = {}, int64_t tile_cols = 0);
-
-// Boundary op for the locality reorder (ReorderPlan): the forward
-// materializes the source tensor in relabeled row space — out[u] = x[inv[u]]
-// for u < num_hot, cold tail zero-filled (the relabeled gather never reads
-// it) — and the backward scatters back, gx[inv[u]] = g[u]. Both directions
-// are whole-row memcpys through a bijection (destinations never collide), so
-// values and gradients pass through bit-exactly: wrapping a level's source in
-// this op plus the relabeled plan arrays is numerically invisible.
-// x must have at least reorder.num_rows rows; rows beyond that never appear
-// in the gather stream and receive zero gradient, exactly as without reorder.
-Variable AgReorderSource(const Variable& x, const ReorderPlan& reorder);
+                                std::span<const int64_t> chunks = {});
 
 // Differentiable indirect segment reduce over one level plan, with a
 // strategy-selected forward. kind must be kSum or kMean (the differentiable

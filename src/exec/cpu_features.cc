@@ -71,18 +71,5 @@ IsaLevel DetectIsa() {
 
 bool IsaSupported(IsaLevel level) { return static_cast<int>(level) <= static_cast<int>(DetectIsa()); }
 
-long L2CacheBytes() {
-  static const long cached = [] {
-#if defined(_SC_LEVEL2_CACHE_SIZE)
-    const long reported = sysconf(_SC_LEVEL2_CACHE_SIZE);
-    if (reported > 0) {
-      return reported;
-    }
-#endif
-    return 1L << 20;  // conservative 1 MiB fallback
-  }();
-  return cached;
-}
-
 }  // namespace simd
 }  // namespace flexgraph

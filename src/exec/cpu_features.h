@@ -36,11 +36,6 @@ IsaLevel DetectIsa();
 // True when the running CPU can execute `level`.
 bool IsaSupported(IsaLevel level);
 
-// Per-core L2 data cache capacity in bytes, from sysconf; falls back to
-// 1 MiB when the kernel does not report it. Cached after the first call.
-// Feeds the finalize pass's feature-column tile sizing.
-long L2CacheBytes();
-
 }  // namespace simd
 }  // namespace flexgraph
 

@@ -7,7 +7,7 @@
 // segments wide enough to share anything (width >= 2). One partial per two
 // fusable segments, floored at 1024, caps the partials tensor at a fraction
 // of the output tensor while leaving room for the duplicate-heavy graphs
-// where fusion pays most. FLEXGRAPH_FUSE_BUDGET overrides when > 0.
+// where fusion pays most.
 #include <algorithm>
 
 #include "src/exec/passes/pass.h"
@@ -15,21 +15,13 @@
 
 namespace flexgraph {
 
-void AnalyzePass(PlanDraft& draft, const Hdg& hdg, const PlanOptions& options,
-                 PassContext& ctx) {
+void AnalyzePass(const Hdg& hdg, PassContext& ctx) {
   ctx.bottom_stats = ComputeLeafStats(hdg.bottom_offsets(), hdg.leaf_vertex_ids());
   const HdgLeafStats& st = ctx.bottom_stats;
-
-  if (options.fuse_budget > 0) {
-    ctx.fuse_budget = options.fuse_budget;
-  } else {
-    ctx.fuse_budget =
-        std::max<int64_t>(1024, static_cast<int64_t>(st.fusable_segments) / 2);
-  }
+  ctx.fuse_budget = std::max<int64_t>(1024, static_cast<int64_t>(st.fusable_segments) / 2);
 
   FLEX_COUNTER_ADD("plan.analyze_leaf_refs", static_cast<int64_t>(st.leaf_refs));
   FLEX_COUNTER_ADD("plan.analyze_repeat_refs", static_cast<int64_t>(st.repeat_refs));
-  (void)draft;
 }
 
 }  // namespace flexgraph

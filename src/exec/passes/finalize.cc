@@ -1,49 +1,13 @@
-// FinalizePass — feature-column tile sizing, workspace-size estimate, ISA
-// stamp, and the plan.* metric counters the bench suite snapshots (shared
-// partials, the leaf-ref before/after accounting behind the fig14
-// leaf_ref_ratio row, and the reorder hot-row accounting).
-#include <algorithm>
-
-#include "src/exec/cpu_features.h"
+// FinalizePass — workspace-size estimate, ISA stamp, and the plan.* metric
+// counters the bench suite snapshots (shared partials and the leaf-ref
+// before/after accounting behind the fig14 leaf_ref_ratio row).
 #include "src/exec/passes/pass.h"
 #include "src/exec/simd.h"
 #include "src/obs/metrics.h"
 
 namespace flexgraph {
-namespace {
 
-// Feature-column tile width for the bottom gather-reduce. The working set of
-// one chunk is roughly (gathered rows per chunk) x (tile columns) floats of
-// source data plus the segment accumulators; sizing the tile so that fits in
-// half the L2 keeps the gathered rows resident across the whole tile sweep
-// instead of streaming the full row width through L1. Tiles are multiples of
-// 16 floats (one cache line of accumulators per ISA lane group, and the pack
-// alignment quantum), minimum 16. Returns 0 (untiled) when the planned width
-// already fits — a single pass is strictly cheaper then.
-int64_t ResolveTileCols(const PlanDraft& draft, const PlanOptions& options) {
-  if (options.tile_cols > 0) {
-    return options.tile_cols >= draft.planned_dim ? 0 : options.tile_cols;
-  }
-  const LevelDraft& bottom = draft.bottom;
-  if (bottom.input_rows <= 0 || bottom.chunks.size() < 2) {
-    return 0;
-  }
-  const int64_t num_chunks = static_cast<int64_t>(bottom.chunks.size()) - 1;
-  const int64_t rows_per_chunk = std::max<int64_t>(1, bottom.input_rows / num_chunks);
-  const int64_t budget_floats =
-      static_cast<int64_t>(simd::L2CacheBytes()) / 2 / static_cast<int64_t>(sizeof(float));
-  int64_t tile = budget_floats / rows_per_chunk;
-  tile -= tile % 16;
-  if (tile < 16) {
-    tile = 16;
-  }
-  return tile >= draft.planned_dim ? 0 : tile;
-}
-
-}  // namespace
-
-void FinalizePass(PlanDraft& draft, const PlanOptions& options, const PassContext& ctx) {
-  draft.bottom.tile_cols = ResolveTileCols(draft, options);
+void FinalizePass(PlanDraft& draft) {
   // Per layer, forward + backward touch roughly one input-width and one
   // output-width tensor per level, plus update-stage temporaries around the
   // root rows. This is a reservation hint — the arena still grows on demand
@@ -69,11 +33,6 @@ void FinalizePass(PlanDraft& draft, const PlanOptions& options, const PassContex
               static_cast<std::size_t>(draft.fusion.num_partials + draft.fusion.src_rows) *
               d;
   }
-  if (draft.has_reorder) {
-    // The boundary permutation materializes the reordered source tensor
-    // (forward) and the scattered-back gradient (backward) per layer.
-    floats += 2 * static_cast<std::size_t>(draft.reorder.num_rows) * d;
-  }
   // The multiplier covers the most temporary-hungry layer types: an LSTM
   // aggregator's gate tape holds ~2.5 d-wide rows per edge beyond the two
   // generic ones, attention another ~2.4 (measured by VerifyWorkspace in
@@ -93,12 +52,7 @@ void FinalizePass(PlanDraft& draft, const PlanOptions& options, const PassContex
     FLEX_COUNTER_ADD("plan.fused_leaf_refs_after", static_cast<int64_t>(after));
     FLEX_COUNTER_ADD("plan.shared_partials",
                      draft.has_fusion ? draft.fusion.num_partials : 0);
-    FLEX_COUNTER_ADD("plan.reorder_rows",
-                     draft.has_reorder ? draft.reorder.num_rows : 0);
-    FLEX_COUNTER_ADD("plan.reorder_hot_rows",
-                     draft.has_reorder ? draft.reorder.num_hot : 0);
   }
-  (void)ctx;
 }
 
 }  // namespace flexgraph

@@ -23,17 +23,16 @@ std::vector<uint32_t> SegmentOfRow(std::span<const uint64_t> offsets) {
   return seg;
 }
 
-}  // namespace
-
-void BuildLevelInverseMap(LevelDraft& level, int64_t src_rows) {
+// Builds a bottom level's inverse (source → segment) map and source chunk
+// table from its gather_index / scatter_index, over source rows
+// [0, max(gather_index) + 1).
+void BuildLevelInverseMap(LevelDraft& level) {
   const std::vector<uint32_t>& gather = level.gather_index;
-  if (src_rows < 0) {
-    uint32_t max_id = 0;
-    for (const uint32_t v : gather) {
-      max_id = std::max(max_id, v);
-    }
-    src_rows = gather.empty() ? 0 : static_cast<int64_t>(max_id) + 1;
+  uint32_t max_id = 0;
+  for (const uint32_t v : gather) {
+    max_id = std::max(max_id, v);
   }
+  const int64_t src_rows = gather.empty() ? 0 : static_cast<int64_t>(max_id) + 1;
   std::vector<uint64_t> src_offsets(static_cast<std::size_t>(src_rows) + 1, 0);
   for (const uint32_t v : gather) {
     ++src_offsets[static_cast<std::size_t>(v) + 1];
@@ -53,6 +52,8 @@ void BuildLevelInverseMap(LevelDraft& level, int64_t src_rows) {
   level.src_offsets = std::move(src_offsets);
   level.src_edge_segments = std::move(src_edge_segments);
 }
+
+}  // namespace
 
 void LowerPass(PlanDraft& draft, const Hdg& hdg) {
   // ---- Bottom level: leaf refs → instances (or roots when flat) ----
@@ -75,7 +76,7 @@ void LowerPass(PlanDraft& draft, const Hdg& hdg) {
   // each bucket (a counting sort is stable here because we append in edge
   // order), so the per-source accumulation order matches the sequential
   // scatter's global edge order.
-  BuildLevelInverseMap(bottom, /*src_rows=*/-1);
+  BuildLevelInverseMap(bottom);
 
   // Flat HDGs: per-edge root vertex id, the destination side of GAT's edge
   // attention scores.

@@ -10,15 +10,7 @@
 //     │                  shared leaf-list prefixes and builds the FusionPlan
 //     │                  (no-op when options.fuse is off, the strategy is
 //     │                  sparse, or nothing clears the cost model)
-//     ├─ ReorderPass   — locality: hub/community vertex reordering of the
-//     │                  bottom gather space (src/hdg/reorder); relabels the
-//     │                  gather stream + fusion program in place, rebuilds
-//     │                  both inverse maps, records the ReorderPlan. Runs
-//     │                  AFTER fuse so the mined program is independent of
-//     │                  the labeling (pure bijective relabeling → bitwise
-//     │                  identical results). No-op when options.reorder off.
-//     └─ FinalizePass  — workspace-size estimate, kernel tile width, ISA
-//                        stamp, plan metrics
+//     └─ FinalizePass  — workspace-size estimate, ISA stamp, plan metrics
 //   → PlanDraft::Freeze() moves the draft into the immutable ExecutionPlan
 //
 // PlanDraft is the ONLY mutable view of a plan, and fglint (rule plan-draft)
@@ -58,19 +50,9 @@ struct LevelDraft {
   std::vector<int64_t> src_chunks;
   int64_t src_rows = 0;
 
-  int64_t tile_cols = 0;
-
   // Every vector freezes to a non-null shared array, empty ones included
   // (only the bottom level fills its inverse map, for instance).
   LevelPlan Freeze() &&;
-};
-
-// Mutable mirror of ReorderPlan (see plan.h for the field semantics).
-struct ReorderDraft {
-  int64_t num_rows = 0;
-  int64_t num_hot = 0;
-  std::vector<uint32_t> perm;
-  std::vector<uint32_t> inv;
 };
 
 // Mutable mirror of FusionPlan (see plan.h for the field semantics).
@@ -113,9 +95,6 @@ struct PlanDraft {
   bool has_fusion = false;
   FusionDraft fusion;
 
-  bool has_reorder = false;
-  ReorderDraft reorder;
-
   std::size_t planned_bytes = 0;
   int64_t planned_dim = 0;
   double compile_seconds = 0.0;
@@ -129,23 +108,13 @@ struct PlanDraft {
 // Analysis results shared between passes (never stored in the plan).
 struct PassContext {
   HdgLeafStats bottom_stats;
-  int64_t fuse_budget = 0;  // resolved partial cap (options + heuristic)
+  int64_t fuse_budget = 0;  // partial cap resolved by the analyze pass
 };
 
-void AnalyzePass(PlanDraft& draft, const Hdg& hdg, const PlanOptions& options,
-                 PassContext& ctx);
+void AnalyzePass(const Hdg& hdg, PassContext& ctx);
 void LowerPass(PlanDraft& draft, const Hdg& hdg);
 void FusePass(PlanDraft& draft, const PlanOptions& options, const PassContext& ctx);
-void ReorderPass(PlanDraft& draft, const PlanOptions& options);
-void FinalizePass(PlanDraft& draft, const PlanOptions& options, const PassContext& ctx);
-
-// Rebuilds a bottom level's inverse (source → segment) map and source chunk
-// table from its current gather_index / scatter_index, preserving ascending
-// edge order per source bucket (counting sort; see the lower pass for why
-// that order is the determinism contract). `src_rows` fixes the map's extent;
-// pass < 0 to derive it as max(gather_index) + 1. Shared by the lower pass
-// (initial build) and the reorder pass (rebuild after relabeling).
-void BuildLevelInverseMap(LevelDraft& level, int64_t src_rows);
+void FinalizePass(PlanDraft& draft);
 
 // The driver CompileExecutionPlan calls: runs the four passes in order over a
 // fresh draft, freezes it, then (debug builds) re-verifies the frozen plan

@@ -1,5 +1,5 @@
 // The pipeline driver and the freeze boundary: runs analyze → lower →
-// optimize (fuse) → reorder → finalize over a PlanDraft, then moves the draft into the
+// optimize (fuse) → finalize over a PlanDraft, then moves the draft into the
 // immutable ExecutionPlan. Debug builds re-verify every frozen plan against
 // its HDG before it escapes (O(E), free relative to the build it guards);
 // release callers opt in through VerifyPlan directly or the trainer's
@@ -47,7 +47,6 @@ LevelPlan LevelDraft::Freeze() && {
   level.src_edge_segments = Shared(std::move(src_edge_segments));
   level.src_chunks = Shared(std::move(src_chunks));
   level.src_rows = src_rows;
-  level.tile_cols = tile_cols;
   return level;
 }
 
@@ -92,14 +91,6 @@ ExecutionPlan PlanDraft::Freeze() && {
     fp->leaf_refs_after = fusion.leaf_refs_after;
     plan.bottom_.fusion = std::move(fp);
   }
-  if (has_reorder) {
-    auto rp = std::make_shared<ReorderPlan>();
-    rp->num_rows = reorder.num_rows;
-    rp->num_hot = reorder.num_hot;
-    rp->perm = Shared(std::move(reorder.perm));
-    rp->inv = Shared(std::move(reorder.inv));
-    plan.bottom_.reorder = std::move(rp);
-  }
   plan.planned_bytes_ = planned_bytes;
   plan.planned_dim_ = planned_dim;
   plan.compile_seconds_ = compile_seconds;
@@ -118,11 +109,10 @@ ExecutionPlan RunPlanPipeline(const std::string& model_name, const Hdg& hdg,
   draft.planned_dim = std::max<int64_t>(1, hint_dim);
 
   PassContext ctx;
-  AnalyzePass(draft, hdg, options, ctx);
+  AnalyzePass(hdg, ctx);
   LowerPass(draft, hdg);
   FusePass(draft, options, ctx);
-  ReorderPass(draft, options);
-  FinalizePass(draft, options, ctx);
+  FinalizePass(draft);
 
   // Stamped pre-freeze: the debug-only verify hook below is excluded so the
   // reported compile time matches release builds.

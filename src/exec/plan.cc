@@ -1,10 +1,7 @@
 #include "src/exec/plan.h"
 
-#include <algorithm>
-
 #include "src/exec/passes/pass.h"
 #include "src/util/env.h"
-#include "src/util/logging.h"
 
 namespace flexgraph {
 
@@ -26,35 +23,10 @@ const char* LevelKernelClassName(LevelKernelClass k) {
 
 PlanOptions DefaultPlanOptions() {
   PlanOptions options;
-  static bool warned_tile = false;
   // EnvOnOff falls back to the default WITH a once-per-process warning on an
   // unrecognized value — plans compile on every HDG rebuild, and a typo that
   // silently turned an optimization on or off would be invisible otherwise.
   options.fuse = EnvOnOff("FLEXGRAPH_FUSE", true);
-  options.fuse_budget = EnvInt("FLEXGRAPH_FUSE_BUDGET", 0);
-  options.reorder = EnvOnOff("FLEXGRAPH_REORDER", true);
-
-  // FLEXGRAPH_TILE_COLS: 0 = auto-size from the L2 cache (finalize pass).
-  // Explicit widths are clamped to the kernels' vector-register step (16
-  // floats): negative values fall back to auto, non-multiples round down.
-  int64_t tile = EnvInt("FLEXGRAPH_TILE_COLS", 0);
-  if (tile < 0) {
-    if (!warned_tile) {
-      warned_tile = true;
-      FLEX_LOG(Warning) << "FLEXGRAPH_TILE_COLS=" << tile
-                        << " is negative — using auto tile sizing (0)";
-    }
-    tile = 0;
-  } else if (tile > 0 && tile % 16 != 0) {
-    const int64_t rounded = std::max<int64_t>(16, tile - tile % 16);
-    if (!warned_tile) {
-      warned_tile = true;
-      FLEX_LOG(Warning) << "FLEXGRAPH_TILE_COLS=" << tile
-                        << " is not a multiple of 16 — clamping to " << rounded;
-    }
-    tile = rounded;
-  }
-  options.tile_cols = tile;
   return options;
 }
 

@@ -1,8 +1,8 @@
 // ExecutionPlan — the level-plan IR of the planned execution layer.
 //
 // Compiled once per (model, HDG, strategy) by the pass pipeline in
-// src/exec/passes/ (analyze → lower → fuse → reorder → finalize over a
-// mutable PlanDraft, frozen into this type at the end), the plan records for every
+// src/exec/passes/ (analyze → lower → fuse → finalize over a mutable
+// PlanDraft, frozen into this type at the end), the plan records for every
 // HDG aggregation level which kernel class runs it, the segment boundaries it
 // reduces over, precompiled index tensors (gather/scatter indices built once
 // instead of on every call), fixed parallel chunk boundaries, and the inverse
@@ -110,23 +110,6 @@ struct FusionPlan {
   uint64_t leaf_refs_after = 0;
 };
 
-// Locality permutation for one bottom level (src/exec/passes/reorder.cc,
-// computed by src/hdg/reorder.h over the ORIGINAL gather stream, i.e. before
-// relabeling — so the permutation is identical whether or not fusion ran).
-// The pass relabels the level's gather/leaf ids in place through `perm`, and
-// the executor permutes the source tensor once at the level boundary
-// (AgReorderSource): row u of the permuted tensor is input row inv[u]. Only
-// rows [0, num_hot) are ever gathered; the cold tail exists so perm stays a
-// bijection on the full source-row space and the inverse maps keep their
-// extent. A pure relabeling — logits and loss are bitwise identical to the
-// unreordered plan.
-struct ReorderPlan {
-  int64_t num_rows = 0;  // == the level's src_rows
-  int64_t num_hot = 0;   // referenced rows, packed dense at the front
-  U32Vec perm;           // perm[old_row] = new_row, bijection on [0, num_rows)
-  U32Vec inv;            // inv[new_row] = old_row
-};
-
 // Everything needed to execute one aggregation level. In a compiled plan
 // every index array below is non-null; an array the level does not use, or
 // one over zero rows (roots without leaves), is present and empty.
@@ -160,37 +143,14 @@ struct LevelPlan {
   // Optional common-subtree fusion program (bottom level of FA/HA plans
   // only; null when fusion is off or found nothing worth materializing).
   // All the original arrays above are kept untouched by fusion —
-  // max/LSTM/attention aggregators and the SA path keep reading them. The
-  // reorder pass below relabels both the original arrays AND the fusion
-  // program consistently, so that invariant survives reordering.
+  // max/LSTM/attention aggregators and the SA path keep reading them.
   std::shared_ptr<const FusionPlan> fusion;
-
-  // Optional locality permutation (bottom level only; null when reordering is
-  // off or the level has no gather stream). When present, gather_index /
-  // leaf_ids / fusion ids are already relabeled through reorder->perm and the
-  // executor must read from the permuted source tensor.
-  std::shared_ptr<const ReorderPlan> reorder;
-
-  // Feature-column tile width for the gather/reduce kernels (bottom level
-  // only; 0 = untiled). Sized by the finalize pass so one chunk's gathered
-  // rows x tile columns fits in half the L2 cache; FLEXGRAPH_TILE_COLS
-  // overrides. Tiling never changes results — the per-(segment, column)
-  // accumulation order is column-independent.
-  int64_t tile_cols = 0;
 };
 
 // Knobs for the pass pipeline. DefaultPlanOptions() resolves the environment:
-// FLEXGRAPH_FUSE=off|0 disables the fusion pass (default on),
-// FLEXGRAPH_FUSE_BUDGET caps materialized partials (<= 0 → auto heuristic,
-// see src/exec/passes/fuse.cc), FLEXGRAPH_REORDER=off|0 disables the
-// locality reorder pass (default on), FLEXGRAPH_TILE_COLS pins the kernel
-// feature-column tile width (0 → auto from the L2 size; invalid values are
-// warned about and clamped, never silently ignored).
+// FLEXGRAPH_FUSE=off|0 disables the fusion pass (default on).
 struct PlanOptions {
   bool fuse = true;
-  int64_t fuse_budget = 0;
-  bool reorder = true;
-  int64_t tile_cols = 0;  // 0 = auto, resolved by the finalize pass
 };
 
 PlanOptions DefaultPlanOptions();
@@ -221,9 +181,6 @@ class ExecutionPlan {
 
   // Bottom-level fusion program, or nullptr when not fused.
   const FusionPlan* fusion() const { return bottom_.fusion.get(); }
-
-  // Bottom-level locality permutation, or nullptr when not reordered.
-  const ReorderPlan* reorder() const { return bottom_.reorder.get(); }
 
   // Arena sizing hint: estimated forward+backward workspace bytes per layer
   // for feature dimension `planned_dim` (see the finalize pass).

@@ -127,25 +127,22 @@ void ProfAxpyRow(float* dst, const float* src, float a, int64_t d) {
 
 // Coarse kernels run a whole chunk per call — timed scope with hardware
 // counters around the real kernel.
-// The byte/FLOP formulas are tile-invariant by construction: tiling splits
-// the same element-wise work across column passes without adding or removing
-// any (refs x d term), so accounting stays identical at every tile_cols.
 void ProfSegmentReduce(const float* x, int64_t d, const uint32_t* ids,
                        const uint64_t* offsets, int64_t s_lo, int64_t s_hi, Reduce kind,
-                       int64_t tile_cols, float* out) {
+                       float* out) {
   const int64_t segs = s_hi - s_lo;
   const int64_t edges = static_cast<int64_t>(offsets[s_hi] - offsets[s_lo]);
   const int64_t read =
       edges * d * kF + (ids != nullptr ? edges * kIdx : 0) + (segs + 1) * kOff;
   const int64_t flops = edges * d + (kind == Reduce::kMean ? segs * d : 0);
   obs::TimedKernelScope scope(ProfKernel::kSegmentReduce, read, segs * d * kF, flops);
-  ProfBase()->segment_reduce(x, d, ids, offsets, s_lo, s_hi, kind, tile_cols, out);
+  ProfBase()->segment_reduce(x, d, ids, offsets, s_lo, s_hi, kind, out);
 }
 
 void ProfSegmentReduceExt(const float* x, int64_t base_rows, const float* partials,
                           int64_t d, const uint32_t* ids, const uint64_t* offsets,
                           const uint64_t* scale_offsets, int64_t s_lo, int64_t s_hi,
-                          Reduce kind, int64_t tile_cols, float* out) {
+                          Reduce kind, float* out) {
   const int64_t segs = s_hi - s_lo;
   const int64_t refs = static_cast<int64_t>(offsets[s_hi] - offsets[s_lo]);
   // Same shape as segment_reduce with ids always present, plus the original
@@ -157,7 +154,7 @@ void ProfSegmentReduceExt(const float* x, int64_t base_rows, const float* partia
   const int64_t flops = refs * d + (kind == Reduce::kMean ? segs * d : 0);
   obs::TimedKernelScope scope(ProfKernel::kSegmentReduceExt, read, segs * d * kF, flops);
   ProfBase()->segment_reduce_ext(x, base_rows, partials, d, ids, offsets, scale_offsets,
-                                 s_lo, s_hi, kind, tile_cols, out);
+                                 s_lo, s_hi, kind, out);
 }
 
 void ProfSegmentWeightedSum(const float* x, const float* w, int64_t d,
@@ -174,8 +171,7 @@ void ProfSegmentWeightedSum(const float* x, const float* w, int64_t d,
 
 void ProfIndirectBackward(const float* grad_out, int64_t d, const uint64_t* src_offsets,
                           const uint32_t* src_segments, const uint64_t* seg_offsets,
-                          Reduce kind, int64_t tile_cols, int64_t v_lo, int64_t v_hi,
-                          float* gx) {
+                          Reduce kind, int64_t v_lo, int64_t v_hi, float* gx) {
   const int64_t range = v_hi - v_lo;
   const int64_t edges = static_cast<int64_t>(src_offsets[v_hi] - src_offsets[v_lo]);
   const int64_t read = edges * (d * kF + kIdx) + (range + 1) * kOff;
@@ -184,7 +180,7 @@ void ProfIndirectBackward(const float* grad_out, int64_t d, const uint64_t* src_
   const int64_t flops = (kind == Reduce::kMean ? 2 : 1) * edges * d;
   obs::TimedKernelScope scope(ProfKernel::kIndirectBackward, read, range * d * kF, flops);
   ProfBase()->indirect_backward(grad_out, d, src_offsets, src_segments, seg_offsets, kind,
-                                tile_cols, v_lo, v_hi, gx);
+                                v_lo, v_hi, gx);
 }
 
 void ProfScatterRows(const float* values, int64_t d, const uint32_t* index, int64_t rows,

@@ -67,17 +67,9 @@ struct KernelTable {
   // offsets[s] .. offsets[s+1), the materialized segment-reduce). `out` is
   // the full output base (row stride d) and must be zeroed for sum/mean.
   // Prefetches upcoming leaf rows kPrefetchLeafRows ahead when gathering.
-  //
-  // `tile_cols` > 0 splits the feature dimension into column tiles of that
-  // width and sweeps the chunk's segments once per tile, so the gathered
-  // source rows' active columns stay L2-resident across the whole sweep
-  // (finalize-pass sizing; see LevelPlan::tile_cols). Per output element the
-  // edge fold is unchanged — tiling only reorders work across independent
-  // columns, so results are bitwise identical at every tile width. <= 0 or
-  // >= d runs the single untiled pass.
   void (*segment_reduce)(const float* x, int64_t d, const uint32_t* ids,
                          const uint64_t* offsets, int64_t s_lo, int64_t s_hi, Reduce kind,
-                         int64_t tile_cols, float* out);
+                         float* out);
 
   // Extended-id gather-reduce for the fused bottom level (common-subtree
   // fusion): id < base_rows reads x row id, id >= base_rows reads partials
@@ -87,12 +79,11 @@ struct KernelTable {
   // kSum). Accumulation is the same zeroed left-fold as segment_reduce, so
   // seeding a segment with its materialized prefix keeps results bitwise
   // identical to the unfused reduce. `out` is the full output base (row
-  // stride d) and must be zeroed for sum/mean. `tile_cols` as in
-  // segment_reduce.
+  // stride d) and must be zeroed for sum/mean.
   void (*segment_reduce_ext)(const float* x, int64_t base_rows, const float* partials,
                              int64_t d, const uint32_t* ids, const uint64_t* offsets,
                              const uint64_t* scale_offsets, int64_t s_lo, int64_t s_hi,
-                             Reduce kind, int64_t tile_cols, float* out);
+                             Reduce kind, float* out);
 
   // Attention-weighted segment sum over segments [s_lo, s_hi): out row s
   // accumulates w[i] * x row i for i in [offsets[s], offsets[s+1]), in
@@ -106,12 +97,11 @@ struct KernelTable {
 
   // Planned bottom-level backward over source rows [v_lo, v_hi): row v of gx
   // accumulates grad rows src_segments[src_offsets[v] .. src_offsets[v+1]),
-  // scaled by 1/segment-width for mean. gx must be zeroed. `tile_cols` as in
-  // segment_reduce (here it keeps the gathered grad rows' columns resident).
+  // scaled by 1/segment-width for mean. gx must be zeroed. Prefetches
+  // upcoming grad rows kPrefetchLeafRows ahead.
   void (*indirect_backward)(const float* grad_out, int64_t d, const uint64_t* src_offsets,
                             const uint32_t* src_segments, const uint64_t* seg_offsets,
-                            Reduce kind, int64_t tile_cols, int64_t v_lo, int64_t v_hi,
-                            float* gx);
+                            Reduce kind, int64_t v_lo, int64_t v_hi, float* gx);
 
   // Sequential scatter accumulation (destinations may collide): out row
   // index[i] accumulates values row i in ascending i order. Sum/mean

@@ -92,87 +92,61 @@ struct Body {
 
   // ---- Fused gather-reduce / segment reduce ----
 
-  // Prefetch lookahead for one column tile: narrower tiles touch fewer bytes
-  // per row visit, so the lookahead reaches proportionally further to cover
-  // the same DRAM latency; 64 rows caps it well inside a chunk's working set.
-  static int64_t TilePrefetchRows(int64_t d, int64_t jw) {
-    return std::min<int64_t>(64, kPrefetchLeafRows * ((d + jw - 1) / jw));
-  }
-
-  // One column slice [j0, j0 + jw) of the gather-reduce over segments
-  // [s_lo, s_hi). The per-(segment, column) edge fold is exactly the untiled
-  // body's — the slice only restricts which columns a pass touches.
-  static void SegmentReduceCols(const float* x, int64_t d, const uint32_t* ids,
-                                const uint64_t* offsets, int64_t s_lo, int64_t s_hi,
-                                Reduce kind, int64_t j0, int64_t jw, int64_t pf,
-                                float* out) {
+  static void SegmentReduce(const float* x, int64_t d, const uint32_t* ids,
+                            const uint64_t* offsets, int64_t s_lo, int64_t s_hi, Reduce kind,
+                            float* out) {
     // Prefetch horizon: the last leaf ref this chunk will touch. Leaf refs
     // are consumed in ascending global order, so prefetching ids[e + P] is
     // always within the chunk's own working set.
     const uint64_t chunk_end = offsets[static_cast<std::size_t>(s_hi)];
-    const uint64_t pfu = static_cast<uint64_t>(pf);
+    constexpr uint64_t kPf = static_cast<uint64_t>(kPrefetchLeafRows);
     for (int64_t s = s_lo; s < s_hi; ++s) {
       const uint64_t lo = offsets[static_cast<std::size_t>(s)];
       const uint64_t hi = offsets[static_cast<std::size_t>(s) + 1];
       if (lo == hi) {
         continue;  // empty segment: stays zero (sum) / zero-filled (max)
       }
-      float* dst = out + s * d + j0;
+      float* dst = out + s * d;
       const auto row = [&](uint64_t e) {
-        return x + static_cast<int64_t>(ids == nullptr ? e : ids[e]) * d + j0;
+        return x + static_cast<int64_t>(ids == nullptr ? e : ids[e]) * d;
       };
       if (kind == Reduce::kMax || kind == Reduce::kMin) {
-        std::memcpy(dst, row(lo), static_cast<std::size_t>(jw) * sizeof(float));
+        std::memcpy(dst, row(lo), static_cast<std::size_t>(d) * sizeof(float));
         for (uint64_t e = lo + 1; e < hi; ++e) {
-          if (ids != nullptr && e + pfu < chunk_end) {
-            __builtin_prefetch(x + static_cast<int64_t>(ids[e + pfu]) * d + j0);
+          if (ids != nullptr && e + kPf < chunk_end) {
+            __builtin_prefetch(x + static_cast<int64_t>(ids[e + kPf]) * d);
           }
           if (kind == Reduce::kMax) {
-            MaxRow(dst, row(e), jw);
+            MaxRow(dst, row(e), d);
           } else {
-            MinRow(dst, row(e), jw);
+            MinRow(dst, row(e), d);
           }
         }
         continue;
       }
       for (uint64_t e = lo; e < hi; ++e) {
-        if (ids != nullptr && e + pfu < chunk_end) {
-          __builtin_prefetch(x + static_cast<int64_t>(ids[e + pfu]) * d + j0);
+        if (ids != nullptr && e + kPf < chunk_end) {
+          __builtin_prefetch(x + static_cast<int64_t>(ids[e + kPf]) * d);
         }
-        AddRow(dst, row(e), jw);
+        AddRow(dst, row(e), d);
       }
       if (kind == Reduce::kMean) {
-        ScaleRow(dst, 1.0f / static_cast<float>(hi - lo), jw);
+        ScaleRow(dst, 1.0f / static_cast<float>(hi - lo), d);
       }
-    }
-  }
-
-  static void SegmentReduce(const float* x, int64_t d, const uint32_t* ids,
-                            const uint64_t* offsets, int64_t s_lo, int64_t s_hi, Reduce kind,
-                            int64_t tile_cols, float* out) {
-    if (tile_cols <= 0 || tile_cols >= d) {
-      SegmentReduceCols(x, d, ids, offsets, s_lo, s_hi, kind, 0, d, kPrefetchLeafRows, out);
-      return;
-    }
-    const int64_t pf = TilePrefetchRows(d, tile_cols);
-    for (int64_t j0 = 0; j0 < d; j0 += tile_cols) {
-      SegmentReduceCols(x, d, ids, offsets, s_lo, s_hi, kind, j0,
-                        std::min(tile_cols, d - j0), pf, out);
     }
   }
 
   // ---- Extended-id gather-reduce (fused bottom level) ----
 
-  static void SegmentReduceExtCols(const float* x, int64_t base_rows, const float* partials,
-                                   int64_t d, const uint32_t* ids, const uint64_t* offsets,
-                                   const uint64_t* scale_offsets, int64_t s_lo, int64_t s_hi,
-                                   Reduce kind, int64_t j0, int64_t jw, int64_t pf,
-                                   float* out) {
+  static void SegmentReduceExt(const float* x, int64_t base_rows, const float* partials,
+                               int64_t d, const uint32_t* ids, const uint64_t* offsets,
+                               const uint64_t* scale_offsets, int64_t s_lo, int64_t s_hi,
+                               Reduce kind, float* out) {
     const uint64_t chunk_end = offsets[static_cast<std::size_t>(s_hi)];
-    const uint64_t pfu = static_cast<uint64_t>(pf);
+    constexpr uint64_t kPf = static_cast<uint64_t>(kPrefetchLeafRows);
     const auto row = [&](uint64_t e) {
       const int64_t id = static_cast<int64_t>(ids[e]);
-      return (id < base_rows ? x + id * d : partials + (id - base_rows) * d) + j0;
+      return id < base_rows ? x + id * d : partials + (id - base_rows) * d;
     };
     for (int64_t s = s_lo; s < s_hi; ++s) {
       const uint64_t lo = offsets[static_cast<std::size_t>(s)];
@@ -180,26 +154,26 @@ struct Body {
       if (lo == hi) {
         continue;  // empty segment: stays zero (sum) / zero-filled (max)
       }
-      float* dst = out + s * d + j0;
+      float* dst = out + s * d;
       if (kind == Reduce::kMax || kind == Reduce::kMin) {
-        std::memcpy(dst, row(lo), static_cast<std::size_t>(jw) * sizeof(float));
+        std::memcpy(dst, row(lo), static_cast<std::size_t>(d) * sizeof(float));
         for (uint64_t e = lo + 1; e < hi; ++e) {
-          if (e + pfu < chunk_end) {
-            __builtin_prefetch(row(e + pfu));
+          if (e + kPf < chunk_end) {
+            __builtin_prefetch(row(e + kPf));
           }
           if (kind == Reduce::kMax) {
-            MaxRow(dst, row(e), jw);
+            MaxRow(dst, row(e), d);
           } else {
-            MinRow(dst, row(e), jw);
+            MinRow(dst, row(e), d);
           }
         }
         continue;
       }
       for (uint64_t e = lo; e < hi; ++e) {
-        if (e + pfu < chunk_end) {
-          __builtin_prefetch(row(e + pfu));
+        if (e + kPf < chunk_end) {
+          __builtin_prefetch(row(e + kPf));
         }
-        AddRow(dst, row(e), jw);
+        AddRow(dst, row(e), d);
       }
       if (kind == Reduce::kMean) {
         const uint64_t width =
@@ -207,24 +181,8 @@ struct Body {
                 ? scale_offsets[static_cast<std::size_t>(s) + 1] -
                       scale_offsets[static_cast<std::size_t>(s)]
                 : hi - lo;
-        ScaleRow(dst, 1.0f / static_cast<float>(width), jw);
+        ScaleRow(dst, 1.0f / static_cast<float>(width), d);
       }
-    }
-  }
-
-  static void SegmentReduceExt(const float* x, int64_t base_rows, const float* partials,
-                               int64_t d, const uint32_t* ids, const uint64_t* offsets,
-                               const uint64_t* scale_offsets, int64_t s_lo, int64_t s_hi,
-                               Reduce kind, int64_t tile_cols, float* out) {
-    if (tile_cols <= 0 || tile_cols >= d) {
-      SegmentReduceExtCols(x, base_rows, partials, d, ids, offsets, scale_offsets, s_lo, s_hi,
-                           kind, 0, d, kPrefetchLeafRows, out);
-      return;
-    }
-    const int64_t pf = TilePrefetchRows(d, tile_cols);
-    for (int64_t j0 = 0; j0 < d; j0 += tile_cols) {
-      SegmentReduceExtCols(x, base_rows, partials, d, ids, offsets, scale_offsets, s_lo, s_hi,
-                           kind, j0, std::min(tile_cols, d - j0), pf, out);
     }
   }
 
@@ -244,46 +202,27 @@ struct Body {
 
   // ---- Planned bottom-level backward (source-row gather) ----
 
-  static void IndirectBackwardCols(const float* grad_out, int64_t d,
-                                   const uint64_t* src_offsets, const uint32_t* src_segments,
-                                   const uint64_t* seg_offsets, Reduce kind, int64_t j0,
-                                   int64_t jw, int64_t pf, int64_t v_lo, int64_t v_hi,
-                                   float* gx) {
-    const uint64_t chunk_end = src_offsets[static_cast<std::size_t>(v_hi)];
-    const uint64_t pfu = static_cast<uint64_t>(pf);
-    for (int64_t v = v_lo; v < v_hi; ++v) {
-      float* dst = gx + v * d + j0;
-      for (uint64_t idx = src_offsets[static_cast<std::size_t>(v)];
-           idx < src_offsets[static_cast<std::size_t>(v) + 1]; ++idx) {
-        if (idx + pfu < chunk_end) {
-          __builtin_prefetch(grad_out + static_cast<int64_t>(src_segments[idx + pfu]) * d +
-                             j0);
-        }
-        const uint32_t s = src_segments[idx];
-        const float* grow = grad_out + static_cast<int64_t>(s) * d + j0;
-        if (kind == Reduce::kMean) {
-          const uint64_t width = seg_offsets[s + 1] - seg_offsets[s];
-          AxpyRow(dst, grow, 1.0f / static_cast<float>(width), jw);
-        } else {
-          AddRow(dst, grow, jw);
-        }
-      }
-    }
-  }
-
   static void IndirectBackward(const float* grad_out, int64_t d, const uint64_t* src_offsets,
                                const uint32_t* src_segments, const uint64_t* seg_offsets,
-                               Reduce kind, int64_t tile_cols, int64_t v_lo, int64_t v_hi,
-                               float* gx) {
-    if (tile_cols <= 0 || tile_cols >= d) {
-      IndirectBackwardCols(grad_out, d, src_offsets, src_segments, seg_offsets, kind, 0, d,
-                           kPrefetchLeafRows, v_lo, v_hi, gx);
-      return;
-    }
-    const int64_t pf = TilePrefetchRows(d, tile_cols);
-    for (int64_t j0 = 0; j0 < d; j0 += tile_cols) {
-      IndirectBackwardCols(grad_out, d, src_offsets, src_segments, seg_offsets, kind, j0,
-                           std::min(tile_cols, d - j0), pf, v_lo, v_hi, gx);
+                               Reduce kind, int64_t v_lo, int64_t v_hi, float* gx) {
+    const uint64_t chunk_end = src_offsets[static_cast<std::size_t>(v_hi)];
+    constexpr uint64_t kPf = static_cast<uint64_t>(kPrefetchLeafRows);
+    for (int64_t v = v_lo; v < v_hi; ++v) {
+      float* dst = gx + v * d;
+      for (uint64_t idx = src_offsets[static_cast<std::size_t>(v)];
+           idx < src_offsets[static_cast<std::size_t>(v) + 1]; ++idx) {
+        if (idx + kPf < chunk_end) {
+          __builtin_prefetch(grad_out + static_cast<int64_t>(src_segments[idx + kPf]) * d);
+        }
+        const uint32_t s = src_segments[idx];
+        const float* grow = grad_out + static_cast<int64_t>(s) * d;
+        if (kind == Reduce::kMean) {
+          const uint64_t width = seg_offsets[s + 1] - seg_offsets[s];
+          AxpyRow(dst, grow, 1.0f / static_cast<float>(width), d);
+        } else {
+          AddRow(dst, grow, d);
+        }
+      }
     }
   }
 

@@ -435,102 +435,6 @@ void VerifyInverseMap(VerifyResult* result, const LevelPlan& bottom) {
   }
 }
 
-// Locality-reorder invariants (ReorderPlan, level label "reorder"):
-//   - geometry: perm/inv present, both sized num_rows == bottom.src_rows,
-//     num_hot in [0, num_rows];
-//   - bijection: perm maps [0, num_rows) onto [0, num_rows) with no repeats,
-//     and inv really is its inverse (inv[perm[i]] == i for every i);
-//   - hot prefix: every relabeled gather id lands below num_hot (the pass
-//     packs all referenced rows into the hot prefix, so a cold-tail label in
-//     the gather stream means the permutation and the stream disagree);
-//   - fusion consistency: extended-program input refs (ids below base_rows)
-//     were relabeled through the same bijection, so they too must sit in the
-//     hot prefix.
-// Each check returns on first failure so a corrupt permutation names exactly
-// one issue.
-void VerifyReorder(VerifyResult* result, const LevelPlan& bottom) {
-  IssueSink sink(result, "reorder");
-  const ReorderPlan& r = *bottom.reorder;
-  if (r.perm == nullptr || r.inv == nullptr) {
-    sink.Fail("perm", -1, "reorder plan is missing its permutation arrays");
-    return;
-  }
-  const auto& perm = *r.perm;
-  const auto& inv = *r.inv;
-  if (r.num_rows != bottom.src_rows) {
-    sink.Fail("num_rows", -1,
-              "reorder covers " + I64(r.num_rows) + " rows but the bottom level has " +
-                  I64(bottom.src_rows) + " source rows");
-    return;
-  }
-  const auto n = static_cast<std::size_t>(r.num_rows);
-  if (perm.size() != n || inv.size() != n) {
-    sink.Fail("perm", -1,
-              "permutation sized " + U64(perm.size()) + "/" + U64(inv.size()) +
-                  " (perm/inv), expected " + I64(r.num_rows));
-    return;
-  }
-  if (r.num_hot < 0 || r.num_hot > r.num_rows) {
-    sink.Fail("num_hot", -1,
-              "hot-row count " + I64(r.num_hot) + " outside [0, " + I64(r.num_rows) + "]");
-    return;
-  }
-  std::vector<bool> seen(n, false);
-  for (std::size_t i = 0; i < n; ++i) {
-    const uint32_t p = perm[i];
-    if (static_cast<std::size_t>(p) >= n) {
-      sink.Fail("perm", static_cast<int64_t>(i),
-                "perm[" + U64(i) + "]=" + U64(p) + " out of range [0, " + I64(r.num_rows) +
-                    ")");
-      return;
-    }
-    if (seen[p]) {
-      sink.Fail("perm", static_cast<int64_t>(i),
-                "perm is not a bijection: label " + U64(p) + " assigned twice");
-      return;
-    }
-    seen[p] = true;
-    if (inv[p] != static_cast<uint32_t>(i)) {
-      sink.Fail("inv", static_cast<int64_t>(p),
-                "inv is not the inverse: inv[perm[" + U64(i) + "]]=" + U64(inv[p]) +
-                    " != " + U64(i));
-      return;
-    }
-  }
-  if (bottom.gather_index != nullptr) {
-    const auto& gather = *bottom.gather_index;
-    for (std::size_t e = 0; e < gather.size(); ++e) {
-      if (static_cast<int64_t>(gather[e]) >= r.num_hot) {
-        sink.Fail("num_hot", static_cast<int64_t>(e),
-                  "gather index " + U64(gather[e]) + " labels a cold row (hot prefix is [0, " +
-                      I64(r.num_hot) + ")); every referenced row must be packed hot");
-        return;
-      }
-    }
-  }
-  if (bottom.fusion != nullptr && bottom.fusion->ids != nullptr &&
-      bottom.fusion->partial_ids != nullptr) {
-    const FusionPlan& f = *bottom.fusion;
-    const auto check_refs = [&](const std::string& array,
-                                const std::vector<uint32_t>& ids) {
-      for (std::size_t e = 0; e < ids.size(); ++e) {
-        if (static_cast<int64_t>(ids[e]) < f.base_rows &&
-            static_cast<int64_t>(ids[e]) >= r.num_hot) {
-          sink.Fail(array, static_cast<int64_t>(e),
-                    "fused input ref " + U64(ids[e]) + " labels a cold row (hot prefix is " +
-                        "[0, " + I64(r.num_hot) + "))");
-          return false;
-        }
-      }
-      return true;
-    };
-    if (!check_refs("fusion_ids", *f.ids)) {
-      return;
-    }
-    check_refs("fusion_partial_ids", *f.partial_ids);
-  }
-}
-
 }  // namespace
 
 VerifyResult VerifyPlan(const ExecutionPlan& plan, const HdgView& view,
@@ -583,10 +487,6 @@ VerifyResult VerifyPlan(const ExecutionPlan& plan, const HdgView& view,
     VerifyFusion(&result, plan.bottom());
   }
 
-  if (plan.bottom().reorder != nullptr) {
-    VerifyReorder(&result, plan.bottom());
-  }
-
   // Cross-consistency with the HDG the plan claims to execute.
   if (plan.flat() != view.flat) {
     bottom_sink.Fail("plan", -1,
@@ -601,26 +501,16 @@ VerifyResult VerifyPlan(const ExecutionPlan& plan, const HdgView& view,
                   hdg_bottom.begin(), hdg_bottom.end())) {
     bottom_sink.Fail("offsets", -1, "plan bottom offsets diverge from the HDG's");
   }
-  // Under the locality reorder the plan's leaf ids are the HDG's mapped
-  // through the recorded permutation; without one they must match
-  // byte-for-byte.
+  // The plan's leaf ids are the HDG's, byte for byte.
   if (plan.bottom().leaf_ids != nullptr) {
     const auto& leaf_ids = *plan.bottom().leaf_ids;
-    const ReorderPlan* reorder = plan.bottom().reorder.get();
-    const bool has_perm = reorder != nullptr && reorder->perm != nullptr;
     if (leaf_ids.size() != view.leaf_vertex_ids.size()) {
       bottom_sink.Fail("leaf_ids", -1, "plan leaf ids diverge from the HDG's");
     } else {
       for (std::size_t i = 0; i < leaf_ids.size(); ++i) {
-        const VertexId hdg_id = view.leaf_vertex_ids[i];
-        const VertexId expected =
-            has_perm && static_cast<std::size_t>(hdg_id) < reorder->perm->size()
-                ? (*reorder->perm)[static_cast<std::size_t>(hdg_id)]
-                : hdg_id;
-        if (leaf_ids[i] != expected) {
+        if (leaf_ids[i] != view.leaf_vertex_ids[i]) {
           bottom_sink.Fail("leaf_ids", static_cast<int64_t>(i),
-                           std::string("plan leaf ids diverge from the HDG's") +
-                               (has_perm ? " (through the reorder permutation)" : ""));
+                           "plan leaf ids diverge from the HDG's");
           break;
         }
       }

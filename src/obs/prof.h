@@ -182,8 +182,7 @@ struct KernelProfileRow {
   double roofline_fraction(const RooflineProbe& roof) const;
   // Measured LLC misses per analytic byte moved (0 when perf is unavailable
   // or the kernel moved nothing). A locality measure: x64 (the line size)
-  // gives measured DRAM traffic as a fraction of the analytic bytes — the
-  // number the tiled/reordered gather kernels are meant to push down.
+  // gives measured DRAM traffic as a fraction of the analytic bytes.
   double llc_miss_per_byte() const;
 };
 

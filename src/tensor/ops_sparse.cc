@@ -150,8 +150,7 @@ Tensor SegmentReduce(const Tensor& values, std::span<const uint64_t> offsets, Re
   const int64_t d = values.cols();
   ForEachSegmentChunk(offsets, chunks, values.numel(), [&](int64_t s_lo, int64_t s_hi) {
     // ids == nullptr: contiguous rows [offsets[s], offsets[s+1]) per segment.
-    kt.segment_reduce(values.data(), d, nullptr, offsets.data(), s_lo, s_hi, sk,
-                      /*tile_cols=*/0, out.data());
+    kt.segment_reduce(values.data(), d, nullptr, offsets.data(), s_lo, s_hi, sk, out.data());
   });
   return out;
 }
@@ -264,7 +263,7 @@ Tensor SpmmCsr(int64_t num_rows, std::span<const uint64_t> offsets,
   const int64_t grain = std::max<int64_t>(1, kMinParallelWork / std::max<int64_t>(1, d * 8));
   exec::ParallelFor(0, num_rows, grain, [&](int64_t row_lo, int64_t row_hi) {
     kt.segment_reduce(x.data(), d, col_idx.data(), offsets.data(), row_lo, row_hi,
-                      simd::Reduce::kSum, /*tile_cols=*/0, out.data());
+                      simd::Reduce::kSum, out.data());
   });
   return out;
 }

@@ -1,5 +1,5 @@
 // Helpers for reading FLEXGRAPH_* knobs from the environment, so a user can
-// reconfigure a run (FLEXGRAPH_SCALE=4, FLEXGRAPH_REORDER=off, ...) without
+// reconfigure a run (FLEXGRAPH_SCALE=4, FLEXGRAPH_FUSE=off, ...) without
 // recompiling.
 //
 // Every environment read in the linted tree goes through these (enforced by

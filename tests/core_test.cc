@@ -64,23 +64,14 @@ Hdg HierarchicalHdg(uint32_t num_roots, uint32_t num_types, uint32_t per_slot) {
   return builder.Build();
 }
 
-// The plan compiled without the locality reorder, so its bottom level
-// addresses the input tensor's own rows and the level ops can run on it
-// directly (HdgAggregator applies the reorder itself).
-ExecutionPlan InputOrderPlan(const Hdg& hdg, ExecStrategy strategy) {
-  PlanOptions options = DefaultPlanOptions();
-  options.reorder = false;
-  return CompileExecutionPlan("test", hdg, strategy, /*hint_dim=*/64, options);
-}
-
 TEST(FusedOpsTest, FusedMatchesSparseForward) {
   Rng rng(1);
   Tensor x = RandomTensor(10, 5, rng);
   const std::vector<VertexId> leaf_ids = {0, 3, 3, 9, 1, 2, 2};
   const std::vector<uint64_t> offsets = {0, 2, 2, 5, 7};
   const Hdg hdg = FlatHdg(leaf_ids, offsets);
-  const ExecutionPlan sparse_plan = InputOrderPlan(hdg, ExecStrategy::kSparse);
-  const ExecutionPlan fused_plan = InputOrderPlan(hdg, ExecStrategy::kHybrid);
+  const ExecutionPlan sparse_plan = CompileExecutionPlan("test", hdg, ExecStrategy::kSparse);
+  const ExecutionPlan fused_plan = CompileExecutionPlan("test", hdg, ExecStrategy::kHybrid);
 
   for (ReduceKind kind : {ReduceKind::kSum, ReduceKind::kMean}) {
     Variable vx = Variable::Leaf(x);
@@ -110,7 +101,7 @@ TEST(FusedOpsTest, GradientsMatchNumeric) {
   const std::vector<uint64_t> offsets = {0, 3, 4, 6};
   const Hdg hdg = FlatHdg(leaf_ids, offsets);
   for (ExecStrategy strategy : {ExecStrategy::kSparse, ExecStrategy::kHybrid}) {
-    const ExecutionPlan plan = InputOrderPlan(hdg, strategy);
+    const ExecutionPlan plan = CompileExecutionPlan("test", hdg, strategy);
     for (ReduceKind kind : {ReduceKind::kSum, ReduceKind::kMean}) {
       ExpectGradientsMatch(x, [&](const Variable& v) {
         return AgIndirectSegmentReduce(v, plan.bottom(), kind, strategy, nullptr);
@@ -127,16 +118,18 @@ TEST(FusedOpsTest, StatsAccounting) {
   const Hdg hdg = FlatHdg(leaf_ids, offsets);
 
   AggregationStats sparse_stats;
-  AgIndirectSegmentReduce(Variable::Leaf(x), InputOrderPlan(hdg, ExecStrategy::kSparse).bottom(),
-                          ReduceKind::kSum, ExecStrategy::kSparse, &sparse_stats);
+  const ExecutionPlan sparse_plan = CompileExecutionPlan("test", hdg, ExecStrategy::kSparse);
+  AgIndirectSegmentReduce(Variable::Leaf(x), sparse_plan.bottom(), ReduceKind::kSum,
+                          ExecStrategy::kSparse, &sparse_stats);
   // SA materializes the [4, 8] gathered tensor plus the index.
   EXPECT_EQ(sparse_stats.materialized_bytes, 4 * 8 * sizeof(float) + 4 * sizeof(uint32_t));
   EXPECT_EQ(sparse_stats.sparse_rows, 4u);
   EXPECT_EQ(sparse_stats.fused_rows, 0u);
 
   AggregationStats fused_stats;
-  AgIndirectSegmentReduce(Variable::Leaf(x), InputOrderPlan(hdg, ExecStrategy::kHybrid).bottom(),
-                          ReduceKind::kSum, ExecStrategy::kHybrid, &fused_stats);
+  const ExecutionPlan fused_plan = CompileExecutionPlan("test", hdg, ExecStrategy::kHybrid);
+  AgIndirectSegmentReduce(Variable::Leaf(x), fused_plan.bottom(), ReduceKind::kSum,
+                          ExecStrategy::kHybrid, &fused_stats);
   EXPECT_EQ(fused_stats.materialized_bytes, 0u);
   EXPECT_EQ(fused_stats.fused_rows, 4u);
 }
@@ -408,12 +401,7 @@ TEST(PlannedKernelTest, PlannedIndirectReduceBitwiseMatchesLegacy) {
     for (int threads : {1, 2, 8}) {
       exec::SetNumThreads(threads);
       Variable leaf_par = Variable::Leaf(x, /*requires_grad=*/true);
-      // The plan's gather ids live in reordered space; apply the same boundary
-      // permutation the aggregator applies so the comparison stays bitwise.
-      Variable src_par = plan.bottom().reorder != nullptr
-                             ? AgReorderSource(leaf_par, *plan.bottom().reorder)
-                             : leaf_par;
-      Variable out_par = AgIndirectSegmentReduce(src_par, plan.bottom(), kind,
+      Variable out_par = AgIndirectSegmentReduce(leaf_par, plan.bottom(), kind,
                                                  ExecStrategy::kSparseFused, nullptr);
       out_par.Backward(seed);
       EXPECT_TRUE(BitwiseEqual(out_seq, out_par.value()))

@@ -118,15 +118,9 @@ TEST(ExecutionPlanTest, BottomLevelLayoutMatchesHdg) {
   EXPECT_EQ(plan.bottom().gather_index->size(), leaf_span.size());
   EXPECT_EQ(plan.bottom().input_rows, static_cast<int64_t>(leaf_span.size()));
   EXPECT_EQ(plan.bottom().offsets->back(), leaf_span.size());
-  // The locality reorder relabels gather ids; map each HDG leaf through the
-  // recorded permutation (identity when the reorder pass is disabled).
-  const ReorderPlan* reorder = plan.bottom().reorder.get();
   for (std::size_t i = 0; i < leaf_span.size(); ++i) {
-    const uint32_t expected =
-        reorder != nullptr && leaf_span[i] < reorder->perm->size()
-            ? (*reorder->perm)[leaf_span[i]]
-            : static_cast<uint32_t>(leaf_span[i]);
-    ASSERT_EQ((*plan.bottom().gather_index)[i], expected) << "at leaf " << i;
+    ASSERT_EQ((*plan.bottom().gather_index)[i], static_cast<uint32_t>(leaf_span[i]))
+        << "at leaf " << i;
   }
   EXPECT_GT(plan.planned_bytes(), 0u);
 }

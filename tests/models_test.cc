@@ -270,17 +270,15 @@ INSTANTIATE_TEST_SUITE_P(AllModels, IsaDeterminismSweep,
                          ::testing::Values("gcn", "pinsage", "magnn", "pgnn", "jknet", "gin",
                                            "gat", "sage-mean", "sage-max", "sage-lstm"));
 
-class ReorderParitySweep : public ::testing::TestWithParam<const char*> {};
+class FuseParitySweep : public ::testing::TestWithParam<const char*> {};
 
-// The locality reorder is a pure bijective relabeling applied and inverted at
-// the level boundary, so it must not move a single bit of the logits or of
-// the training loss, epoch after epoch, at any thread count. Fusion's forward
-// is bitwise too, so the logits and the first epoch's loss also match across
-// fuse settings; its backward accumulates in a different (fixed) order, so
-// later losses are compared within one fuse setting only. Every model runs,
-// covering each bottom-level path the reorder touches: fused segment reduce,
-// edge attention, gather+max, gather+LSTM and the hetero schema levels.
-TEST_P(ReorderParitySweep, LogitsAndLossBitwiseIdenticalAcrossReorderAndFuse) {
+// Fusion's forward is bitwise, so the logits and the first epoch's loss
+// match across fuse settings and thread counts; its backward accumulates in a
+// different (fixed) order, so later losses are compared within one fuse
+// setting only, epoch after epoch, at every thread count. Every model runs,
+// covering each bottom-level path: fused segment reduce, edge attention,
+// gather+max, gather+LSTM and the hetero schema levels.
+TEST_P(FuseParitySweep, LogitsAndLossBitwiseIdenticalAcrossFuseAndThreads) {
   constexpr int kEpochs = 3;
   const std::string name = GetParam();
   Dataset ds = name == "magnn" ? SmallHetero() : SmallHomogeneous();
@@ -288,90 +286,73 @@ TEST_P(ReorderParitySweep, LogitsAndLossBitwiseIdenticalAcrossReorderAndFuse) {
   Tensor ref_logits;
   float ref_first_loss = 0.0f;
   for (const char* fuse : {"off", "on"}) {
+    setenv("FLEXGRAPH_FUSE", fuse, 1);
     std::vector<float> ref_losses;
-    for (const char* reorder : {"off", "on"}) {
-      setenv("FLEXGRAPH_REORDER", reorder, 1);
-      setenv("FLEXGRAPH_FUSE", fuse, 1);
-      for (int threads : {1, 8}) {
-        exec::SetNumThreads(threads);
-        Rng model_rng(13);
-        GnnModel model = MakeModelFor(name, ds, model_rng);
-        Engine engine(ds.graph);
-        Rng hdg_rng(99);
-        StageTimes times;
-        Tensor logits = engine.Infer(model, ds.features, hdg_rng, &times);
+    for (int threads : {1, 8}) {
+      exec::SetNumThreads(threads);
+      Rng model_rng(13);
+      GnnModel model = MakeModelFor(name, ds, model_rng);
+      Engine engine(ds.graph);
+      Rng hdg_rng(99);
+      StageTimes times;
+      Tensor logits = engine.Infer(model, ds.features, hdg_rng, &times);
 
-        SgdOptimizer opt(0.05f);
-        Rng train_rng(7);
-        std::vector<float> losses;
-        for (int epoch = 0; epoch < kEpochs; ++epoch) {
-          losses.push_back(engine.TrainEpoch(model, ds.features, ds.labels, opt, train_rng).loss);
-        }
+      SgdOptimizer opt(0.05f);
+      Rng train_rng(7);
+      std::vector<float> losses;
+      for (int epoch = 0; epoch < kEpochs; ++epoch) {
+        losses.push_back(engine.TrainEpoch(model, ds.features, ds.labels, opt, train_rng).loss);
+      }
 
-        if (ref_logits.empty()) {
-          ref_logits = logits;
-          ref_first_loss = losses.front();
-        } else {
-          EXPECT_TRUE(BitwiseEqual(ref_logits, logits))
-              << name << " @ reorder=" << reorder << " fuse=" << fuse << " x " << threads
-              << " threads";
-          EXPECT_EQ(std::memcmp(&ref_first_loss, losses.data(), sizeof(float)), 0)
-              << name << " first loss @ reorder=" << reorder << " fuse=" << fuse << " x "
-              << threads << " threads";
-        }
-        if (ref_losses.empty()) {
-          ref_losses = losses;
-        } else {
-          EXPECT_EQ(std::memcmp(ref_losses.data(), losses.data(), kEpochs * sizeof(float)), 0)
-              << name << " losses @ reorder=" << reorder << " fuse=" << fuse << " x "
-              << threads << " threads";
-        }
+      if (ref_logits.empty()) {
+        ref_logits = logits;
+        ref_first_loss = losses.front();
+      } else {
+        EXPECT_TRUE(BitwiseEqual(ref_logits, logits))
+            << name << " @ fuse=" << fuse << " x " << threads << " threads";
+        EXPECT_EQ(std::memcmp(&ref_first_loss, losses.data(), sizeof(float)), 0)
+            << name << " first loss @ fuse=" << fuse << " x " << threads << " threads";
+      }
+      if (ref_losses.empty()) {
+        ref_losses = losses;
+      } else {
+        EXPECT_EQ(std::memcmp(ref_losses.data(), losses.data(), kEpochs * sizeof(float)), 0)
+            << name << " losses @ fuse=" << fuse << " x " << threads << " threads";
       }
     }
   }
-  unsetenv("FLEXGRAPH_REORDER");
   unsetenv("FLEXGRAPH_FUSE");
   exec::SetNumThreads(0);
 }
 
-INSTANTIATE_TEST_SUITE_P(BottomLevelPaths, ReorderParitySweep,
+INSTANTIATE_TEST_SUITE_P(BottomLevelPaths, FuseParitySweep,
                          ::testing::Values("gcn", "pinsage", "magnn", "gat", "sage-max", "pgnn",
                                            "jknet", "gin", "sage-mean", "sage-lstm"));
 
-// Same contract across distributed backends: the modeled (in-process) and
-// socket (forked real processes) transports must both be invariant to the
-// reorder flag.
-TEST(ReorderParityTest, DistributedLogitsBitwiseIdenticalAcrossReorderAndBackends) {
+// The modeled (in-process) and socket (forked real processes) transports
+// produce bitwise-identical logits, for a flat and a hierarchical model.
+TEST(DistributedParityTest, LogitsBitwiseIdenticalAcrossBackends) {
   for (const std::string name : {"gcn", "magnn"}) {
     Dataset ds = name == "magnn" ? SmallHetero() : SmallHomogeneous();
     Rng model_rng(13);
     GnnModel model = MakeModelFor(name, ds, model_rng);
 
     Tensor reference;
-    bool have_reference = false;
-    for (const char* reorder : {"off", "on"}) {
-      setenv("FLEXGRAPH_REORDER", reorder, 1);
-      for (DistBackend backend : {DistBackend::kModeled, DistBackend::kSocket}) {
-        DistConfig config;
-        config.strategy = ExecStrategy::kHybrid;
-        config.backend = backend;
-        DistributedRuntime runtime(ds.graph, HashPartition(ds.graph.num_vertices(), 3),
-                                   config);
-        Rng epoch_rng(99);
-        Tensor logits;
-        runtime.RunEpoch(model, ds.features, epoch_rng, &logits);
-        if (!have_reference) {
-          reference = logits;
-          have_reference = true;
-        } else {
-          EXPECT_TRUE(BitwiseEqual(reference, logits))
-              << name << " @ reorder=" << reorder << " backend="
-              << (backend == DistBackend::kSocket ? "socket" : "modeled");
-        }
+    for (DistBackend backend : {DistBackend::kModeled, DistBackend::kSocket}) {
+      DistConfig config;
+      config.strategy = ExecStrategy::kHybrid;
+      config.backend = backend;
+      DistributedRuntime runtime(ds.graph, HashPartition(ds.graph.num_vertices(), 3), config);
+      Rng epoch_rng(99);
+      Tensor logits;
+      runtime.RunEpoch(model, ds.features, epoch_rng, &logits);
+      if (backend == DistBackend::kModeled) {
+        reference = logits;
+      } else {
+        EXPECT_TRUE(BitwiseEqual(reference, logits)) << name << " @ backend=socket";
       }
     }
   }
-  unsetenv("FLEXGRAPH_REORDER");
 }
 
 TEST(ModelFlagsTest, LstmAggregatorIsNonCommutative) {

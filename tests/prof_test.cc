@@ -217,7 +217,7 @@ TEST_F(ProfTest, SegmentReduceExtAccounting) {
   Tensor out = WsTensor(2, d);
   simd::Kernels().segment_reduce_ext(x.data(), /*base_rows=*/3, partials.data(), d,
                                      ids.data(), offsets.data(), scale.data(), 0, 2,
-                                     simd::Reduce::kMean, /*tile_cols=*/0, out.data());
+                                     simd::Reduce::kMean, out.data());
   // Extended id 3 reads partials row 0; mean scales by the ORIGINAL width.
   for (int64_t j = 0; j < d; ++j) {
     EXPECT_EQ(out.Row(0)[j], partials.Row(0)[j] * 0.5f);
@@ -234,48 +234,6 @@ TEST_F(ProfTest, SegmentReduceExtAccounting) {
   EXPECT_EQ(row.bytes_read, refs * (d * kF + kIdx) + 2 * (segs + 1) * kOff);
   EXPECT_EQ(row.bytes_written, segs * d * kF);
   EXPECT_EQ(row.flops, refs * d + segs * d);
-}
-
-// Feature-dim tiling reorders the same element-wise work across column
-// passes; the analytic accounting is derived from the call arguments alone,
-// so every tile width (untiled, mid-tile, single-column) must pin the exact
-// same byte/FLOP totals. A tile-dependent formula would break replay
-// determinism between plans compiled with different FLEXGRAPH_TILE_COLS.
-TEST_F(ProfTest, SegmentReduceExtAccountingIsTileInvariant) {
-  const int64_t d = 8;
-  const Tensor x = Filled(4, d);
-  const Tensor partials = Filled(1, d, 2.0f);
-  const std::vector<uint32_t> ids = {4, 1, 3, 0};
-  const std::vector<uint64_t> offsets = {0, 2, 4};
-  const std::vector<uint64_t> scale = {0, 3, 6};
-  const int64_t refs = 4;
-  const int64_t segs = 2;
-  const int64_t kOff = static_cast<int64_t>(sizeof(uint64_t));
-  const int64_t want_read = refs * (d * kF + kIdx) + 2 * (segs + 1) * kOff;
-  const int64_t want_flops = refs * d + segs * d;
-
-  Tensor ref;
-  for (const int64_t tile : {0, 1, 3, 16}) {
-    KernelProfiler::Get().Reset();
-    Tensor out = WsTensor(segs, d);
-    simd::Kernels().segment_reduce_ext(x.data(), /*base_rows=*/4, partials.data(), d,
-                                       ids.data(), offsets.data(), scale.data(), 0, segs,
-                                       simd::Reduce::kMean, tile, out.data());
-    const KernelProfileRow row = Row(ProfKernel::kSegmentReduceExt);
-    EXPECT_EQ(row.calls, 1) << "tile " << tile;
-    EXPECT_EQ(row.bytes_read, want_read) << "tile " << tile;
-    EXPECT_EQ(row.bytes_written, segs * d * kF) << "tile " << tile;
-    EXPECT_EQ(row.flops, want_flops) << "tile " << tile;
-    if (tile == 0) {
-      ref = out;
-    } else {
-      // And the numbers themselves are bitwise identical to the untiled run.
-      EXPECT_EQ(std::memcmp(ref.data(), out.data(),
-                            static_cast<std::size_t>(ref.numel()) * sizeof(float)),
-                0)
-          << "tile " << tile;
-    }
-  }
 }
 
 // The fused attention-weighted segment sum: the forward is a coarse kernel

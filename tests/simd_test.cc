@@ -8,8 +8,10 @@
 // pure tail lanes at every lane width), empty segments, and both the
 // gathered and contiguous segment layouts, under every ISA level the host
 // supports (SetIsa; CI additionally pins FLEXGRAPH_ISA at process level).
+#include <sys/mman.h>
+#include <unistd.h>
+
 #include <algorithm>
-#include <cstring>
 #include <limits>
 #include <string>
 #include <utility>
@@ -180,36 +182,9 @@ TEST_F(SimdTest, SegmentReduceGatherBitwiseParity) {
       ExpectParityAcrossLevels([&]() {
         Tensor out(f.num_segments(), d);  // zeroed, as the kernel contract requires
         simd::Kernels().segment_reduce(f.x.data(), d, f.ids.data(), f.offsets.data(), 0,
-                                       f.num_segments(), kind, /*tile_cols=*/0, out.data());
+                                       f.num_segments(), kind, out.data());
         return out;
       });
-    }
-  }
-}
-
-// Feature-dim tiling must be numerically invisible: per output element the
-// edge fold is unchanged, tiling only reorders work across independent
-// columns. Sweep tile widths (including non-multiples of the vector width
-// and widths that leave a narrow tail) against the untiled kernel.
-TEST_F(SimdTest, SegmentReduceTileWidthBitwiseInvariance) {
-  for (int64_t d : kDims) {
-    const SegmentFixture f = MakeSegments(d, 57 + static_cast<uint64_t>(d));
-    for (simd::Reduce kind : kReduces) {
-      Tensor ref(f.num_segments(), d);
-      simd::Kernels().segment_reduce(f.x.data(), d, f.ids.data(), f.offsets.data(), 0,
-                                     f.num_segments(), kind, /*tile_cols=*/0, ref.data());
-      for (const int64_t tile : std::vector<int64_t>{1, 3, 16, 32, d / 2, d - 1, d, d + 16}) {
-        if (tile <= 0) {
-          continue;
-        }
-        Tensor out(f.num_segments(), d);
-        simd::Kernels().segment_reduce(f.x.data(), d, f.ids.data(), f.offsets.data(), 0,
-                                       f.num_segments(), kind, tile, out.data());
-        EXPECT_EQ(std::memcmp(ref.data(), out.data(),
-                              static_cast<std::size_t>(ref.numel()) * sizeof(float)),
-                  0)
-            << "tile_cols=" << tile << " d=" << d;
-      }
     }
   }
 }
@@ -224,7 +199,7 @@ TEST_F(SimdTest, SegmentReduceContiguousBitwiseParity) {
       ExpectParityAcrossLevels([&]() {
         Tensor out(num_segments, d);
         simd::Kernels().segment_reduce(values.data(), d, nullptr, offsets.data(), 0,
-                                      num_segments, kind, /*tile_cols=*/0, out.data());
+                                      num_segments, kind, out.data());
         return out;
       });
     }
@@ -255,28 +230,10 @@ TEST_F(SimdTest, IndirectBackwardBitwiseParity) {
       ExpectParityAcrossLevels([&]() {
         Tensor gx(src_rows, d);
         simd::Kernels().indirect_backward(grad.data(), d, src_offsets.data(),
-                                          src_segments.data(), f.offsets.data(), kind,
-                                          /*tile_cols=*/0, 0, src_rows, gx.data());
+                                          src_segments.data(), f.offsets.data(), kind, 0,
+                                          src_rows, gx.data());
         return gx;
       });
-      // Tiled backward parity: same analytic result at every tile width.
-      Tensor ref(src_rows, d);
-      simd::Kernels().indirect_backward(grad.data(), d, src_offsets.data(),
-                                        src_segments.data(), f.offsets.data(), kind,
-                                        /*tile_cols=*/0, 0, src_rows, ref.data());
-      for (const int64_t tile : std::vector<int64_t>{1, 16, d - 1}) {
-        if (tile <= 0) {
-          continue;
-        }
-        Tensor gx(src_rows, d);
-        simd::Kernels().indirect_backward(grad.data(), d, src_offsets.data(),
-                                          src_segments.data(), f.offsets.data(), kind, tile,
-                                          0, src_rows, gx.data());
-        EXPECT_EQ(std::memcmp(ref.data(), gx.data(),
-                              static_cast<std::size_t>(ref.numel()) * sizeof(float)),
-                  0)
-            << "tile_cols=" << tile << " d=" << d;
-      }
     }
   }
 }
@@ -480,6 +437,53 @@ TEST_F(SimdTest, GemmTransAMatchesNaiveReferenceAtEveryIsa) {
           EXPECT_TRUE(BitwiseEqual(want, c))
               << "isa=" << simd::IsaName(level) << " m=" << m << " n=" << n << " rows=["
               << i_lo << ", " << i_hi << ")";
+        }
+      }
+    }
+  }
+}
+
+// `floats` floats that end flush against a PROT_NONE page, so a kernel that
+// reads one element past them faults instead of reading a neighbour's bytes.
+class GuardedFloats {
+ public:
+  explicit GuardedFloats(int64_t floats) {
+    const auto page = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+    const std::size_t bytes = static_cast<std::size_t>(floats) * sizeof(float);
+    size_ = (bytes + page - 1) / page * page + page;
+    void* base = mmap(nullptr, size_, PROT_READ | PROT_WRITE, MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    EXPECT_NE(base, MAP_FAILED);
+    base_ = static_cast<char*>(base);
+    EXPECT_EQ(mprotect(base_ + size_ - page, page, PROT_NONE), 0);
+    data_ = reinterpret_cast<float*>(base_ + size_ - page - bytes);
+    std::fill(data_, data_ + floats, 1.0f);
+  }
+  ~GuardedFloats() { munmap(base_, size_); }
+  GuardedFloats(const GuardedFloats&) = delete;
+  GuardedFloats& operator=(const GuardedFloats&) = delete;
+
+  const float* data() const { return data_; }
+
+ private:
+  char* base_ = nullptr;
+  std::size_t size_ = 0;
+  float* data_ = nullptr;
+};
+
+// Every variant reads a only inside [0, k·m) and b only inside [0, k·n),
+// whatever its compiler made of the register tiles.
+TEST_F(SimdTest, GemmTransAReadsOnlyItsOperands) {
+  for (const int64_t k : {1, 2, 3, 257}) {
+    for (const int64_t m : {1, 4, 5, 17}) {
+      for (const int64_t n : {1, 2, 5, 17}) {
+        const GuardedFloats a(k * m);
+        const GuardedFloats b(k * n);
+        for (simd::IsaLevel level : SupportedLevels()) {
+          ASSERT_TRUE(simd::SetIsa(level));
+          std::vector<float> c(static_cast<std::size_t>(m * n));
+          simd::Kernels().gemm_trans_a(a.data(), k, m, b.data(), n, c.data(), 0, m);
+          EXPECT_EQ(c.back(), static_cast<float>(k))
+              << "isa=" << simd::IsaName(level) << " k=" << k << " m=" << m << " n=" << n;
         }
       }
     }

@@ -379,6 +379,20 @@ TEST(VerifyPlanNegative, PlanOffsetsMustMirrorTheHdg) {
   EXPECT_EQ(result.issues[0].index, -1);
 }
 
+TEST(VerifyPlanNegative, PlanLeafIdsMustMirrorTheHdg) {
+  FlatFixture fx;
+  PlanDraft draft = MakeFlatDraft(fx);
+  // Swap the two leaves of segment 0 in the plan's leaf ids and its gather
+  // index alike: the gather and the inverse map stay self-consistent, but
+  // the plan no longer reads the HDG's leaves in the HDG's order.
+  draft.bottom.leaf_ids = {2, 1, 0};
+  draft.bottom.gather_index = {2, 1, 0};
+  const ExecutionPlan plan = std::move(draft).Freeze();
+  const VerifyResult result = VerifyPlan(plan, fx.View(), kNumVertices);
+  ASSERT_NO_FATAL_FAILURE(ExpectIssue(result, "bottom", "leaf_ids", 0));
+  EXPECT_EQ(result.issues[0].message, "plan leaf ids diverge from the HDG's");
+}
+
 TEST(VerifyPlanNegative, FlatnessMustMatch) {
   FlatFixture fx;
   PlanDraft draft = MakeFlatDraft(fx);
@@ -402,94 +416,6 @@ TEST(VerifyPlanNegative, WorkEstimateMustBeNonZero) {
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.issues[0].level, "workspace");
   EXPECT_EQ(result.issues[0].array, "planned_bytes");
-}
-
-// ---- Reorder invariants: corrupt one each, expect the exact diagnostic ----
-
-// FlatFixture relabeled through the locality permutation old->new {2, 0, 1}
-// (inv {1, 2, 0}): gather/leaf ids {1, 2, 0} become {0, 1, 2}, and the
-// inverse map is rebuilt in the new numbering. All three source rows are
-// referenced, so the hot prefix covers everything.
-PlanDraft MakeReorderedFlatDraft(const FlatFixture& fx) {
-  PlanDraft draft = MakeFlatDraft(fx);
-  draft.has_reorder = true;
-  draft.reorder.num_rows = 3;
-  draft.reorder.num_hot = 3;
-  draft.reorder.perm = {2, 0, 1};
-  draft.reorder.inv = {1, 2, 0};
-  draft.bottom.leaf_ids = {0, 1, 2};
-  draft.bottom.gather_index = {0, 1, 2};
-  // New row 0 (old 1) feeds edge 0 / segment 0; new row 1 (old 2) feeds
-  // edge 1 / segment 0; new row 2 (old 0) feeds edge 2 / segment 1.
-  draft.bottom.src_offsets = {0, 1, 2, 3};
-  draft.bottom.src_edge_segments = {0, 0, 1};
-  return draft;
-}
-
-// Corrupted permutations also break the HDG<->plan leaf cross-check, so these
-// assert on the FIRST issue (VerifyReorder reports before the cross-checks)
-// rather than on the issue count.
-void ExpectFirstIssue(const VerifyResult& result, const std::string& level,
-                      const std::string& array, int64_t index) {
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.issues[0].level, level) << result.Summary();
-  EXPECT_EQ(result.issues[0].array, array) << result.Summary();
-  EXPECT_EQ(result.issues[0].index, index) << result.Summary();
-}
-
-TEST(VerifyReorderNegative, ReorderedFixtureIsCleanBeforeCorruption) {
-  FlatFixture fx;
-  const ExecutionPlan plan = MakeReorderedFlatDraft(fx).Freeze();
-  const VerifyResult result = VerifyPlan(plan, fx.View(), kNumVertices);
-  EXPECT_TRUE(result.ok()) << result.Summary();
-}
-
-TEST(VerifyReorderNegative, PermMustBeABijection) {
-  FlatFixture fx;
-  PlanDraft draft = MakeReorderedFlatDraft(fx);
-  draft.reorder.perm = {2, 0, 2};  // label 2 assigned twice
-  const ExecutionPlan plan = std::move(draft).Freeze();
-  ExpectFirstIssue(VerifyPlan(plan, fx.View(), kNumVertices), "reorder", "perm", 2);
-}
-
-TEST(VerifyReorderNegative, PermLabelsMustBeInRange) {
-  FlatFixture fx;
-  PlanDraft draft = MakeReorderedFlatDraft(fx);
-  draft.reorder.perm = {2, 0, 7};  // row 2 relabeled past num_rows
-  const ExecutionPlan plan = std::move(draft).Freeze();
-  ExpectFirstIssue(VerifyPlan(plan, fx.View(), kNumVertices), "reorder", "perm", 2);
-}
-
-TEST(VerifyReorderNegative, InvMustRoundTripThroughPerm) {
-  FlatFixture fx;
-  PlanDraft draft = MakeReorderedFlatDraft(fx);
-  draft.reorder.inv = {2, 2, 0};  // inv[0] no longer undoes perm[1]=0
-  const ExecutionPlan plan = std::move(draft).Freeze();
-  ExpectFirstIssue(VerifyPlan(plan, fx.View(), kNumVertices), "reorder", "inv", 0);
-}
-
-TEST(VerifyReorderNegative, ReorderMustCoverAllSourceRows) {
-  FlatFixture fx;
-  PlanDraft draft = MakeReorderedFlatDraft(fx);
-  draft.reorder.num_rows = 2;  // bottom level has 3 source rows
-  const ExecutionPlan plan = std::move(draft).Freeze();
-  ExpectFirstIssue(VerifyPlan(plan, fx.View(), kNumVertices), "reorder", "num_rows", -1);
-}
-
-TEST(VerifyReorderNegative, NumHotMustStayInRange) {
-  FlatFixture fx;
-  PlanDraft draft = MakeReorderedFlatDraft(fx);
-  draft.reorder.num_hot = 5;  // outside [0, num_rows]
-  const ExecutionPlan plan = std::move(draft).Freeze();
-  ExpectFirstIssue(VerifyPlan(plan, fx.View(), kNumVertices), "reorder", "num_hot", -1);
-}
-
-TEST(VerifyReorderNegative, GatheredRowsMustBePackedHot) {
-  FlatFixture fx;
-  PlanDraft draft = MakeReorderedFlatDraft(fx);
-  draft.reorder.num_hot = 2;  // gather edge 2 references row 2, now cold
-  const ExecutionPlan plan = std::move(draft).Freeze();
-  ExpectFirstIssue(VerifyPlan(plan, fx.View(), kNumVertices), "reorder", "num_hot", 2);
 }
 
 // ---- Fusion invariants: corrupt one each, expect the exact diagnostic ----

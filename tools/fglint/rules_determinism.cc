@@ -1,7 +1,7 @@
 // determinism: bitwise-reproducibility hazards in the hot tree.
 //
 // The repo's headline invariant is bitwise-identical logits/loss across
-// thread counts, ISA levels, fusion, reorder, and backends. Three classes of
+// thread counts, ISA levels, fusion, and backends. Three classes of
 // code break that silently, so in src/exec, src/hdg, and src/core they are
 // errors, not style nits:
 //

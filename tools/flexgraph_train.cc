@@ -16,7 +16,7 @@
 //                   [--seed 7]
 //                   [--metrics-json path] [--metrics-csv path] [--trace path]
 //                   [--metrics-every n] [--verify-plan] [--profile]
-//                   [--fuse on|off] [--reorder on|off] [--tile-cols n]
+//                   [--fuse on|off]
 //
 // With --workers > 1 training runs on the distributed runtime and reports
 // per-epoch makespans; otherwise the single-machine engine trains with full
@@ -377,24 +377,6 @@ bool ParseArgs(int argc, char** argv, CliOptions& opts) {
         return false;
       }
       setenv("FLEXGRAPH_FUSE", value, /*overwrite=*/1);
-    } else if (arg == "--reorder" && (value = next())) {
-      // Locality reorder pass, same environment routing as --fuse.
-      if (std::string(value) != "on" && std::string(value) != "off") {
-        std::fprintf(stderr, "--reorder expects on|off\n");
-        return false;
-      }
-      setenv("FLEXGRAPH_REORDER", value, /*overwrite=*/1);
-    } else if (arg == "--tile-cols" && (value = next())) {
-      // Feature-dim tile width for the fused gather kernels; 0 = auto-size
-      // to L2. Validated here so a typo fails the invocation instead of
-      // falling back to the clamped-with-a-warning env path.
-      char* end = nullptr;
-      const long tile = std::strtol(value, &end, 10);
-      if (end == value || *end != '\0' || tile < 0) {
-        std::fprintf(stderr, "--tile-cols expects a non-negative integer\n");
-        return false;
-      }
-      setenv("FLEXGRAPH_TILE_COLS", value, /*overwrite=*/1);
     } else if (arg == "--verify-plan") {
       opts.verify_plan = true;
       continue;
