@@ -109,14 +109,27 @@ Variable HdgAggregator::InstanceLevelAttention(const Variable& instance_feats,
   }
   const LevelPlan& inst = plan_.instance();
   Variable weights = AgSegmentSoftmax(scores, inst.offsets, inst.chunks);
-  if (strategy_ != ExecStrategy::kSparse) {
-    // SA+FA / HA: fused weighted reduce — no [I, d] weighted rows, no [I, d]
-    // broadcast gradient, bitwise equal to the composition below.
-    return AgSegmentWeightedSum(instance_feats, weights, inst.offsets, inst.chunks);
-  }
-  // SA models materialization: scale every instance row, then reduce.
   Variable weighted = AgMulRowScalar(instance_feats, weights);
   return AgSegmentReduce(weighted, inst.offsets, ReduceKind::kSum, inst.chunks);
+}
+
+Variable HdgAggregator::InstanceAttention(const Variable& vertex_feats,
+                                          const Linear& attention) const {
+  FLEX_CHECK_MSG(!hdg_.flat(), "flat HDGs have no instance level");
+  FLEX_CHECK_EQ(attention.out_features(), 1);
+  if (strategy_ == ExecStrategy::kSparse) {
+    // SA models materialization: the [I, d] instance means, their scores,
+    // then the scaled rows.
+    Variable instances = BottomLevel(vertex_feats, ReduceKind::kMean);
+    return InstanceLevelAttention(instances, attention.Apply(instances));
+  }
+  FLEX_TRACE_SPAN("hybrid_agg.instance_attention",
+                  {{"leaf_refs", static_cast<double>(hdg_.leaf_vertex_ids().size())},
+                   {"instances", static_cast<double>(hdg_.num_instances())}});
+  FLEX_SCOPED_SECONDS("nau.bottom_level_seconds",
+                      stats_ != nullptr ? &stats_->bottom_seconds : nullptr);
+  return AgInstanceAttention(vertex_feats, attention.w(), attention.b(), plan_.bottom(),
+                             plan_.instance(), stats_);
 }
 
 Variable HdgAggregator::SchemaLevel(const Variable& slot_feats, ReduceKind kind) const {

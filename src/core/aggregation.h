@@ -2,15 +2,18 @@
 // the §4.2 hybrid execution scheme). Models call the level methods bottom-up:
 //
 //   flat models (GCN, PinSage):   BottomLevel → done ([R, d])
-//   hierarchical models (MAGNN):  BottomLevel ([I, d]) → InstanceLevel or
+//   hierarchical models:          BottomLevel ([I, d]) → InstanceLevel or
 //                                 InstanceLevelAttention ([R·T, d]) →
 //                                 SchemaLevel / SchemaLevelConcat ([R, d])
+//   MAGNN:                        InstanceAttention ([R·T, d], no [I, d]
+//                                 tensor) → SchemaLevel ([R, d])
 //
 // Which kernel executes each level depends on the strategy:
 //   bottom    SA: gather+scatter   FA/HA: fused vertex reduce
 //   instance  SA: scatter w/ index otherwise: CSC segment reduce (sparse NN);
-//             attention: SA scales rows then reduces, otherwise fused
-//             weighted segment sum
+//             attention: scale rows, then reduce
+//   bottom + instance attention (InstanceAttention)  SA: the materializing
+//             composition   FA/HA: one planned op that recomputes instances
 //   schema    HA: dense reshape+reduce   otherwise: scatter w/ index
 #ifndef SRC_CORE_AGGREGATION_H_
 #define SRC_CORE_AGGREGATION_H_
@@ -21,6 +24,7 @@
 #include "src/hdg/hdg.h"
 #include "src/tensor/autograd.h"
 #include "src/tensor/lstm.h"
+#include "src/tensor/nn.h"
 
 namespace flexgraph {
 
@@ -65,9 +69,18 @@ class HdgAggregator {
 
   // Attention-weighted instance → slot reduction: weights are a segment
   // softmax of `scores` ([I, 1]) within each slot (MAGNN's scatter_softmax
-  // step), output is the weighted sum per slot. SA+FA/HA run the fused
-  // AgSegmentWeightedSum; SA scales the [I, d] rows, then reduces.
+  // step), output is the weighted sum per slot — the [I, d] rows scaled by
+  // their weights, then segment-summed, at every strategy.
   Variable InstanceLevelAttention(const Variable& instance_feats, const Variable& scores) const;
+
+  // MAGNN's bottom and instance levels together: instance means of the
+  // member vertices' rows (kMean), scores attention.Apply(means) ([I, 1]),
+  // then InstanceLevelAttention's weighted slot sum, [R·T, d] out. SA runs
+  // exactly that materializing composition; SA+FA and HA run
+  // AgInstanceAttention, which writes no [I, d] tensor and is bitwise equal
+  // to it. `attention` maps d → 1. Forward time is billed to
+  // AggregationStats::bottom_seconds.
+  Variable InstanceAttention(const Variable& vertex_feats, const Linear& attention) const;
 
   // Schema level, [R·T, d] → [R, d].
   Variable SchemaLevel(const Variable& slot_feats, ReduceKind kind) const;

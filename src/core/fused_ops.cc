@@ -1,6 +1,8 @@
 #include "src/core/fused_ops.h"
 
+#include <algorithm>
 #include <cstring>
+#include <functional>
 
 #include "src/exec/parallel.h"
 #include "src/exec/simd.h"
@@ -42,6 +44,25 @@ Tensor FusedSegmentGatherReduce(const Tensor& x, std::span<const VertexId> leaf_
 
 namespace {
 
+// Runs gather_range(v_lo, v_hi) over an inverse map's source rows — inline
+// over all of them when the work is small or the pool has one thread, else
+// one task per precompiled source chunk. Each source row is owned by one
+// task, so any split gives the same bits.
+void ForEachSourceChunk(const U64Vec& src_offsets, const I64Vec& src_chunks, int64_t d,
+                        const std::function<void(int64_t, int64_t)>& gather_range) {
+  const auto& soff = *src_offsets;
+  const int64_t mapped_rows = static_cast<int64_t>(soff.size()) - 1;
+  const int64_t total_work = static_cast<int64_t>(soff.back()) * d;
+  if (total_work < kMinParallelWork || exec::NumThreads() <= 1) {
+    gather_range(0, mapped_rows);
+  } else {
+    const auto& bounds = *src_chunks;
+    exec::ParallelChunks(static_cast<int64_t>(bounds.size()) - 1, [&](int64_t c) {
+      gather_range(bounds[static_cast<std::size_t>(c)], bounds[static_cast<std::size_t>(c) + 1]);
+    });
+  }
+}
+
 // Backward of the indirect segment reduce: the inverse (source→segment) map
 // turns the scatter-add into a gather — each source row is owned by exactly
 // one task. Contributions are listed in ascending edge order, the order a
@@ -51,25 +72,12 @@ Tensor InverseMapBackward(const Tensor& grad_out, const U64Vec& src_offsets,
                           const U32Vec& src_edge_segments, const I64Vec& src_chunks,
                           const U64Vec& offsets, ReduceKind kind, int64_t src_rows, int64_t d) {
   Tensor gx = WsTensor(src_rows, d);
-  const auto& soff = *src_offsets;
-  const auto& ssegs = *src_edge_segments;
-  const auto& segs = *offsets;
-  const int64_t mapped_rows = static_cast<int64_t>(soff.size()) - 1;
   const simd::KernelTable& kt = simd::Kernels();
   const simd::Reduce sk = ToSimdReduce(kind);
-  const auto gather_range = [&](int64_t v_lo, int64_t v_hi) {
-    kt.indirect_backward(grad_out.data(), d, soff.data(), ssegs.data(), segs.data(), sk, v_lo,
-                         v_hi, gx.data());
-  };
-  const int64_t total_work = static_cast<int64_t>(ssegs.size()) * d;
-  if (total_work < kMinParallelWork || exec::NumThreads() <= 1) {
-    gather_range(0, mapped_rows);
-  } else {
-    const auto& bounds = *src_chunks;
-    exec::ParallelChunks(static_cast<int64_t>(bounds.size()) - 1, [&](int64_t c) {
-      gather_range(bounds[static_cast<std::size_t>(c)], bounds[static_cast<std::size_t>(c) + 1]);
-    });
-  }
+  ForEachSourceChunk(src_offsets, src_chunks, d, [&](int64_t v_lo, int64_t v_hi) {
+    kt.indirect_backward(grad_out.data(), d, src_offsets->data(), src_edge_segments->data(),
+                         offsets->data(), sk, v_lo, v_hi, gx.data());
+  });
   return gx;
 }
 
@@ -128,19 +136,17 @@ Tensor FusedSubtreeForward(const Tensor& x, const FusionPlan& fp, ReduceKind kin
   return out;
 }
 
-// Backward of the fused forward. Phase 1: the extended inverse map routes
-// each rewritten segment's gradient to the extended source rows (base rows
-// and partials) — the parallel per-source gather, with the ORIGINAL segment
-// widths (scale_offsets) driving the mean scaling. Phase 2: partial rows
-// distribute their gradient to their build refs, highest partial index first
-// (a partial only references lower indices, so its own gradient is complete
-// by the time it distributes). Phase 3: the base slice is the input
-// gradient. Deterministic across threads and ISA levels; not bitwise equal
-// to the unfused backward (different — but fixed — accumulation order).
-Tensor FusedSubtreeBackward(const Tensor& grad_out, const FusionPlan& fp, ReduceKind kind,
-                            int64_t src_rows, int64_t d) {
-  Tensor gx_ext = InverseMapBackward(grad_out, fp.src_offsets, fp.src_edge_segments,
-                                     fp.src_chunks, fp.scale_offsets, kind, fp.src_rows, d);
+// Backward of the fused forward. Phase 1 (the caller's, `gx_ext`): the
+// extended inverse map routes each rewritten segment's gradient to the
+// extended source rows (base rows and partials) — the parallel per-source
+// gather, with the ORIGINAL segment widths (scale_offsets) driving the mean
+// scaling. Phase 2: partial rows distribute their gradient to their build
+// refs, highest partial index first (a partial only references lower
+// indices, so its own gradient is complete by the time it distributes).
+// Phase 3: the base slice is the input gradient. Deterministic across
+// threads and ISA levels; not bitwise equal to the unfused backward
+// (different — but fixed — accumulation order).
+Tensor FusedSubtreeBackward(Tensor gx_ext, const FusionPlan& fp, int64_t src_rows, int64_t d) {
   const simd::KernelTable& kt = simd::Kernels();
   const auto& poffs = *fp.partial_offsets;
   const auto& pids = *fp.partial_ids;
@@ -218,10 +224,160 @@ Variable AgIndirectSegmentReduce(const Variable& x, const LevelPlan& level, Redu
                       [xn, offs, soff, ssegs, schunks, fused, kind, src_rows, d](AgNode& self) {
                         xn->AccumulateGrad(
                             fused != nullptr
-                                ? FusedSubtreeBackward(self.grad(), *fused, kind, src_rows, d)
+                                ? FusedSubtreeBackward(
+                                      InverseMapBackward(self.grad(), fused->src_offsets,
+                                                         fused->src_edge_segments,
+                                                         fused->src_chunks, fused->scale_offsets,
+                                                         kind, fused->src_rows, d),
+                                      *fused, src_rows, d)
                                 : InverseMapBackward(self.grad(), soff, ssegs, schunks, offs,
                                                      kind, src_rows, d));
                       });
+}
+
+namespace {
+
+// Runs body(c, s_lo, s_hi) over a plan's segment chunks — inline as
+// body(0, 0, S) when the work is small or the pool has one thread — so a
+// task can index its own scratch by its chunk. A chunk never splits a
+// segment, so the split does not change the bits.
+void ForEachIndexedChunk(const std::vector<int64_t>& chunks, int64_t total_work,
+                         const std::function<void(int64_t, int64_t, int64_t)>& body) {
+  const auto num_chunks = static_cast<int64_t>(chunks.size()) - 1;
+  if (num_chunks <= 0) {
+    return;
+  }
+  if (num_chunks == 1 || total_work < kMinParallelWork || exec::NumThreads() <= 1) {
+    body(0, chunks.front(), chunks.back());
+    return;
+  }
+  exec::ParallelChunks(num_chunks, [&](int64_t c) {
+    body(c, chunks[static_cast<std::size_t>(c)], chunks[static_cast<std::size_t>(c) + 1]);
+  });
+}
+
+int64_t LongestSegment(const std::vector<uint64_t>& offsets) {
+  uint64_t longest = 0;
+  for (std::size_t s = 0; s + 1 < offsets.size(); ++s) {
+    longest = std::max(longest, offsets[s + 1] - offsets[s]);
+  }
+  return static_cast<int64_t>(longest);
+}
+
+}  // namespace
+
+Variable AgInstanceAttention(const Variable& x, const Variable& w, const Variable& b,
+                             const LevelPlan& bottom, const LevelPlan& instance,
+                             AggregationStats* stats) {
+  const int64_t d = x.cols();
+  FLEX_CHECK_EQ(w.rows(), d);
+  FLEX_CHECK_EQ(w.cols(), 1);
+  FLEX_CHECK_EQ(b.rows(), 1);
+  FLEX_CHECK_EQ(b.cols(), 1);
+  FLEX_CHECK(bottom.offsets && bottom.gather_index && bottom.src_offsets &&
+             bottom.src_edge_segments && bottom.src_chunks);
+  FLEX_CHECK(instance.offsets && instance.chunks && instance.scatter_index);
+  const auto& leaf_offs = *bottom.offsets;
+  const auto& slot_offs = *instance.offsets;
+  const auto num_instances = static_cast<int64_t>(leaf_offs.size()) - 1;
+  const auto num_slots = static_cast<int64_t>(slot_offs.size()) - 1;
+  FLEX_CHECK_EQ(static_cast<int64_t>(slot_offs.back()), num_instances);
+  const auto num_refs = static_cast<int64_t>(bottom.gather_index->size());
+  FLEX_TRACE_SPAN("kernel.fa_instance_attention",
+                  {{"rows", static_cast<double>(num_refs)},
+                   {"instances", static_cast<double>(num_instances)}});
+  FLEX_COUNTER_ADD("kernel.fused_leaf_refs", num_refs);
+
+  // Everything the op writes — outputs, the saved α and the per-chunk mean
+  // tiles — comes from the workspace here, on the driving thread, before
+  // any task runs; no size depends on the thread count. Every element is
+  // written by a kernel before it is read.
+  const auto num_chunks = std::max<int64_t>(1, static_cast<int64_t>(instance.chunks->size()) - 1);
+  Tensor tiles = WsTensorUninit(num_chunks, LongestSegment(slot_offs) * d);
+  Tensor alpha = WsTensorUninit(num_instances, 1);
+  Tensor out = WsTensorUninit(num_slots, d);
+  const simd::KernelTable& kt = simd::Kernels();
+  const float* xd = x.value().data();
+  const float bias = b.value().At(0, 0);
+  ForEachIndexedChunk(*instance.chunks, num_refs * d, [&](int64_t c, int64_t s_lo, int64_t s_hi) {
+    kt.instance_attention(xd, d, bottom.gather_index->data(), leaf_offs.data(), slot_offs.data(),
+                          w.value().data(), bias, s_lo, s_hi, tiles.Row(c), alpha.data(),
+                          out.data());
+  });
+  if (stats != nullptr) {
+    stats->fused_rows += static_cast<uint64_t>(num_refs);
+    stats->sparse_rows += static_cast<uint64_t>(num_instances);
+  }
+
+  auto xn = x.node();
+  auto wn = w.node();
+  auto bn = b.node();
+  const U64Vec leaf_offsets = bottom.offsets;
+  const U32Vec ids = bottom.gather_index;
+  const U64Vec slot_offsets = instance.offsets;
+  const I64Vec chunks = instance.chunks;
+  const U32Vec slot_of = instance.scatter_index;
+  const U64Vec soff = bottom.src_offsets;
+  const U32Vec ssegs = bottom.src_edge_segments;
+  const I64Vec schunks = bottom.src_chunks;
+  const std::shared_ptr<const FusionPlan> fused = bottom.fusion;
+  const int64_t src_rows = x.rows();
+  return MakeVariable(
+      std::move(out), {x, w, b},
+      [xn, wn, bn, leaf_offsets, ids, slot_offsets, chunks, slot_of, soff, ssegs, schunks, fused,
+       src_rows, num_instances, num_refs, d, alpha = std::move(alpha),
+       tiles = std::move(tiles)](AgNode& self) mutable {
+        const Tensor& g = self.grad();
+        const simd::KernelTable& kt = simd::Kernels();
+        const float* xd = xn->value().data();
+        // Pass A: the score gradient, [I, 1] — the only column the backward
+        // writes per instance.
+        Tensor dscore = WsTensorUninit(num_instances, 1);
+        ForEachIndexedChunk(*chunks, num_refs * d, [&](int64_t c, int64_t s_lo, int64_t s_hi) {
+          kt.instance_attention_grad(xd, d, ids->data(), leaf_offsets->data(),
+                                     slot_offsets->data(), alpha.data(), g.data(), s_lo, s_hi,
+                                     tiles.Row(c), dscore.data());
+        });
+        if (wn->requires_grad()) {
+          // Pass B: tasks own whole 16-column blocks of dw and sweep every
+          // instance in ascending i, as MatMulTransA's tasks do.
+          constexpr int64_t kBlock = simd::kPackAlignFloats;
+          Tensor dw = WsTensorUninit(d, 1);
+          exec::ParallelFor(0, (d + kBlock - 1) / kBlock, exec::RowGrain(kBlock * num_refs),
+                            [&](int64_t lo, int64_t hi) {
+                              kt.instance_attention_dw(xd, d, ids->data(), leaf_offsets->data(),
+                                                       num_instances, dscore.data(), lo * kBlock,
+                                                       std::min(d, hi * kBlock), dw.data());
+                            });
+          wn->AccumulateGrad(std::move(dw));
+        }
+        if (bn->requires_grad()) {
+          bn->AccumulateGrad(ColSum(dscore));
+        }
+        if (xn->requires_grad()) {
+          // Pass C: the bottom level's backward, its instance gradient rows
+          // rebuilt in registers from α, dscore, w and the slot gradient.
+          const auto gather = [&](const U64Vec& src_offsets, const U32Vec& src_segments,
+                                  const I64Vec& src_chunks, const U64Vec& seg_offsets,
+                                  int64_t rows) {
+            Tensor gx = WsTensor(rows, d);
+            ForEachSourceChunk(src_offsets, src_chunks, d, [&](int64_t v_lo, int64_t v_hi) {
+              kt.instance_attention_input_grad(g.data(), d, slot_of->data(), alpha.data(),
+                                               dscore.data(), wn->value().data(),
+                                               src_offsets->data(), src_segments->data(),
+                                               seg_offsets->data(), v_lo, v_hi, gx.data());
+            });
+            return gx;
+          };
+          xn->AccumulateGrad(
+              fused != nullptr
+                  ? FusedSubtreeBackward(gather(fused->src_offsets, fused->src_edge_segments,
+                                                fused->src_chunks, fused->scale_offsets,
+                                                fused->src_rows),
+                                         *fused, src_rows, d)
+                  : gather(soff, ssegs, schunks, leaf_offsets, src_rows));
+        }
+      });
 }
 
 Variable AgSchemaReduce(const Variable& slots, const LevelPlan& level, ReduceKind kind,

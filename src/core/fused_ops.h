@@ -55,6 +55,23 @@ Tensor FusedSegmentGatherReduce(const Tensor& x, std::span<const VertexId> leaf_
 Variable AgIndirectSegmentReduce(const Variable& x, const LevelPlan& level, ReduceKind kind,
                                  ExecStrategy strategy, AggregationStats* stats);
 
+// MAGNN's bottom and instance levels as one planned op, for SA+FA and HA
+// (paper §4.2's feature fusion carried up one HDG level; DESIGN.md §20).
+// Out row s = Σ α_i·m_i over slot s's instances (`instance` level), where
+// m_i is the mean of instance i's member rows of x (the kMean `bottom`
+// level) and α the softmax, within the slot, of the scores m_i·w + b (w
+// [d, 1] and b [1, 1], the attention Linear's parameters). No [I, d] tensor
+// exists: the forward saves α ([I, 1]), the backward writes the score
+// gradient ([I, 1]) and recomputes instance rows where it needs them. Every
+// float — output and all gradients, including the fused bottom backward
+// when `bottom` carries a FusionPlan — is bitwise the materializing
+// composition's: AgIndirectSegmentReduce(kMean), AgMatMul, AgAddBias,
+// AgSegmentSoftmax, AgMulRowScalar, AgSegmentReduce(kSum). Forward wall
+// time is the caller's to bill.
+Variable AgInstanceAttention(const Variable& x, const Variable& w, const Variable& b,
+                             const LevelPlan& bottom, const LevelPlan& instance,
+                             AggregationStats* stats);
+
 // Schema-level reduce over level.group consecutive rows per output row, with
 // strategy selection: under kHybrid this is a dense reshape+reduce
 // (AgGroupSum/Mean); under SA/SA+FA the same math runs as a scatter over the

@@ -157,16 +157,92 @@ void ProfSegmentReduceExt(const float* x, int64_t base_rows, const float* partia
                                  s_lo, s_hi, kind, out);
 }
 
-void ProfSegmentWeightedSum(const float* x, const float* w, int64_t d,
-                            const uint64_t* offsets, int64_t s_lo, int64_t s_hi, float* out) {
+// The instance-attention kernels bill the member rows they gather (with
+// their ids) as reads, like segment_reduce_ext; the tile is task-private
+// scratch and counts on neither side. Their totals must not follow how a
+// call is split into tasks (which follows the thread count), so a task
+// bills one offset per segment it owns, and the task that starts at 0 adds
+// the closing offset and any operand every task reads (the score weight w)
+// — gemm's fence term.
+void ProfInstanceAttention(const float* x, int64_t d, const uint32_t* ids,
+                           const uint64_t* leaf_offsets, const uint64_t* slot_offsets,
+                           const float* w, float bias, int64_t s_lo, int64_t s_hi, float* tile,
+                           float* alpha, float* out) {
   const int64_t segs = s_hi - s_lo;
-  const int64_t rows = static_cast<int64_t>(offsets[s_hi] - offsets[s_lo]);
-  // segment_reduce's contiguous shape plus one weight per row, and a
-  // multiply-add (2 FLOPs) per element instead of an add.
-  const int64_t read = rows * (d * kF + kF) + (segs + 1) * kOff;
-  obs::TimedKernelScope scope(ProfKernel::kSegmentWeightedSum, read, segs * d * kF,
-                              2 * rows * d);
-  ProfBase()->segment_weighted_sum(x, w, d, offsets, s_lo, s_hi, out);
+  const uint64_t i_lo = slot_offsets[s_lo];
+  const uint64_t i_hi = slot_offsets[s_hi];
+  const auto inst = static_cast<int64_t>(i_hi - i_lo);
+  const auto refs = static_cast<int64_t>(leaf_offsets[i_hi] - leaf_offsets[i_lo]);
+  const int64_t read = refs * (d * kF + kIdx) + (inst + segs) * kOff +
+                       (s_lo == 0 ? 2 * kOff + d * kF : 0);
+  // Means (an add per ref element, a scale per instance element), the score
+  // chain (a multiply-add per element) and its bias add, the softmax (5 per
+  // instance, row_softmax's nominal count), the weighted sum (a
+  // multiply-add per element).
+  const int64_t flops = refs * d + inst * (5 * d + 6);
+  obs::TimedKernelScope scope(ProfKernel::kInstanceAttention, read,
+                              segs * d * kF + inst * kF, flops);
+  ProfBase()->instance_attention(x, d, ids, leaf_offsets, slot_offsets, w, bias, s_lo, s_hi,
+                                 tile, alpha, out);
+}
+
+void ProfInstanceAttentionGrad(const float* x, int64_t d, const uint32_t* ids,
+                               const uint64_t* leaf_offsets, const uint64_t* slot_offsets,
+                               const float* alpha, const float* grad_slots, int64_t s_lo,
+                               int64_t s_hi, float* tile, float* dscore) {
+  const int64_t segs = s_hi - s_lo;
+  const uint64_t i_lo = slot_offsets[s_lo];
+  const uint64_t i_hi = slot_offsets[s_hi];
+  const auto inst = static_cast<int64_t>(i_hi - i_lo);
+  const auto refs = static_cast<int64_t>(leaf_offsets[i_hi] - leaf_offsets[i_lo]);
+  // The forward's gather, plus α and each slot's gradient row.
+  const int64_t read = refs * (d * kF + kIdx) + (inst + segs) * kOff +
+                       (s_lo == 0 ? 2 * kOff : 0) + inst * kF + segs * d * kF;
+  // Means, gα (a multiply-add per element), then the slot dot and
+  // α·(gα − dot), 2 each per instance.
+  const int64_t flops = refs * d + inst * (3 * d + 4);
+  obs::TimedKernelScope scope(ProfKernel::kInstanceAttentionGrad, read, inst * kF, flops);
+  ProfBase()->instance_attention_grad(x, d, ids, leaf_offsets, slot_offsets, alpha, grad_slots,
+                                      s_lo, s_hi, tile, dscore);
+}
+
+void ProfInstanceAttentionDw(const float* x, int64_t d, const uint32_t* ids,
+                             const uint64_t* leaf_offsets, int64_t num_instances,
+                             const float* dscore, int64_t k_lo, int64_t k_hi, float* dw) {
+  const int64_t cols = k_hi - k_lo;
+  const auto refs = static_cast<int64_t>(leaf_offsets[num_instances]);
+  // Every 16-column block sweeps all instances: the ids, offsets and dscore
+  // once per block, the member rows' columns once. Linear in the blocks, so
+  // the totals do not follow how a call's blocks are split into tasks.
+  const int64_t blocks = (cols + kPackAlignFloats - 1) / kPackAlignFloats;
+  const int64_t read = blocks * (refs * kIdx + (num_instances + 1) * kOff + num_instances * kF) +
+                       refs * cols * kF;
+  // Means per column, then a nominal multiply-add per instance (the zero
+  // skip depends on the data; see gemm_trans_a).
+  const int64_t flops = cols * (refs + 3 * num_instances);
+  obs::TimedKernelScope scope(ProfKernel::kInstanceAttentionDw, read, cols * kF, flops);
+  ProfBase()->instance_attention_dw(x, d, ids, leaf_offsets, num_instances, dscore, k_lo, k_hi,
+                                    dw);
+}
+
+void ProfInstanceAttentionInputGrad(const float* grad_slots, int64_t d, const uint32_t* slot_of,
+                                    const float* alpha, const float* dscore, const float* w,
+                                    const uint64_t* src_offsets, const uint32_t* src_segments,
+                                    const uint64_t* seg_offsets, int64_t v_lo, int64_t v_hi,
+                                    float* gx) {
+  const int64_t range = v_hi - v_lo;
+  const auto edges = static_cast<int64_t>(src_offsets[v_hi] - src_offsets[v_lo]);
+  // indirect_backward's shape, plus per edge the instance's slot id, α and
+  // dscore, and w once.
+  const int64_t read = edges * (d * kF + 2 * kIdx + 2 * kF) + range * kOff +
+                       (v_lo == 0 ? kOff + d * kF : 0);
+  // Per element: α·G, dscore·w, the +0 seed, their sum, the 1/width scale
+  // and the accumulate.
+  obs::TimedKernelScope scope(ProfKernel::kInstanceAttentionInputGrad, read, range * d * kF,
+                              6 * edges * d);
+  ProfBase()->instance_attention_input_grad(grad_slots, d, slot_of, alpha, dscore, w,
+                                            src_offsets, src_segments, seg_offsets, v_lo, v_hi,
+                                            gx);
 }
 
 void ProfIndirectBackward(const float* grad_out, int64_t d, const uint64_t* src_offsets,
@@ -239,7 +315,10 @@ void InstallProfShims() {
   g_prof_table.axpy_row = ProfAxpyRow;
   g_prof_table.segment_reduce = ProfSegmentReduce;
   g_prof_table.segment_reduce_ext = ProfSegmentReduceExt;
-  g_prof_table.segment_weighted_sum = ProfSegmentWeightedSum;
+  g_prof_table.instance_attention = ProfInstanceAttention;
+  g_prof_table.instance_attention_grad = ProfInstanceAttentionGrad;
+  g_prof_table.instance_attention_dw = ProfInstanceAttentionDw;
+  g_prof_table.instance_attention_input_grad = ProfInstanceAttentionInputGrad;
   g_prof_table.indirect_backward = ProfIndirectBackward;
   g_prof_table.scatter_rows = ProfScatterRows;
   g_prof_table.group_reduce = ProfGroupReduce;

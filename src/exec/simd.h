@@ -10,10 +10,13 @@
 //
 // Determinism contract (inherited from the planned execution layer and
 // extended across ISA levels): every vector lane holds one output element
-// (kernels vectorize along the feature dimension, the narrow gemm_trans_a
-// along a's columns) — per output element the accumulation order over edges
-// / rows / k is exactly the sequential scalar kernel's, lanes never mix, and
-// no variant uses FMA contraction (variant TUs build with -ffp-contract=off).
+// (kernels vectorize along the feature dimension; the narrow gemm_trans_a
+// along a's columns, the instance scores along instances) — per output
+// element the accumulation order over edges / rows / k is exactly the
+// sequential scalar kernel's, lanes never mix, and no variant contracts a
+// multiply-add (variant TUs build with -ffp-contract=off; the two FMA chains
+// of the instance-attention backward are explicit std::fma, as in the tensor
+// layer's RowDot and segment softmax backward).
 // Results are therefore bitwise identical across scalar/sse2/avx2/avx512 and
 // across thread counts.
 #ifndef SRC_EXEC_SIMD_H_
@@ -85,15 +88,56 @@ struct KernelTable {
                              const uint64_t* scale_offsets, int64_t s_lo, int64_t s_hi,
                              Reduce kind, float* out);
 
-  // Attention-weighted segment sum over segments [s_lo, s_hi): out row s
-  // accumulates w[i] * x row i for i in [offsets[s], offsets[s+1]), in
-  // ascending i, one axpy_row (multiply, then add) per row. Bitwise equal to
-  // scaling every x row by its weight first and then running the contiguous
-  // kSum segment_reduce over the scaled rows, without materializing them.
-  // `out` is the full output base (row stride d) and must be zeroed.
-  void (*segment_weighted_sum)(const float* x, const float* w, int64_t d,
-                               const uint64_t* offsets, int64_t s_lo, int64_t s_hi,
-                               float* out);
+  // ---- MAGNN's instance attention, recomputed instead of stored ----
+  //
+  // Instance i averages the x rows ids[leaf_offsets[i] .. leaf_offsets[i+1])
+  // (segment_reduce's kMean fold: +0, then + each row in leaf order, then
+  // × 1/width); slot s holds instances [slot_offsets[s], slot_offsets[s+1]).
+  // No kernel stores an instance row: each re-forms the means it needs into
+  // registers or into `tile`, a per-task scratch of (longest slot) × d floats.
+
+  // Forward over slots [s_lo, s_hi). Per slot: the instance means into
+  // `tile`, the scores s_i = ((0 + m_i[0]·w[0]) + m_i[1]·w[1] + …) + bias
+  // (gemm's n = 1 chain, lane-parallel across instances), α = the segment
+  // softmax of the scores, written to alpha[i], and out row s = the +0-seeded
+  // Σ_i α_i·m_i in instance order. Every out row of the range is written
+  // (empty slots as zeros), so `out` needs no zero fill.
+  void (*instance_attention)(const float* x, int64_t d, const uint32_t* ids,
+                             const uint64_t* leaf_offsets, const uint64_t* slot_offsets,
+                             const float* w, float bias, int64_t s_lo, int64_t s_hi,
+                             float* tile, float* alpha, float* out);
+
+  // Backward pass A over slots [s_lo, s_hi): re-forms each slot's means in
+  // `tile` and writes dscore[i] = α_i·(gα_i − Σ_r α_r·gα_r), where gα_i is
+  // the FMA chain Σ_j G_s[j]·m_i[j] over the slot's gradient row G_s and the
+  // slot sum an FMA chain too, both from +0 (the segment softmax backward).
+  void (*instance_attention_grad)(const float* x, int64_t d, const uint32_t* ids,
+                                  const uint64_t* leaf_offsets, const uint64_t* slot_offsets,
+                                  const float* alpha, const float* grad_slots, int64_t s_lo,
+                                  int64_t s_hi, float* tile, float* dscore);
+
+  // Backward pass B over columns [k_lo, k_hi) of the score weight (k_lo a
+  // multiple of kPackAlignFloats): dw[k] = the sum over every instance i, in
+  // ascending i, of m_i[k]·dscore[i] from +0, skipping the i where
+  // m_i[k] == 0 — gemm_trans_a's chain — with each m_i[k] recomputed.
+  // Overwrites dw[k_lo .. k_hi).
+  void (*instance_attention_dw)(const float* x, int64_t d, const uint32_t* ids,
+                                const uint64_t* leaf_offsets, int64_t num_instances,
+                                const float* dscore, int64_t k_lo, int64_t k_hi, float* dw);
+
+  // Backward pass C: indirect_backward over source rows [v_lo, v_hi) for a
+  // kMean bottom level, with each instance's gradient row rebuilt in
+  // registers instead of read: g_i[j] = α_i·G[slot_of[i]][j] +
+  // (0 + dscore_i·w[j]). Row v of gx accumulates (1/width_i)·g_i for the
+  // instances src_segments[src_offsets[v] .. src_offsets[v+1]), width_i from
+  // seg_offsets. gx must be zeroed.
+  void (*instance_attention_input_grad)(const float* grad_slots, int64_t d,
+                                        const uint32_t* slot_of, const float* alpha,
+                                        const float* dscore, const float* w,
+                                        const uint64_t* src_offsets,
+                                        const uint32_t* src_segments,
+                                        const uint64_t* seg_offsets, int64_t v_lo,
+                                        int64_t v_hi, float* gx);
 
   // Planned bottom-level backward over source rows [v_lo, v_hi): row v of gx
   // accumulates grad rows src_segments[src_offsets[v] .. src_offsets[v+1]),

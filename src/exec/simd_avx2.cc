@@ -29,6 +29,34 @@ struct Vec256 {
   static Reg AddWhereNonzero(Reg acc, Reg a, Reg p) {
     return _mm256_blendv_ps(acc, _mm256_add_ps(acc, p), _mm256_cmp_ps(a, Zero(), _CMP_NEQ_UQ));
   }
+  // r[q] lane l ↔ r[l] lane q. Within each 128-bit half, unpack and shuffle
+  // gather column c of rows 4h .. 4h+3 (u[c % 4] for half c / 4 of rows
+  // 0-3, u[4 + c % 4] of rows 4-7); permute2f128 joins the two row halves.
+  // (Straight-line calls with constant arguments, so every index folds and
+  // the registers never spill to an array.)
+  static void Transpose(Reg* r) {
+    Reg u[8];
+    const auto rows4 = [&](int h) {
+      const Reg t0 = _mm256_unpacklo_ps(r[h + 0], r[h + 1]);
+      const Reg t1 = _mm256_unpackhi_ps(r[h + 0], r[h + 1]);
+      const Reg t2 = _mm256_unpacklo_ps(r[h + 2], r[h + 3]);
+      const Reg t3 = _mm256_unpackhi_ps(r[h + 2], r[h + 3]);
+      u[h + 0] = _mm256_shuffle_ps(t0, t2, _MM_SHUFFLE(1, 0, 1, 0));
+      u[h + 1] = _mm256_shuffle_ps(t0, t2, _MM_SHUFFLE(3, 2, 3, 2));
+      u[h + 2] = _mm256_shuffle_ps(t1, t3, _MM_SHUFFLE(1, 0, 1, 0));
+      u[h + 3] = _mm256_shuffle_ps(t1, t3, _MM_SHUFFLE(3, 2, 3, 2));
+    };
+    const auto column = [&](int q) {
+      r[q] = _mm256_permute2f128_ps(u[q], u[4 + q], 0x20);
+      r[4 + q] = _mm256_permute2f128_ps(u[q], u[4 + q], 0x31);
+    };
+    rows4(0);
+    rows4(4);
+    column(0);
+    column(1);
+    column(2);
+    column(3);
+  }
 };
 
 const KernelTable kTable = detail::MakeTable<Vec256>(IsaLevel::kAvx2, "avx2");

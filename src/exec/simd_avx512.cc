@@ -29,6 +29,44 @@ struct Vec512 {
   static Reg AddWhereNonzero(Reg acc, Reg a, Reg p) {
     return _mm512_mask_add_ps(acc, _mm512_cmp_ps_mask(a, Zero(), _CMP_NEQ_UQ), acc, p);
   }
+  // r[q] lane l ↔ r[l] lane q. Within each 128-bit quarter, unpack and
+  // shuffle gather column 4L + q of rows 4g .. 4g+3 into quarter L of
+  // u[4g + q]; two rounds of shuffle_f32x4 then collect quarter L of
+  // u[q], u[4 + q], u[8 + q], u[12 + q] into r[4L + q]. (Straight-line
+  // calls with constant arguments, so every index folds and the registers
+  // never spill to an array.)
+  static void Transpose(Reg* r) {
+    Reg u[16];
+    const auto rows4 = [&](int g) {
+      const Reg t0 = _mm512_unpacklo_ps(r[g + 0], r[g + 1]);
+      const Reg t1 = _mm512_unpackhi_ps(r[g + 0], r[g + 1]);
+      const Reg t2 = _mm512_unpacklo_ps(r[g + 2], r[g + 3]);
+      const Reg t3 = _mm512_unpackhi_ps(r[g + 2], r[g + 3]);
+      u[g + 0] = _mm512_shuffle_ps(t0, t2, _MM_SHUFFLE(1, 0, 1, 0));
+      u[g + 1] = _mm512_shuffle_ps(t0, t2, _MM_SHUFFLE(3, 2, 3, 2));
+      u[g + 2] = _mm512_shuffle_ps(t1, t3, _MM_SHUFFLE(1, 0, 1, 0));
+      u[g + 3] = _mm512_shuffle_ps(t1, t3, _MM_SHUFFLE(3, 2, 3, 2));
+    };
+    const auto column = [&](int q) {
+      // Quarters {0, 2} and {1, 3} of rows 0-7, then of rows 8-15.
+      const Reg lo02 = _mm512_shuffle_f32x4(u[q], u[4 + q], 0x88);
+      const Reg lo13 = _mm512_shuffle_f32x4(u[q], u[4 + q], 0xDD);
+      const Reg hi02 = _mm512_shuffle_f32x4(u[8 + q], u[12 + q], 0x88);
+      const Reg hi13 = _mm512_shuffle_f32x4(u[8 + q], u[12 + q], 0xDD);
+      r[q] = _mm512_shuffle_f32x4(lo02, hi02, 0x88);
+      r[8 + q] = _mm512_shuffle_f32x4(lo02, hi02, 0xDD);
+      r[4 + q] = _mm512_shuffle_f32x4(lo13, hi13, 0x88);
+      r[12 + q] = _mm512_shuffle_f32x4(lo13, hi13, 0xDD);
+    };
+    rows4(0);
+    rows4(4);
+    rows4(8);
+    rows4(12);
+    column(0);
+    column(1);
+    column(2);
+    column(3);
+  }
 };
 
 const KernelTable kTable = detail::MakeTable<Vec512>(IsaLevel::kAvx512, "avx512");

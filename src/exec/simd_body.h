@@ -1,13 +1,14 @@
 // Shared kernel bodies for the SIMD dispatch layer. Each variant TU
 // (simd_scalar.cc, simd_sse2.cc, simd_avx2.cc, simd_avx512.cc) defines a
 // vector policy V — register type, lane count, load/store/add/mul/max/min/
-// broadcast, and a masked add for the zero skip — includes this header, and
-// exports MakeTable<V>().
+// broadcast, a masked add for the zero skip, and an in-register transpose of
+// kWidth registers — includes this header, and exports MakeTable<V>().
 //
 // Every lane holds one output element. The bodies vectorize along the
 // feature (j) dimension and finish with a scalar tail — except the narrow
 // GemmTransA (n below the lane count), which vectorizes along a's columns,
-// one lane per row of c. Either way each output element's accumulation
+// one lane per row of c, and the instance scores, one lane per instance.
+// Either way each output element's accumulation
 // order over edges / rows / k is identical at every lane width: results are
 // bitwise identical across scalar, 128-bit, 256-bit, and 512-bit variants.
 // Variant TUs compile with -ffp-contract=off so the scalar tails (and the
@@ -21,6 +22,7 @@
 #define SRC_EXEC_SIMD_BODY_H_
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <utility>
 
@@ -186,16 +188,302 @@ struct Body {
     }
   }
 
-  // ---- Attention-weighted segment sum (instance level) ----
+  // ---- MAGNN instance attention (recomputed, never stored) ----
 
-  static void SegmentWeightedSum(const float* x, const float* w, int64_t d,
-                                 const uint64_t* offsets, int64_t s_lo, int64_t s_hi,
-                                 float* out) {
+  // Instance i's mean into `row`: per element segment_reduce's kMean fold,
+  // ((+0 + x_0) + x_1 + …) × 1/width over the member rows in leaf order, with
+  // the accumulator in a register across the rows. Width 0 leaves zeros.
+  static void MeanRow(const float* x, int64_t d, const uint32_t* ids, uint64_t e0, uint64_t e1,
+                      float* row) {
+    const float inv = e1 > e0 ? 1.0f / static_cast<float>(e1 - e0) : 0.0f;
+    const auto src = [&](uint64_t e) { return x + static_cast<int64_t>(ids[e]) * d; };
+    int64_t j = 0;
+    for (; j + kW <= d; j += kW) {
+      Reg acc = V::Zero();
+      for (uint64_t e = e0; e < e1; ++e) {
+        acc = V::Add(acc, V::Load(src(e) + j));
+      }
+      V::Store(row + j, e1 > e0 ? V::Mul(acc, V::Broadcast(inv)) : acc);
+    }
+    for (; j < d; ++j) {
+      float acc = 0.0f;
+      for (uint64_t e = e0; e < e1; ++e) {
+        acc = acc + src(e)[j];
+      }
+      row[j] = e1 > e0 ? acc * inv : acc;
+    }
+  }
+
+  // Means of instances [lo, hi) into tile rows 0 .. hi-lo, prefetching member
+  // rows kPrefetchLeafRows refs ahead, up to the task's last ref leaf_end.
+  static void FormMeans(const float* x, int64_t d, const uint32_t* ids,
+                        const uint64_t* leaf_offsets, uint64_t lo, uint64_t hi, uint64_t leaf_end,
+                        float* tile) {
+    constexpr uint64_t kPf = static_cast<uint64_t>(kPrefetchLeafRows);
+    for (uint64_t i = lo; i < hi; ++i) {
+      const uint64_t e0 = leaf_offsets[i];
+      const uint64_t e1 = leaf_offsets[i + 1];
+      for (uint64_t e = e0; e < e1 && e + kPf < leaf_end; ++e) {
+        __builtin_prefetch(x + static_cast<int64_t>(ids[e + kPf]) * d);
+      }
+      MeanRow(x, d, ids, e0, e1, tile + static_cast<int64_t>(i - lo) * d);
+    }
+  }
+
+  // scores[l] = ((0 + m_l[0]·w[0]) + m_l[1]·w[1] + …) + bias for tile rows
+  // l < n — gemm's n = 1 chain, then AddRowVector — lane-parallel: lane l of
+  // the accumulator runs instance l0 + l's k-ascending chain. Each group of
+  // kW rows is loaded kW columns at a time and transposed in registers, so
+  // register q holds column k + q of the group; a short last group repeats
+  // row n - 1 in its spare lanes, whose results are dropped. The d % kW
+  // trailing columns continue each lane's chain in scalar code.
+  static void SlotScores(const float* tile, int64_t n, int64_t d, const float* w, float bias,
+                         float* scores) {
+    const int64_t d_vec = d / kW * kW;
+    for (int64_t l0 = 0; l0 < n; l0 += kW) {
+      Reg acc = V::Zero();
+      for (int64_t k = 0; k < d_vec; k += kW) {
+        Reg r[static_cast<std::size_t>(kW)];
+        Unroll<kW>([&]<int64_t q>() {
+          r[q] = V::Load(tile + std::min(l0 + q, n - 1) * d + k);
+        });
+        V::Transpose(r);
+        Unroll<kW>([&]<int64_t q>() {
+          acc = V::Add(acc, V::Mul(r[q], V::Broadcast(w[k + q])));
+        });
+      }
+      float lanes[static_cast<std::size_t>(kW)];
+      V::Store(lanes, acc);
+      for (int64_t l = l0; l < std::min(l0 + kW, n); ++l) {
+        float a = lanes[l - l0];
+        const float* m = tile + l * d;
+        for (int64_t k = d_vec; k < d; ++k) {
+          const float p = m[k] * w[k];
+          a = a + p;
+        }
+        scores[l] = a + bias;
+      }
+    }
+  }
+
+  // In place, scores → α over one slot: SegmentSoftmax's max fold seeded
+  // with the first score, exp(s − max), a +0-seeded sum, then e × (1/sum).
+  static void SlotSoftmax(float* a, int64_t n) {
+    float mx = a[0];
+    for (int64_t l = 1; l < n; ++l) {
+      mx = std::max(mx, a[l]);
+    }
+    float sum = 0.0f;
+    for (int64_t l = 0; l < n; ++l) {
+      const float e = std::exp(a[l] - mx);
+      a[l] = e;
+      sum += e;
+    }
+    const float inv = 1.0f / sum;
+    for (int64_t l = 0; l < n; ++l) {
+      a[l] *= inv;
+    }
+  }
+
+  // out = the +0-seeded Σ_l alpha[l]·m_l in row order (AxpyRow's
+  // multiply-then-add per element), accumulated in registers.
+  static void SlotWeightedSum(const float* tile, int64_t n, int64_t d, const float* alpha,
+                              float* out) {
+    int64_t j = 0;
+    for (; j + kW <= d; j += kW) {
+      Reg acc = V::Zero();
+      for (int64_t l = 0; l < n; ++l) {
+        acc = V::Add(acc, V::Mul(V::Broadcast(alpha[l]), V::Load(tile + l * d + j)));
+      }
+      V::Store(out + j, acc);
+    }
+    for (; j < d; ++j) {
+      float acc = 0.0f;
+      for (int64_t l = 0; l < n; ++l) {
+        const float p = alpha[l] * tile[l * d + j];
+        acc = acc + p;
+      }
+      out[j] = acc;
+    }
+  }
+
+  static void InstanceAttention(const float* x, int64_t d, const uint32_t* ids,
+                                const uint64_t* leaf_offsets, const uint64_t* slot_offsets,
+                                const float* w, float bias, int64_t s_lo, int64_t s_hi,
+                                float* tile, float* alpha, float* out) {
+    const uint64_t leaf_end = leaf_offsets[slot_offsets[static_cast<std::size_t>(s_hi)]];
     for (int64_t s = s_lo; s < s_hi; ++s) {
+      const uint64_t lo = slot_offsets[static_cast<std::size_t>(s)];
+      const uint64_t hi = slot_offsets[static_cast<std::size_t>(s) + 1];
       float* dst = out + s * d;
-      for (uint64_t i = offsets[static_cast<std::size_t>(s)];
-           i < offsets[static_cast<std::size_t>(s) + 1]; ++i) {
-        AxpyRow(dst, x + static_cast<int64_t>(i) * d, w[i], d);
+      if (lo == hi) {
+        std::fill(dst, dst + d, 0.0f);
+        continue;
+      }
+      const auto n = static_cast<int64_t>(hi - lo);
+      FormMeans(x, d, ids, leaf_offsets, lo, hi, leaf_end, tile);
+      float* a = alpha + lo;
+      SlotScores(tile, n, d, w, bias, a);
+      SlotSoftmax(a, n);
+      SlotWeightedSum(tile, n, d, a, dst);
+    }
+  }
+
+  // out[l] = the FMA chain Σ_j g[j]·m_l[j] from +0 (RowDot), eight
+  // instances' chains interleaved so the loop is not bound by one FMA's
+  // latency per step.
+  static constexpr int64_t kDotChains = 8;
+
+  static void SlotRowDots(const float* tile, int64_t n, int64_t d, const float* g, float* out) {
+    int64_t l = 0;
+    for (; l + kDotChains <= n; l += kDotChains) {
+      float acc[kDotChains];
+      Unroll<kDotChains>([&]<int64_t r>() { acc[r] = 0.0f; });
+      for (int64_t j = 0; j < d; ++j) {
+        const float gj = g[j];
+        Unroll<kDotChains>([&]<int64_t r>() {
+          acc[r] = std::fma(gj, tile[(l + r) * d + j], acc[r]);
+        });
+      }
+      Unroll<kDotChains>([&]<int64_t r>() { out[l + r] = acc[r]; });
+    }
+    for (; l < n; ++l) {
+      float acc = 0.0f;
+      for (int64_t j = 0; j < d; ++j) {
+        acc = std::fma(g[j], tile[l * d + j], acc);
+      }
+      out[l] = acc;
+    }
+  }
+
+  static void InstanceAttentionGrad(const float* x, int64_t d, const uint32_t* ids,
+                                    const uint64_t* leaf_offsets, const uint64_t* slot_offsets,
+                                    const float* alpha, const float* grad_slots, int64_t s_lo,
+                                    int64_t s_hi, float* tile, float* dscore) {
+    const uint64_t leaf_end = leaf_offsets[slot_offsets[static_cast<std::size_t>(s_hi)]];
+    for (int64_t s = s_lo; s < s_hi; ++s) {
+      const uint64_t lo = slot_offsets[static_cast<std::size_t>(s)];
+      const uint64_t hi = slot_offsets[static_cast<std::size_t>(s) + 1];
+      if (lo == hi) {
+        continue;
+      }
+      const auto n = static_cast<int64_t>(hi - lo);
+      FormMeans(x, d, ids, leaf_offsets, lo, hi, leaf_end, tile);
+      float* ds = dscore + lo;  // gα first, then overwritten by dscore
+      SlotRowDots(tile, n, d, grad_slots + s * d, ds);
+      const float* a = alpha + lo;
+      float dot = 0.0f;
+      for (int64_t l = 0; l < n; ++l) {
+        dot = std::fma(a[l], ds[l], dot);
+      }
+      for (int64_t l = 0; l < n; ++l) {
+        ds[l] = a[l] * (ds[l] - dot);
+      }
+    }
+  }
+
+  static void InstanceAttentionDw(const float* x, int64_t d, const uint32_t* ids,
+                                  const uint64_t* leaf_offsets, int64_t num_instances,
+                                  const float* dscore, int64_t k_lo, int64_t k_hi, float* dw) {
+    constexpr int64_t kBlock = kPackAlignFloats;
+    constexpr int64_t kNv = kBlock / kW;
+    constexpr uint64_t kPf = static_cast<uint64_t>(kPrefetchLeafRows);
+    const uint64_t leaf_end = leaf_offsets[static_cast<std::size_t>(num_instances)];
+    const auto src = [&](uint64_t e) { return x + static_cast<int64_t>(ids[e]) * d; };
+    int64_t k0 = k_lo;
+    // Whole 16-column blocks: the block's columns of m_i and of dw in
+    // registers, the zero skip a per-lane mask, as in gemm_trans_a.
+    for (; k0 + kBlock <= k_hi; k0 += kBlock) {
+      Reg acc[static_cast<std::size_t>(kNv)];
+      Unroll<kNv>([&]<int64_t v>() { acc[v] = V::Zero(); });
+      for (int64_t i = 0; i < num_instances; ++i) {
+        const uint64_t e0 = leaf_offsets[static_cast<std::size_t>(i)];
+        const uint64_t e1 = leaf_offsets[static_cast<std::size_t>(i) + 1];
+        Reg m[static_cast<std::size_t>(kNv)];
+        Unroll<kNv>([&]<int64_t v>() { m[v] = V::Zero(); });
+        for (uint64_t e = e0; e < e1; ++e) {
+          if (e + kPf < leaf_end) {
+            __builtin_prefetch(src(e + kPf) + k0);
+          }
+          const float* row = src(e) + k0;
+          Unroll<kNv>([&]<int64_t v>() { m[v] = V::Add(m[v], V::Load(row + v * kW)); });
+        }
+        if (e1 > e0) {
+          const Reg inv = V::Broadcast(1.0f / static_cast<float>(e1 - e0));
+          Unroll<kNv>([&]<int64_t v>() { m[v] = V::Mul(m[v], inv); });
+        }
+        const Reg ds = V::Broadcast(dscore[i]);
+        Unroll<kNv>([&]<int64_t v>() {
+          acc[v] = V::AddWhereNonzero(acc[v], m[v], V::Mul(m[v], ds));
+        });
+      }
+      Unroll<kNv>([&]<int64_t v>() { V::Store(dw + k0 + v * kW, acc[v]); });
+    }
+    // A narrower last block: one scalar chain per column.
+    for (int64_t k = k0; k < k_hi; ++k) {
+      float acc = 0.0f;
+      for (int64_t i = 0; i < num_instances; ++i) {
+        const uint64_t e0 = leaf_offsets[static_cast<std::size_t>(i)];
+        const uint64_t e1 = leaf_offsets[static_cast<std::size_t>(i) + 1];
+        float m = 0.0f;
+        for (uint64_t e = e0; e < e1; ++e) {
+          m = m + src(e)[k];
+        }
+        if (e1 > e0) {
+          m = m * (1.0f / static_cast<float>(e1 - e0));
+        }
+        if (m != 0.0f) {
+          const float p = m * dscore[i];
+          acc = acc + p;
+        }
+      }
+      dw[k] = acc;
+    }
+  }
+
+  static void InstanceAttentionInputGrad(const float* grad_slots, int64_t d,
+                                         const uint32_t* slot_of, const float* alpha,
+                                         const float* dscore, const float* w,
+                                         const uint64_t* src_offsets,
+                                         const uint32_t* src_segments,
+                                         const uint64_t* seg_offsets, int64_t v_lo,
+                                         int64_t v_hi, float* gx) {
+    const uint64_t chunk_end = src_offsets[static_cast<std::size_t>(v_hi)];
+    constexpr uint64_t kPf = static_cast<uint64_t>(kPrefetchLeafRows);
+    const auto slot_row = [&](uint64_t idx) {
+      return grad_slots + static_cast<int64_t>(slot_of[src_segments[idx]]) * d;
+    };
+    for (int64_t v = v_lo; v < v_hi; ++v) {
+      float* dst = gx + v * d;
+      for (uint64_t idx = src_offsets[static_cast<std::size_t>(v)];
+           idx < src_offsets[static_cast<std::size_t>(v) + 1]; ++idx) {
+        if (idx + kPf < chunk_end) {
+          __builtin_prefetch(slot_row(idx + kPf));
+        }
+        const uint32_t i = src_segments[idx];
+        const float* grow = slot_row(idx);
+        const float a = alpha[i];
+        const float ds = dscore[i];
+        const float scale = 1.0f / static_cast<float>(seg_offsets[i + 1] - seg_offsets[i]);
+        const Reg av = V::Broadcast(a);
+        const Reg dv = V::Broadcast(ds);
+        const Reg sv = V::Broadcast(scale);
+        int64_t j = 0;
+        for (; j + kW <= d; j += kW) {
+          // g_i = α_i·G_s + (0 + dscore_i·w): the weighted sum's and the
+          // k = 1 score GEMM's gradients, summed in that order.
+          const Reg g =
+              V::Add(V::Mul(av, V::Load(grow + j)), V::Add(V::Zero(), V::Mul(dv, V::Load(w + j))));
+          V::Store(dst + j, V::Add(V::Load(dst + j), V::Mul(sv, g)));
+        }
+        for (; j < d; ++j) {
+          const float p = ds * w[j];
+          const float t = 0.0f + p;
+          const float q = a * grow[j];
+          const float g = q + t;
+          const float r = scale * g;
+          dst[j] = dst[j] + r;
+        }
       }
     }
   }
@@ -540,7 +828,10 @@ KernelTable MakeTable(IsaLevel level, const char* name) {
   t.axpy_row = &Body<V>::AxpyRow;
   t.segment_reduce = &Body<V>::SegmentReduce;
   t.segment_reduce_ext = &Body<V>::SegmentReduceExt;
-  t.segment_weighted_sum = &Body<V>::SegmentWeightedSum;
+  t.instance_attention = &Body<V>::InstanceAttention;
+  t.instance_attention_grad = &Body<V>::InstanceAttentionGrad;
+  t.instance_attention_dw = &Body<V>::InstanceAttentionDw;
+  t.instance_attention_input_grad = &Body<V>::InstanceAttentionInputGrad;
   t.indirect_backward = &Body<V>::IndirectBackward;
   t.scatter_rows = &Body<V>::ScatterRows;
   t.group_reduce = &Body<V>::GroupReduce;

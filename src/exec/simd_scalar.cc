@@ -19,6 +19,7 @@ struct VecScalar {
   static Reg Broadcast(float s) { return s; }
   static Reg Zero() { return 0.0f; }
   static Reg AddWhereNonzero(Reg acc, Reg a, Reg p) { return a == 0.0f ? acc : acc + p; }
+  static void Transpose(Reg*) {}  // one lane: a 1×1 block is its own transpose
 };
 
 const KernelTable kTable = detail::MakeTable<VecScalar>(IsaLevel::kScalar, "scalar");

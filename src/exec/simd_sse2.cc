@@ -33,6 +33,8 @@ struct Vec128 {
     const Reg keep = _mm_cmpneq_ps(a, Zero());
     return _mm_or_ps(_mm_and_ps(keep, _mm_add_ps(acc, p)), _mm_andnot_ps(keep, acc));
   }
+  // r[q] lane l ↔ r[l] lane q.
+  static void Transpose(Reg* r) { _MM_TRANSPOSE4_PS(r[0], r[1], r[2], r[3]); }
 };
 
 const KernelTable kTable = detail::MakeTable<Vec128>(IsaLevel::kSse2, "sse2");
@@ -57,6 +59,16 @@ struct Vec128 {
   // elsewhere.
   static Reg AddWhereNonzero(Reg acc, Reg a, Reg p) {
     return vbslq_f32(vceqq_f32(a, Zero()), acc, vaddq_f32(acc, p));
+  }
+  // r[q] lane l ↔ r[l] lane q: trn pairs rows 0/1 and 2/3, then the 64-bit
+  // halves recombine.
+  static void Transpose(Reg* r) {
+    const float32x4x2_t t01 = vtrnq_f32(r[0], r[1]);
+    const float32x4x2_t t23 = vtrnq_f32(r[2], r[3]);
+    r[0] = vcombine_f32(vget_low_f32(t01.val[0]), vget_low_f32(t23.val[0]));
+    r[1] = vcombine_f32(vget_low_f32(t01.val[1]), vget_low_f32(t23.val[1]));
+    r[2] = vcombine_f32(vget_high_f32(t01.val[0]), vget_high_f32(t23.val[0]));
+    r[3] = vcombine_f32(vget_high_f32(t01.val[1]), vget_high_f32(t23.val[1]));
   }
 };
 

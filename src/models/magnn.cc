@@ -12,16 +12,13 @@ class MagnnLayer : public GnnLayer {
       : attention_(in_dim, 1, rng), update_(in_dim, out_dim, rng), final_layer_(final_layer) {}
 
   Variable Aggregate(const Variable& feats, const HdgAggregator& agg) const override {
-    // Level 3→2: instance representation = mean of member-vertex features
-    // (feature fusion under SA+FA/HA).
-    Variable instances = agg.BottomLevel(feats, ReduceKind::kMean);
-    // Level 2→1: intra-metapath attention — scatter_softmax over learned
-    // scores within each (root, metapath) slot, then weighted sum.
-    Variable scores = attention_.Apply(instances);
-    Variable slots = agg.InstanceLevelAttention(instances, scores);
-    // Level 1→0: inter-metapath aggregation across the schema tree — a dense
+    // Levels 3→2→1: instance representation = mean of member-vertex
+    // features, then intra-metapath attention — scatter_softmax over learned
+    // scores within each (root, metapath) slot, then weighted sum. Under
+    // SA+FA/HA one planned op, with no [I, d] instance tensor. Level 1→0:
+    // inter-metapath aggregation across the schema tree — a dense
     // reshape+reduce under HA.
-    return agg.SchemaLevel(slots, ReduceKind::kMean);
+    return agg.SchemaLevel(agg.InstanceAttention(feats, attention_), ReduceKind::kMean);
   }
 
   Variable Update(const Variable& feats, const Variable& nbr_feats) const override {

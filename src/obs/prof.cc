@@ -17,11 +17,26 @@ namespace obs {
 namespace {
 
 const char* const kKernelNames[kNumProfKernels] = {
-    "add_row",       "max_row",           "min_row",      "scale_row",
-    "axpy_row",      "segment_reduce",    "segment_reduce_ext",
-    "segment_weighted_sum",               "indirect_backward",
-    "scatter_rows",  "group_reduce",      "gemm_pack_b",  "gemm",
-    "gemm_trans_a",  "elementwise",       "row_softmax",  "row_copy",
+    "add_row",
+    "max_row",
+    "min_row",
+    "scale_row",
+    "axpy_row",
+    "segment_reduce",
+    "segment_reduce_ext",
+    "instance_attention",
+    "instance_attention_grad",
+    "instance_attention_dw",
+    "instance_attention_input_grad",
+    "indirect_backward",
+    "scatter_rows",
+    "group_reduce",
+    "gemm_pack_b",
+    "gemm",
+    "gemm_trans_a",
+    "elementwise",
+    "row_softmax",
+    "row_copy",
     "zero_fill",
 };
 

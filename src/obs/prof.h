@@ -4,9 +4,9 @@
 // `flexgraph_train --profile` / FLEXGRAPH_PROFILE=1), the SIMD dispatch table
 // is swapped for a shim table that attributes every kernel invocation:
 //
-//   * Coarse kernels (segment_reduce, segment_reduce_ext,
-//     segment_weighted_sum, indirect_backward, scatter_rows, group_reduce,
-//     gemm_pack_b, gemm, gemm_trans_a) get a timed scope —
+//   * Coarse kernels (segment_reduce, segment_reduce_ext, the four
+//     instance_attention* kernels, indirect_backward, scatter_rows,
+//     group_reduce, gemm_pack_b, gemm, gemm_trans_a) get a timed scope —
 //     monotonic wall time plus a hardware counter read (cycles, instructions,
 //     LLC-load-misses, stalled-cycles-backend) through the thread's
 //     PerfCounterGroup when perf_event_open is available.
@@ -63,7 +63,10 @@ enum class ProfKernel : int {
   kAxpyRow,
   kSegmentReduce,
   kSegmentReduceExt,
-  kSegmentWeightedSum,
+  kInstanceAttention,           // MAGNN bottom + instance level, forward
+  kInstanceAttentionGrad,       // its backward pass A: the score gradient
+  kInstanceAttentionDw,         // pass B: the score weight's gradient
+  kInstanceAttentionInputGrad,  // pass C: the input gradient's gather
   kIndirectBackward,
   kScatterRows,
   kGroupReduce,

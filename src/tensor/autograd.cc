@@ -284,15 +284,14 @@ Tensor SegmentBroadcastBackward(const Tensor& grad_out, const std::vector<uint64
   return g;
 }
 
-// dL/dw_i = <g_i, v_i> for a row scaled by the scalar w_i. AgMulRowScalar
-// and AgSegmentWeightedSum share this one loop: this TU builds with GCC's
-// default -ffp-contract=fast (under -march=native the multiply-add chain
-// becomes FMAs), and the two ops stay bitwise equal only while both run the
-// same instruction sequence.
+// dL/dw_i = <g_i, v_i> for a row scaled by the scalar w_i: an FMA chain
+// from +0, spelled out so its bits do not depend on whether the compiler
+// contracts a multiply-add (or on the build host having FMA). The
+// instance-attention kernels' gα (src/exec/simd_body.h) runs the same chain.
 float RowDot(const float* g, const float* v, int64_t d) {
   float acc = 0.0f;
   for (int64_t j = 0; j < d; ++j) {
-    acc += g[j] * v[j];
+    acc = std::fma(g[j], v[j], acc);
   }
   return acc;
 }
@@ -409,72 +408,6 @@ Variable AgMulRowScalar(const Variable& values, const Variable& weights) {
         }
       }
       wn->AccumulateGrad(std::move(wg));
-    }
-  });
-}
-
-Variable AgSegmentWeightedSum(const Variable& values, const Variable& weights,
-                              U64VecPtr offsets, I64VecPtr chunks) {
-  FLEX_CHECK_EQ(weights.cols(), 1);
-  FLEX_CHECK_EQ(weights.rows(), values.rows());
-  FLEX_CHECK_EQ(static_cast<int64_t>(offsets->back()), values.rows());
-  const int64_t d = values.cols();
-  Tensor out = WsTensor(static_cast<int64_t>(offsets->size()) - 1, d);
-  const simd::KernelTable& kt = simd::Kernels();
-  const auto forward_range = [&](int64_t s_lo, int64_t s_hi) {
-    kt.segment_weighted_sum(values.value().data(), weights.value().data(), d, offsets->data(),
-                            s_lo, s_hi, out.data());
-  };
-  exec::ForEachSegmentChunk(*offsets, ChunkSpan(chunks), values.value().numel(), forward_range);
-  auto vn = values.node();
-  auto wn = weights.node();
-  return MakeVariable(std::move(out), {values, weights}, [vn, wn, offsets, chunks,
-                                                         d](AgNode& self) {
-    // Both gradients read the segment's gradient row G_s directly: the
-    // composition's broadcast rows are G_s * 1.0f, which is exact.
-    const Tensor& g = self.grad();
-    const Tensor& v = vn->value();
-    const Tensor& w = wn->value();
-    const bool need_v = vn->requires_grad();
-    const bool need_w = wn->requires_grad();
-    Tensor dv = need_v ? WsTensorUninit(v.rows(), d) : Tensor();
-    Tensor dw = need_w ? WsTensorUninit(v.rows(), 1) : Tensor();
-    const std::vector<uint64_t>& offs = *offsets;
-    const bool prof = simd::KernelProfilingEnabled();
-    const auto backward_range = [&](int64_t s_lo, int64_t s_hi) {
-      // Per member row: G_s (a broadcast operand, counted per row), then
-      // d(values) = w_i * G_s (w_i read, one multiply per element) and
-      // d(w_i) = <G_s, v_i> (v_i read, a multiply-add per element).
-      const int64_t m = static_cast<int64_t>(offs[static_cast<std::size_t>(s_hi)] -
-                                             offs[static_cast<std::size_t>(s_lo)]);
-      const int64_t read = m * d * 4 + (need_v ? m * 4 : 0) + (need_w ? m * d * 4 : 0);
-      const int64_t written = (need_v ? m * d * 4 : 0) + (need_w ? m * 4 : 0);
-      const int64_t flops = (need_v ? m * d : 0) + (need_w ? 2 * m * d : 0);
-      obs::TimedKernelScope scope(obs::ProfKernel::kElementwise, read, written, flops, prof);
-      for (int64_t s = s_lo; s < s_hi; ++s) {
-        const float* grow = g.Row(s);
-        for (uint64_t r = offs[static_cast<std::size_t>(s)];
-             r < offs[static_cast<std::size_t>(s) + 1]; ++r) {
-          const auto i = static_cast<int64_t>(r);
-          if (need_v) {
-            const float wi = w.At(i, 0);
-            float* drow = dv.Row(i);
-            for (int64_t j = 0; j < d; ++j) {
-              drow[j] = wi * grow[j];
-            }
-          }
-          if (need_w) {
-            dw.At(i, 0) = RowDot(grow, v.Row(i), d);
-          }
-        }
-      }
-    };
-    exec::ForEachSegmentChunk(offs, ChunkSpan(chunks), v.numel(), backward_range);
-    if (need_v) {
-      vn->AccumulateGrad(std::move(dv));
-    }
-    if (need_w) {
-      wn->AccumulateGrad(std::move(dw));
     }
   });
 }

@@ -156,12 +156,6 @@ Variable AgSegmentSoftmax(const Variable& scores, std::vector<uint64_t> offsets)
 Variable AgSegmentSoftmax(const Variable& scores, U64VecPtr offsets, I64VecPtr chunks = nullptr);
 // Rows of values scaled by [m,1] weights.
 Variable AgMulRowScalar(const Variable& values, const Variable& weights);
-// Attention-weighted segment sum: out row s = Σ_{i in segment s} w_i · v_i,
-// bitwise equal to AgSegmentReduce(AgMulRowScalar(values, weights), kSum)
-// in value and both gradients, without the [m, d] weighted rows or their
-// [m, d] broadcast gradient. `chunks` as in AgSegmentReduce.
-Variable AgSegmentWeightedSum(const Variable& values, const Variable& weights,
-                              U64VecPtr offsets, I64VecPtr chunks = nullptr);
 
 // Dense schema-level reductions (paper Figure 10) — group consecutive rows.
 Variable AgGroupSum(const Variable& x, int64_t group);

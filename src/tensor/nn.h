@@ -28,6 +28,8 @@ class Linear {
 
   Variable& w() { return w_; }
   Variable& b() { return b_; }
+  const Variable& w() const { return w_; }
+  const Variable& b() const { return b_; }
 
   // Appends this layer's parameters to params.
   void CollectParameters(std::vector<Variable>& params) const;

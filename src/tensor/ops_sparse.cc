@@ -215,9 +215,11 @@ Tensor SegmentSoftmaxBackward(const Tensor& weights, const Tensor& grad,
     for (int64_t s = s_lo; s < s_hi; ++s) {
       const uint64_t lo = offsets[static_cast<std::size_t>(s)];
       const uint64_t hi = offsets[static_cast<std::size_t>(s) + 1];
+      // An FMA chain from +0, spelled out (see RowDot in autograd.cc).
       float dot = 0.0f;
       for (uint64_t r = lo; r < hi; ++r) {
-        dot += weights.At(static_cast<int64_t>(r), 0) * grad.At(static_cast<int64_t>(r), 0);
+        dot = std::fma(weights.At(static_cast<int64_t>(r), 0),
+                       grad.At(static_cast<int64_t>(r), 0), dot);
       }
       for (uint64_t r = lo; r < hi; ++r) {
         const float w = weights.At(static_cast<int64_t>(r), 0);

@@ -340,121 +340,7 @@ TEST(AutogradTest, FanInThreeGradientMatchesZeroFillPlusSequentialAdds) {
   }
 }
 
-// ---- Fused attention-weighted segment sum ----
-
-TEST(AutogradTest, SegmentWeightedSumGradients) {
-  Rng rng(24);
-  const Tensor v = RandomTensor(6, 3, rng);
-  const Tensor w = RandomTensor(6, 1, rng, 0.1f, 1.0f);
-  const auto offsets = std::make_shared<const std::vector<uint64_t>>(
-      std::vector<uint64_t>{0, 2, 2, 3, 6});
-  ExpectGradientsMatch(v, [&](const Variable& x) {
-    return AgSegmentWeightedSum(x, Variable::Leaf(w), offsets);
-  });
-  ExpectGradientsMatch(w, [&](const Variable& x) {
-    return AgSegmentWeightedSum(Variable::Leaf(v), x, offsets);
-  });
-}
-
-// Segment widths mixing empty, single-row and wide segments.
-std::vector<uint64_t> MixedSegmentOffsets(int64_t rows, Rng& rng) {
-  std::vector<uint64_t> offsets = {0, 0, 1};  // an empty, then a single-row segment
-  while (offsets.back() < static_cast<uint64_t>(rows)) {
-    const uint64_t width = rng.NextBounded(3) == 0 ? rng.NextBounded(2) : rng.NextBounded(12);
-    offsets.push_back(std::min<uint64_t>(offsets.back() + width, static_cast<uint64_t>(rows)));
-  }
-  offsets.push_back(offsets.back());  // trailing empty segment
-  return offsets;
-}
-
-struct WeightedSumResult {
-  Tensor out;
-  Tensor dvalues;
-  Tensor dweights;
-};
-
-TEST(AutogradTest, SegmentWeightedSumBitwiseMatchesMulRowScalarThenSegmentReduce) {
-  struct Restore {
-    ~Restore() {
-      exec::SetNumThreads(0);
-      simd::ResetIsa();
-    }
-  } restore;
-  for (const int64_t d : {1, 7, 16, 33, 64}) {
-    // Enough rows that the segment loops fan out to the pool at >1 thread.
-    const int64_t rows = exec::kMinParallelWork / d + 300;
-    Rng rng(static_cast<uint64_t>(100 + d));
-    const auto offsets =
-        std::make_shared<const std::vector<uint64_t>>(MixedSegmentOffsets(rows, rng));
-    const auto chunks =
-        std::make_shared<const std::vector<int64_t>>(MakeSegmentChunks(*offsets, 64));
-    const int64_t segments = static_cast<int64_t>(offsets->size()) - 1;
-    const Tensor v = RandomTensor(rows, d, rng);
-    const Tensor w = RandomTensor(rows, 1, rng, 0.0f, 1.0f);
-    const Tensor seed = RandomTensor(segments, d, rng);
-
-    const auto run = [&](bool fused, I64VecPtr ch) {
-      Variable vl = Variable::Leaf(v, /*requires_grad=*/true);
-      Variable wl = Variable::Leaf(w, /*requires_grad=*/true);
-      Variable out = fused ? AgSegmentWeightedSum(vl, wl, offsets, ch)
-                           : AgSegmentReduce(AgMulRowScalar(vl, wl), offsets,
-                                             ReduceKind::kSum, ch);
-      out.Backward(seed);
-      return WeightedSumResult{out.value(), vl.grad(), wl.grad()};
-    };
-
-    for (const bool with_chunks : {false, true}) {
-      const I64VecPtr ch = with_chunks ? chunks : nullptr;
-      for (const simd::IsaLevel isa : {simd::IsaLevel::kScalar, simd::IsaLevel::kSse2,
-                                       simd::IsaLevel::kAvx2, simd::IsaLevel::kAvx512}) {
-        if (!simd::SetIsa(isa)) {
-          continue;
-        }
-        for (const int threads : {1, 2, 8}) {
-          exec::SetNumThreads(threads);
-          const WeightedSumResult ref = run(/*fused=*/false, ch);
-          const WeightedSumResult got = run(/*fused=*/true, ch);
-          const std::string where = "d=" + std::to_string(d) + " isa=" + simd::IsaName(isa) +
-                                    " threads=" + std::to_string(threads) +
-                                    " chunks=" + std::to_string(with_chunks);
-          EXPECT_TRUE(BitwiseEqual(ref.out, got.out)) << where;
-          EXPECT_TRUE(BitwiseEqual(ref.dvalues, got.dvalues)) << where;
-          EXPECT_TRUE(BitwiseEqual(ref.dweights, got.dweights)) << where;
-        }
-      }
-    }
-  }
-}
-
-TEST(AutogradTest, SegmentWeightedSumSkipsValueGradientOfFrozenValues) {
-  Rng rng(25);
-  Variable v = Variable::Leaf(RandomTensor(5, 4, rng));
-  Variable w = Variable::Leaf(RandomTensor(5, 1, rng), /*requires_grad=*/true);
-  const auto offsets =
-      std::make_shared<const std::vector<uint64_t>>(std::vector<uint64_t>{0, 3, 5});
-  AgSegmentWeightedSum(v, w, offsets).Backward();
-  EXPECT_TRUE(w.node()->has_grad());
-  EXPECT_FALSE(v.node()->has_grad());
-}
-
 // ---- Pruning parity on full models ----
-
-// Bitwise equality except that +0 and -0 compare equal: adopting a first
-// gradient keeps the sign of an exact zero that 0 + g would have cleared.
-::testing::AssertionResult EqualUpToSignedZero(const Tensor& a, const Tensor& b) {
-  if (!a.SameShape(b)) {
-    return ::testing::AssertionFailure() << "shape mismatch";
-  }
-  for (int64_t i = 0; i < a.numel(); ++i) {
-    const float x = a.data()[i];
-    const float y = b.data()[i];
-    if (std::memcmp(&x, &y, sizeof(float)) != 0 && !(x == 0.0f && y == 0.0f)) {
-      return ::testing::AssertionFailure()
-             << "first difference at flat index " << i << ": " << x << " vs " << y;
-    }
-  }
-  return ::testing::AssertionSuccess();
-}
 
 TEST(AutogradTest, PrunedBackwardMatchesFullBackwardOnTwoLayerModels) {
   for (const std::string name : {"gcn", "magnn"}) {

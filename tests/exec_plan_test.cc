@@ -8,6 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+
 #include "src/core/aggregation.h"
 #include "src/core/engine.h"
 #include "src/core/neighbor_selection.h"
@@ -19,6 +22,8 @@
 #include "src/models/gin.h"
 #include "src/models/magnn.h"
 #include "src/obs/metrics.h"
+#include "src/tensor/nn.h"
+#include "src/tensor/workspace.h"
 #include "src/util/check.h"
 #include "tests/test_util.h"
 
@@ -224,15 +229,11 @@ TEST(ExecutionPlanTest, SteadyStateEpochsDoZeroKernelHeapAllocation) {
 
 // The arena keeps every tensor an epoch allocates until the next Reset, so a
 // steady epoch's high-water mark is everything that epoch allocated. MAGNN's
-// instance-sized share of it is the two layers' instance features ([I, d_in]
-// and [I, h]) and layer 1's two instance gradients (from the attention
-// scores and from the weighted reduce, 2 x [I, h]), plus a handful of [I, 1]
-// score/weight columns. Layer 0's instance gradients are pruned (the input
-// features are not trainable), first gradients are adopted rather than
-// zero-filled and added, and the fused weighted reduce materializes neither
-// the weighted rows nor their broadcast gradient — before those, an epoch
-// allocated about six [I, d] buffers per layer. The rest of the epoch is
-// vertex-, slot- and root-sized.
+// instance-sized share of it is only the planned instance attention's [I, 1]
+// columns — the softmax weights α and the score gradient, per layer — plus
+// its per-chunk mean tiles (longest slot × width). No [I, d] tensor exists:
+// the op recomputes instance rows instead of storing them (DESIGN.md §20).
+// The rest of the epoch is vertex-, slot- and root-sized.
 TEST(ExecutionPlanTest, MagnnSteadyEpochArenaStaysWithinShapeBound) {
   Dataset ds = SmallHetero();
   Rng rng(17);
@@ -246,6 +247,7 @@ TEST(ExecutionPlanTest, MagnnSteadyEpochArenaStaysWithinShapeBound) {
   const Hdg& hdg = engine.EnsureHdg(model, epoch_rng, nullptr);  // static: cache hit
   ASSERT_NE(engine.plan(), nullptr);
   const LevelPlan& bottom = engine.plan()->bottom();
+  const LevelPlan& instance = engine.plan()->instance();
 
   const auto instances = static_cast<int64_t>(hdg.num_instances());
   const auto roots = static_cast<int64_t>(hdg.num_roots());
@@ -255,18 +257,72 @@ TEST(ExecutionPlanTest, MagnnSteadyEpochArenaStaysWithinShapeBound) {
   const int64_t d_in = ds.feature_dim();
   const int64_t hidden = MagnnConfig{}.hidden_dim;
   const int64_t classes = ds.num_classes;
+  uint64_t longest_slot = 0;
+  for (std::size_t s = 0; s + 1 < instance.offsets->size(); ++s) {
+    longest_slot = std::max(longest_slot, (*instance.offsets)[s + 1] - (*instance.offsets)[s]);
+  }
+  const auto chunks = static_cast<int64_t>(instance.chunks->size()) - 1;
   // Floats per shape class, counted tensor by tensor over one epoch.
-  const int64_t instance_floats = instances * (d_in + 3 * hidden + 12);
+  const int64_t instance_floats = instances * 4;
+  const int64_t tile_floats = chunks * static_cast<int64_t>(longest_slot) * (d_in + hidden);
   const int64_t vertex_floats = vertices * (2 * d_in + 4 * hidden);
   const int64_t slot_floats = slots * 2 * (d_in + hidden);
   const int64_t root_floats = roots * (2 * d_in + 7 * hidden + 5 * classes);
-  const double estimate =
-      4.0 * static_cast<double>(instance_floats + vertex_floats + slot_floats + root_floats);
+  const double estimate = 4.0 * static_cast<double>(instance_floats + tile_floats +
+                                                    vertex_floats + slot_floats + root_floats);
   // 25% headroom for parameter-sized tensors, packed GEMM panels and the
   // arena's cache-line rounding.
   const auto bound = static_cast<std::size_t>(1.25 * estimate);
   EXPECT_LE(engine.workspace().high_water_bytes(), bound)
       << "I=" << instances << " R=" << roots << " vertices=" << vertices;
+}
+
+// Every arena element AgInstanceAttention reads — its outputs, the saved α,
+// the mean tiles, the score gradient — it wrote first: run over an arena
+// whose memory is all NaN, the op reproduces the run over fresh heap
+// memory bit for bit, forward and every gradient.
+TEST(ExecutionPlanTest, InstanceAttentionWritesArenaMemoryBeforeReadingIt) {
+  const Dataset ds = SmallHetero();
+  Rng rng(41);
+  const GnnModel model = MakeModelFor("magnn", ds, rng);
+  const Hdg hdg = BuildHdgAllVertices(model, ds.graph, rng);
+  Linear attention(ds.feature_dim(), 1, rng);
+  for (const ExecStrategy strategy : {ExecStrategy::kSparseFused, ExecStrategy::kHybrid}) {
+    const ExecutionPlan plan = CompileExecutionPlan("magnn", hdg, strategy);
+    const HdgAggregator agg(hdg, strategy, nullptr, &plan);
+    const Tensor seed = RandomTensor(
+        static_cast<int64_t>(hdg.num_roots()) * hdg.num_types(), ds.feature_dim(), rng);
+    const auto run = [&] {
+      attention.w().ZeroGrad();
+      attention.b().ZeroGrad();
+      Variable x = Variable::Leaf(ds.features, /*requires_grad=*/true);
+      Variable out = agg.InstanceAttention(x, attention);
+      out.Backward(seed);
+      // Owned copies, taken before the arena is reset.
+      return std::vector<Tensor>{out.value(), x.grad(), attention.w().grad(),
+                                 attention.b().grad()};
+    };
+    const std::vector<Tensor> want = run();
+
+    Workspace ws;
+    constexpr std::size_t kArenaFloats = std::size_t{16} << 20;
+    ws.Reserve(kArenaFloats * sizeof(float));
+    {
+      WorkspaceScope scope(&ws);
+      float* all = ws.AllocateFloats(kArenaFloats);
+      std::fill(all, all + kArenaFloats, std::numeric_limits<float>::quiet_NaN());
+    }
+    ws.Reset();
+    std::vector<Tensor> got;
+    {
+      WorkspaceScope scope(&ws);
+      got = run();
+    }
+    EXPECT_EQ(ws.growth_count(), 1u) << "the op outgrew the poisoned slab";
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      EXPECT_TRUE(BitwiseEqual(want[i], got[i])) << ExecStrategyName(strategy) << " tensor " << i;
+    }
+  }
 }
 
 TEST(ExecutionPlanTest, WorkspaceReservationComesFromPlanEstimate) {

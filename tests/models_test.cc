@@ -21,6 +21,7 @@
 #include "src/models/pinsage.h"
 #include "src/tensor/nn.h"
 #include "src/tensor/ops_dense.h"
+#include "tests/test_util.h"
 
 namespace flexgraph {
 namespace {
@@ -140,14 +141,6 @@ TEST_P(StrategyEquivalenceSweep, ForwardIdenticalAcrossStrategies) {
 INSTANTIATE_TEST_SUITE_P(AllModels, StrategyEquivalenceSweep,
                          ::testing::Values("gcn", "pinsage", "magnn", "pgnn", "jknet", "gin",
                                            "gat", "sage-mean", "sage-max", "sage-lstm"));
-
-// Exact byte-for-byte tensor equality (the planned kernels' determinism
-// contract — AllClose would hide order-of-accumulation drift).
-bool BitwiseEqual(const Tensor& a, const Tensor& b) {
-  return a.rows() == b.rows() && a.cols() == b.cols() &&
-         std::memcmp(a.data(), b.data(),
-                     static_cast<std::size_t>(a.numel()) * sizeof(float)) == 0;
-}
 
 class ThreadDeterminismSweep : public ::testing::TestWithParam<const char*> {};
 
@@ -415,9 +408,10 @@ TEST(EngineTest, GcnLearnsCommunityLabels) {
   EXPECT_GT(acc, 2.0f / static_cast<float>(ds.num_classes));
 }
 
-// MAGNN with the instance-level attention spelled out as the materializing
-// composition — softmax, scale every [I, d] row, then segment-sum — in place
-// of the planned fused weighted reduce. Parameters are drawn from the rng in
+// MAGNN with its bottom and instance levels spelled out as the
+// materializing composition — the [I, d] instance means, their scores, the
+// segment softmax, every [I, d] row scaled, then segment-summed — in place
+// of the planned AgInstanceAttention. Parameters are drawn from the rng in
 // the same order as MakeMagnnModel's layers (attention, then update).
 class MaterializingMagnnLayer : public GnnLayer {
  public:
@@ -452,45 +446,113 @@ class MaterializingMagnnLayer : public GnnLayer {
   bool final_layer_;
 };
 
+// One Engine::TrainEpoch, spelled out so the parameter gradients can be
+// copied before the SGD step consumes them.
+struct EpochGradients {
+  float loss = 0.0f;
+  std::vector<Tensor> grads;
+};
+
+EpochGradients TrainEpochKeepingGradients(Engine& engine, const GnnModel& model,
+                                          const Dataset& ds, const SgdOptimizer& opt, Rng& rng) {
+  EpochGradients result;
+  const Hdg& hdg = engine.EnsureHdg(model, rng, nullptr);
+  engine.workspace().Reset();
+  WorkspaceScope scope(&engine.workspace());
+  Variable loss = AgSoftmaxCrossEntropy(engine.Forward(model, hdg, ds.features, nullptr),
+                                        ds.labels);
+  result.loss = loss.value().At(0, 0);
+  loss.Backward();
+  std::vector<Variable> params = model.Parameters();
+  for (Variable& p : params) {
+    result.grads.push_back(p.grad());  // an owned copy of the arena gradient
+  }
+  opt.Step(params);
+  SgdOptimizer::ZeroGrad(params);
+  return result;
+}
+
+// The planned op reproduces the composition's floats: logits, every
+// epoch's loss and all eight parameter gradients, at every ISA level, at 1
+// and 4 threads, with fusion on and off, under SA+FA and HA. Gradients
+// compare with ±0 equal (DESIGN.md §19: an adopted first gradient keeps the
+// sign of an exact zero). Fusion's backward adds in its own order, so each
+// fuse setting compares against a reference run with the same setting.
 TEST(MagnnTest, FusedInstanceAttentionTrainsBitwiseLikeMaterializingReference) {
+  struct Restore {
+    ~Restore() {
+      unsetenv("FLEXGRAPH_FUSE");
+      exec::SetNumThreads(0);
+      simd::ResetIsa();
+    }
+  } restore;
+  constexpr int kEpochs = 3;
   const Dataset ds = SmallHetero();
   MagnnConfig config;
   config.in_dim = ds.feature_dim();
   config.num_classes = ds.num_classes;
-  Rng real_rng(51);
-  GnnModel real = MakeMagnnModel(config, real_rng);
+  const auto make_reference = [&] {
+    GnnModel reference;
+    Rng rng(51);
+    GnnModel real = MakeMagnnModel(config, rng);
+    reference.name = real.name;
+    reference.schema = real.schema;
+    reference.cache_policy = real.cache_policy;
+    reference.neighbor_udf = real.neighbor_udf;
+    Rng reference_rng(51);
+    int64_t dim = config.in_dim;
+    for (int l = 0; l < config.num_layers; ++l) {
+      const bool final_layer = l == config.num_layers - 1;
+      const int64_t out = final_layer ? config.num_classes : config.hidden_dim;
+      reference.layers.push_back(
+          std::make_unique<MaterializingMagnnLayer>(dim, out, final_layer, reference_rng));
+      dim = out;
+    }
+    return reference;
+  };
 
-  GnnModel reference;
-  reference.name = real.name;
-  reference.schema = real.schema;
-  reference.cache_policy = real.cache_policy;
-  reference.neighbor_udf = real.neighbor_udf;
-  Rng reference_rng(51);
-  int64_t dim = config.in_dim;
-  for (int l = 0; l < config.num_layers; ++l) {
-    const bool final_layer = l == config.num_layers - 1;
-    const int64_t out = final_layer ? config.num_classes : config.hidden_dim;
-    reference.layers.push_back(
-        std::make_unique<MaterializingMagnnLayer>(dim, out, final_layer, reference_rng));
-    dim = out;
-  }
-
-  for (const ExecStrategy strategy : {ExecStrategy::kSparseFused, ExecStrategy::kHybrid}) {
-    Engine real_engine(ds.graph, strategy);
-    Engine reference_engine(ds.graph, strategy);
-    const SgdOptimizer opt(0.05f);
-    Rng real_epoch_rng(53);
-    Rng reference_epoch_rng(53);
-    for (int epoch = 0; epoch < 3; ++epoch) {
-      const float got =
-          real_engine.TrainEpoch(real, ds.features, ds.labels, opt, real_epoch_rng).loss;
-      const float want = reference_engine
-                             .TrainEpoch(reference, ds.features, ds.labels, opt,
-                                         reference_epoch_rng)
-                             .loss;
-      EXPECT_EQ(std::memcmp(&got, &want, sizeof(float)), 0)
-          << ExecStrategyName(strategy) << " epoch " << epoch << ": " << got << " vs "
-          << want;
+  for (const char* fuse : {"on", "off"}) {
+    setenv("FLEXGRAPH_FUSE", fuse, 1);
+    for (const ExecStrategy strategy : {ExecStrategy::kSparseFused, ExecStrategy::kHybrid}) {
+      for (int level = 0; level <= static_cast<int>(simd::IsaLevel::kAvx512); ++level) {
+        if (!simd::SetIsa(static_cast<simd::IsaLevel>(level))) {
+          continue;
+        }
+        for (const int threads : {1, 4}) {
+          exec::SetNumThreads(threads);
+          const std::string where = std::string("fuse=") + fuse + " " +
+                                    ExecStrategyName(strategy) + " " +
+                                    simd::IsaName(static_cast<simd::IsaLevel>(level)) + " x" +
+                                    std::to_string(threads);
+          Rng real_rng(51);
+          const GnnModel real = MakeMagnnModel(config, real_rng);
+          const GnnModel reference = make_reference();
+          Engine real_engine(ds.graph, strategy);
+          Engine reference_engine(ds.graph, strategy);
+          Rng real_hdg_rng(53);
+          Rng reference_hdg_rng(53);
+          EXPECT_TRUE(BitwiseEqual(
+              reference_engine.Infer(reference, ds.features, reference_hdg_rng, nullptr),
+              real_engine.Infer(real, ds.features, real_hdg_rng, nullptr)))
+              << where << " logits";
+          const SgdOptimizer opt(0.05f);
+          for (int epoch = 0; epoch < kEpochs; ++epoch) {
+            const EpochGradients want =
+                TrainEpochKeepingGradients(reference_engine, reference, ds, opt,
+                                           reference_hdg_rng);
+            const EpochGradients got =
+                TrainEpochKeepingGradients(real_engine, real, ds, opt, real_hdg_rng);
+            EXPECT_EQ(std::memcmp(&got.loss, &want.loss, sizeof(float)), 0)
+                << where << " epoch " << epoch << ": " << got.loss << " vs " << want.loss;
+            ASSERT_EQ(got.grads.size(), 8u);
+            ASSERT_EQ(want.grads.size(), 8u);
+            for (std::size_t p = 0; p < got.grads.size(); ++p) {
+              EXPECT_TRUE(EqualUpToSignedZero(want.grads[p], got.grads[p]))
+                  << where << " epoch " << epoch << " param " << p;
+            }
+          }
+        }
+      }
     }
   }
 }

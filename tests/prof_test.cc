@@ -13,6 +13,8 @@
 #include <memory>
 #include <vector>
 
+#include "src/core/fused_ops.h"
+#include "src/exec/chunks.h"
 #include "src/exec/parallel.h"
 #include "src/exec/simd.h"
 #include "src/obs/perf_counters.h"
@@ -22,6 +24,7 @@
 #include "src/tensor/ops_sparse.h"
 #include "src/tensor/tensor.h"
 #include "src/tensor/workspace.h"
+#include "tests/test_util.h"
 
 namespace flexgraph {
 namespace obs {
@@ -236,41 +239,127 @@ TEST_F(ProfTest, SegmentReduceExtAccounting) {
   EXPECT_EQ(row.flops, refs * d + segs * d);
 }
 
-// The fused attention-weighted segment sum: the forward is a coarse kernel
-// (segment_reduce's contiguous shape plus one weight per row, a multiply-add
-// per element); the backward is one elementwise pass per chunk whose
-// formula covers exactly the gradients that are needed.
-TEST_F(ProfTest, SegmentWeightedSumAccounting) {
-  const int64_t d = 4;
-  const int64_t rows = 5;
-  const int64_t segs = 3;
-  const int64_t kOff = static_cast<int64_t>(sizeof(uint64_t));
-  const auto offsets =
-      std::make_shared<const std::vector<uint64_t>>(std::vector<uint64_t>{0, 2, 2, 5});
-  for (const bool weights_trainable : {true, false}) {
-    KernelProfiler::Get().Reset();
-    Variable v = Variable::Leaf(Filled(rows, d), /*requires_grad=*/true);
-    Variable w = Variable::Leaf(Filled(rows, 1, 0.5f), weights_trainable);
-    Variable out = AgSegmentWeightedSum(v, w, offsets);
-    const KernelProfileRow fwd = Row(ProfKernel::kSegmentWeightedSum);
-    EXPECT_EQ(fwd.calls, 1);
-    EXPECT_EQ(fwd.timed_calls, 1);
-    EXPECT_EQ(fwd.bytes_read, rows * (d * kF + kF) + (segs + 1) * kOff);
-    EXPECT_EQ(fwd.bytes_written, segs * d * kF);
-    EXPECT_EQ(fwd.flops, 2 * rows * d);
-    EXPECT_EQ(Row(ProfKernel::kAxpyRow).calls, 0);  // no per-row double billing
-    EXPECT_EQ(Row(ProfKernel::kElementwise).calls, 0);
+// ---- MAGNN instance attention: the four recomputing kernels ----
 
-    out.Backward(Filled(segs, d, 2.0f));
-    const KernelProfileRow bwd = Row(ProfKernel::kElementwise);
-    EXPECT_EQ(bwd.calls, 1);  // both gradients are adopted: no accumulate pass
-    EXPECT_EQ(bwd.timed_calls, 1);
-    // Per row: the segment's gradient row, the weight (d(values) = w * G)
-    // and, for d(w) = <G, v>, the value row.
-    const int64_t m = rows;
-    EXPECT_EQ(bwd.bytes_read, m * d * kF + m * kF + (weights_trainable ? m * d * kF : 0));
-    EXPECT_EQ(bwd.bytes_written, m * d * kF + (weights_trainable ? m * kF : 0));
-    EXPECT_EQ(bwd.flops, m * d + (weights_trainable ? 2 * m * d : 0));
+// Each kernel's row pinned on one whole-range call: gathered member rows
+// (and their ids) count as reads, the per-task tile on neither side, the
+// score weight once per call (the task that starts at 0).
+TEST_F(ProfTest, InstanceAttentionAccounting) {
+  const int64_t d = 5;
+  Rng rng(5);
+  const InstanceLevels f = MakeInstanceLevels(9, d, {2, 0, 3, 1}, rng);
+  const int64_t inst = f.instances();
+  const int64_t segs = f.slots();
+  const auto refs = static_cast<int64_t>(f.ids.size());
+  const int64_t kOff = static_cast<int64_t>(sizeof(uint64_t));
+  const Tensor w = Filled(d, 1, 0.1f);
+  const Tensor grad = Filled(segs, d);
+  Tensor tile(f.longest_slot(), d);
+  Tensor alpha(inst, 1);
+  Tensor out(segs, d);
+  Tensor dscore(inst, 1);
+  Tensor dw(d, 1);
+  Tensor gx(f.vertices(), d);
+  const simd::KernelTable& kt = simd::Kernels();
+  kt.instance_attention(f.x.data(), d, f.ids.data(), f.leaf_offsets.data(),
+                        f.slot_offsets.data(), w.data(), 0.5f, 0, segs, tile.data(),
+                        alpha.data(), out.data());
+  kt.instance_attention_grad(f.x.data(), d, f.ids.data(), f.leaf_offsets.data(),
+                             f.slot_offsets.data(), alpha.data(), grad.data(), 0, segs,
+                             tile.data(), dscore.data());
+  kt.instance_attention_dw(f.x.data(), d, f.ids.data(), f.leaf_offsets.data(), inst,
+                           dscore.data(), 0, d, dw.data());
+  kt.instance_attention_input_grad(grad.data(), d, f.slot_of.data(), alpha.data(),
+                                   dscore.data(), w.data(), f.src_offsets.data(),
+                                   f.src_segments.data(), f.leaf_offsets.data(), 0,
+                                   f.vertices(), gx.data());
+
+  const KernelProfileRow fwd = Row(ProfKernel::kInstanceAttention);
+  EXPECT_EQ(fwd.calls, 1);
+  EXPECT_EQ(fwd.timed_calls, 1);
+  EXPECT_EQ(fwd.bytes_read,
+            refs * (d * kF + kIdx) + (inst + 1) * kOff + (segs + 1) * kOff + d * kF);
+  EXPECT_EQ(fwd.bytes_written, segs * d * kF + inst * kF);
+  EXPECT_EQ(fwd.flops, refs * d + inst * (5 * d + 6));
+
+  const KernelProfileRow grad_row = Row(ProfKernel::kInstanceAttentionGrad);
+  EXPECT_EQ(grad_row.calls, 1);
+  EXPECT_EQ(grad_row.bytes_read, refs * (d * kF + kIdx) + (inst + 1) * kOff +
+                                     (segs + 1) * kOff + inst * kF + segs * d * kF);
+  EXPECT_EQ(grad_row.bytes_written, inst * kF);
+  EXPECT_EQ(grad_row.flops, refs * d + inst * (3 * d + 4));
+
+  const KernelProfileRow dw_row = Row(ProfKernel::kInstanceAttentionDw);
+  EXPECT_EQ(dw_row.calls, 1);
+  // One 16-column block (d = 5): ids, offsets and dscore once, the member
+  // rows' d columns.
+  EXPECT_EQ(dw_row.bytes_read, refs * kIdx + (inst + 1) * kOff + inst * kF + refs * d * kF);
+  EXPECT_EQ(dw_row.bytes_written, d * kF);
+  EXPECT_EQ(dw_row.flops, d * (refs + 3 * inst));
+
+  const KernelProfileRow in_row = Row(ProfKernel::kInstanceAttentionInputGrad);
+  EXPECT_EQ(in_row.calls, 1);
+  EXPECT_EQ(in_row.bytes_read,
+            refs * (d * kF + 2 * kIdx + 2 * kF) + (f.vertices() + 1) * kOff + d * kF);
+  EXPECT_EQ(in_row.bytes_written, f.vertices() * d * kF);
+  EXPECT_EQ(in_row.flops, 6 * refs * d);
+
+  // Nothing else runs: no per-row primitive is billed a second time.
+  EXPECT_EQ(Row(ProfKernel::kAddRow).calls, 0);
+  EXPECT_EQ(Row(ProfKernel::kAxpyRow).calls, 0);
+  EXPECT_EQ(Row(ProfKernel::kSegmentReduce).calls, 0);
+}
+
+// Through the op, the four rows' bytes and FLOPs do not move with the
+// thread count, though the number of calls does (one inline call at 1
+// thread, one per chunk or column block at 4).
+TEST_F(ProfTest, InstanceAttentionAccountingIsThreadCountInvariant) {
+  struct RestoreThreads {
+    ~RestoreThreads() { exec::SetNumThreads(0); }
+  } restore;
+  const int64_t d = 64;
+  Rng rng(6);
+  const InstanceLevels f =
+      MakeInstanceLevels(500, d, std::vector<int64_t>(250, 16), rng);
+  LevelPlan bottom;
+  bottom.offsets = std::make_shared<const std::vector<uint64_t>>(f.leaf_offsets);
+  bottom.gather_index = std::make_shared<const std::vector<uint32_t>>(f.ids);
+  bottom.src_offsets = std::make_shared<const std::vector<uint64_t>>(f.src_offsets);
+  bottom.src_edge_segments = std::make_shared<const std::vector<uint32_t>>(f.src_segments);
+  bottom.src_chunks = std::make_shared<const std::vector<int64_t>>(
+      MakeSegmentChunks(f.src_offsets, kPlanChunkTarget));
+  LevelPlan instance;
+  instance.offsets = std::make_shared<const std::vector<uint64_t>>(f.slot_offsets);
+  instance.chunks = std::make_shared<const std::vector<int64_t>>(
+      MakeSegmentChunks(f.slot_offsets, kPlanChunkTarget));
+  instance.scatter_index = std::make_shared<const std::vector<uint32_t>>(f.slot_of);
+  ASSERT_GE(static_cast<int64_t>(f.ids.size()) * d, exec::kMinParallelWork);
+
+  const ProfKernel rows[] = {ProfKernel::kInstanceAttention, ProfKernel::kInstanceAttentionGrad,
+                             ProfKernel::kInstanceAttentionDw,
+                             ProfKernel::kInstanceAttentionInputGrad};
+  std::vector<KernelProfileRow> at_one;
+  for (const int threads : {1, 4}) {
+    exec::SetNumThreads(threads);
+    KernelProfiler::Get().Reset();
+    Variable x = Variable::Leaf(f.x, /*requires_grad=*/true);
+    Variable w = Variable::Leaf(Filled(d, 1, -0.5f), /*requires_grad=*/true);
+    Variable b = Variable::Leaf(Filled(1, 1), /*requires_grad=*/true);
+    AgInstanceAttention(x, w, b, bottom, instance, nullptr)
+        .Backward(Filled(f.slots(), d, 0.5f));
+    for (std::size_t r = 0; r < std::size(rows); ++r) {
+      const KernelProfileRow row = Row(rows[r]);
+      EXPECT_GT(row.calls, 0) << row.name;
+      if (threads == 1) {
+        EXPECT_EQ(row.calls, 1) << row.name;
+        at_one.push_back(row);
+        continue;
+      }
+      EXPECT_GT(row.calls, 1) << row.name << " did not fan out";
+      EXPECT_EQ(row.bytes_read, at_one[r].bytes_read) << row.name;
+      EXPECT_EQ(row.bytes_written, at_one[r].bytes_written) << row.name;
+      EXPECT_EQ(row.flops, at_one[r].flops) << row.name;
+    }
   }
 }
 

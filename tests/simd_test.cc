@@ -12,6 +12,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <string>
 #include <utility>
@@ -443,32 +444,41 @@ TEST_F(SimdTest, GemmTransAMatchesNaiveReferenceAtEveryIsa) {
   }
 }
 
-// `floats` floats that end flush against a PROT_NONE page, so a kernel that
-// reads one element past them faults instead of reading a neighbour's bytes.
-class GuardedFloats {
+// `count` elements that end flush against a PROT_NONE page, so a kernel that
+// reads or writes one element past them faults instead of touching a
+// neighbour's bytes.
+template <typename T>
+class Guarded {
  public:
-  explicit GuardedFloats(int64_t floats) {
+  explicit Guarded(int64_t count, T fill = T(1)) {
     const auto page = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
-    const std::size_t bytes = static_cast<std::size_t>(floats) * sizeof(float);
+    const std::size_t bytes = static_cast<std::size_t>(count) * sizeof(T);
     size_ = (bytes + page - 1) / page * page + page;
     void* base = mmap(nullptr, size_, PROT_READ | PROT_WRITE, MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
     EXPECT_NE(base, MAP_FAILED);
     base_ = static_cast<char*>(base);
     EXPECT_EQ(mprotect(base_ + size_ - page, page, PROT_NONE), 0);
-    data_ = reinterpret_cast<float*>(base_ + size_ - page - bytes);
-    std::fill(data_, data_ + floats, 1.0f);
+    data_ = reinterpret_cast<T*>(base_ + size_ - page - bytes);
+    std::fill(data_, data_ + count, fill);
   }
-  ~GuardedFloats() { munmap(base_, size_); }
-  GuardedFloats(const GuardedFloats&) = delete;
-  GuardedFloats& operator=(const GuardedFloats&) = delete;
+  template <typename C>
+  explicit Guarded(const C& values) : Guarded(static_cast<int64_t>(values.size())) {
+    std::copy(values.begin(), values.end(), data_);
+  }
+  ~Guarded() { munmap(base_, size_); }
+  Guarded(const Guarded&) = delete;
+  Guarded& operator=(const Guarded&) = delete;
 
-  const float* data() const { return data_; }
+  T* data() { return data_; }
+  const T* data() const { return data_; }
 
  private:
   char* base_ = nullptr;
   std::size_t size_ = 0;
-  float* data_ = nullptr;
+  T* data_ = nullptr;
 };
+
+using GuardedFloats = Guarded<float>;
 
 // Every variant reads a only inside [0, k·m) and b only inside [0, k·n),
 // whatever its compiler made of the register tiles.
@@ -486,6 +496,280 @@ TEST_F(SimdTest, GemmTransAReadsOnlyItsOperands) {
               << "isa=" << simd::IsaName(level) << " k=" << k << " m=" << m << " n=" << n;
         }
       }
+    }
+  }
+}
+
+// ---- MAGNN instance attention: the recomputing kernels ----
+
+// The float contract spelled out with plain scalar code, one statement per
+// rounding. Products feeding an add go through a volatile so this TU
+// (default -ffp-contract=fast) cannot fuse them; the two FMA chains are
+// explicit std::fma.
+std::vector<float> RefMean(const InstanceLevels& f, int64_t i) {
+  std::vector<float> m(static_cast<std::size_t>(f.d), 0.0f);
+  const uint64_t e0 = f.leaf_offsets[static_cast<std::size_t>(i)];
+  const uint64_t e1 = f.leaf_offsets[static_cast<std::size_t>(i) + 1];
+  for (uint64_t e = e0; e < e1; ++e) {
+    for (int64_t j = 0; j < f.d; ++j) {
+      m[static_cast<std::size_t>(j)] = m[static_cast<std::size_t>(j)] + f.x.At(f.ids[e], j);
+    }
+  }
+  if (e1 > e0) {
+    const float inv = 1.0f / static_cast<float>(e1 - e0);
+    for (float& v : m) {
+      v = v * inv;
+    }
+  }
+  return m;
+}
+
+struct RefAttention {
+  Tensor out;    // [S, d]
+  Tensor alpha;  // [I, 1]
+};
+
+RefAttention RefInstanceAttention(const InstanceLevels& f, const Tensor& w, float bias) {
+  RefAttention r{Tensor(f.slots(), f.d), Tensor(f.instances(), 1)};
+  for (int64_t s = 0; s < f.slots(); ++s) {
+    const auto lo = static_cast<int64_t>(f.slot_offsets[static_cast<std::size_t>(s)]);
+    const auto hi = static_cast<int64_t>(f.slot_offsets[static_cast<std::size_t>(s) + 1]);
+    if (lo == hi) {
+      continue;
+    }
+    for (int64_t i = lo; i < hi; ++i) {
+      const std::vector<float> m = RefMean(f, i);
+      float acc = 0.0f;
+      for (int64_t k = 0; k < f.d; ++k) {
+        volatile float p = m[static_cast<std::size_t>(k)] * w.At(k, 0);
+        acc = acc + p;
+      }
+      r.alpha.At(i, 0) = acc + bias;
+    }
+    float mx = r.alpha.At(lo, 0);
+    for (int64_t i = lo + 1; i < hi; ++i) {
+      mx = std::max(mx, r.alpha.At(i, 0));
+    }
+    float sum = 0.0f;
+    for (int64_t i = lo; i < hi; ++i) {
+      const float e = std::exp(r.alpha.At(i, 0) - mx);
+      r.alpha.At(i, 0) = e;
+      sum += e;
+    }
+    const float inv = 1.0f / sum;
+    for (int64_t i = lo; i < hi; ++i) {
+      r.alpha.At(i, 0) *= inv;
+    }
+    for (int64_t i = lo; i < hi; ++i) {
+      const std::vector<float> m = RefMean(f, i);
+      for (int64_t j = 0; j < f.d; ++j) {
+        volatile float p = r.alpha.At(i, 0) * m[static_cast<std::size_t>(j)];
+        r.out.At(s, j) = r.out.At(s, j) + p;
+      }
+    }
+  }
+  return r;
+}
+
+Tensor RefScoreGrad(const InstanceLevels& f, const Tensor& alpha, const Tensor& grad) {
+  Tensor dscore(f.instances(), 1);
+  for (int64_t s = 0; s < f.slots(); ++s) {
+    const auto lo = static_cast<int64_t>(f.slot_offsets[static_cast<std::size_t>(s)]);
+    const auto hi = static_cast<int64_t>(f.slot_offsets[static_cast<std::size_t>(s) + 1]);
+    for (int64_t i = lo; i < hi; ++i) {
+      const std::vector<float> m = RefMean(f, i);
+      float ga = 0.0f;
+      for (int64_t j = 0; j < f.d; ++j) {
+        ga = std::fma(grad.At(s, j), m[static_cast<std::size_t>(j)], ga);
+      }
+      dscore.At(i, 0) = ga;
+    }
+    float dot = 0.0f;
+    for (int64_t i = lo; i < hi; ++i) {
+      dot = std::fma(alpha.At(i, 0), dscore.At(i, 0), dot);
+    }
+    for (int64_t i = lo; i < hi; ++i) {
+      dscore.At(i, 0) = alpha.At(i, 0) * (dscore.At(i, 0) - dot);
+    }
+  }
+  return dscore;
+}
+
+Tensor RefScoreWeightGrad(const InstanceLevels& f, const Tensor& dscore) {
+  Tensor dw(f.d, 1);
+  for (int64_t k = 0; k < f.d; ++k) {
+    float acc = 0.0f;
+    for (int64_t i = 0; i < f.instances(); ++i) {
+      const float m = RefMean(f, i)[static_cast<std::size_t>(k)];
+      if (m == 0.0f) {
+        continue;
+      }
+      volatile float p = m * dscore.At(i, 0);
+      acc = acc + p;
+    }
+    dw.At(k, 0) = acc;
+  }
+  return dw;
+}
+
+Tensor RefInputGrad(const InstanceLevels& f, const Tensor& alpha, const Tensor& dscore,
+                    const Tensor& w, const Tensor& grad) {
+  Tensor gx(f.vertices(), f.d);
+  for (int64_t v = 0; v < f.vertices(); ++v) {
+    for (uint64_t idx = f.src_offsets[static_cast<std::size_t>(v)];
+         idx < f.src_offsets[static_cast<std::size_t>(v) + 1]; ++idx) {
+      const uint32_t i = f.src_segments[idx];
+      const float scale =
+          1.0f / static_cast<float>(f.leaf_offsets[i + 1] - f.leaf_offsets[i]);
+      for (int64_t j = 0; j < f.d; ++j) {
+        volatile float q = alpha.At(i, 0) * grad.At(f.slot_of[i], j);
+        volatile float p = dscore.At(i, 0) * w.At(j, 0);
+        const float t = 0.0f + p;
+        const float g = q + t;
+        volatile float r = scale * g;
+        gx.At(v, j) = gx.At(v, j) + r;
+      }
+    }
+  }
+  return gx;
+}
+
+// Slot sizes covering empty slots (first, between and last), one-instance
+// slots, one whole 16-lane group, and a slot past the 32-instance cap that
+// leaves a short last group at every lane width.
+const std::vector<int64_t> kSlotSizes = {0, 1, 3, 0, 37, 2, 16, 1, 5, 0};
+
+Tensor Poisoned(int64_t rows, int64_t cols) {
+  return Tensor::Full(rows, cols, std::numeric_limits<float>::quiet_NaN());
+}
+
+TEST_F(SimdTest, InstanceAttentionKernelsMatchSpelledOutReference) {
+  for (const int64_t d : {1, 7, 16, 33, 64}) {
+    Rng rng(static_cast<uint64_t>(600 + d));
+    const InstanceLevels f = MakeInstanceLevels(23, d, kSlotSizes, rng);
+    const Tensor w = RandomTensor(d, 1, rng);
+    const float bias = 0.375f;
+    const Tensor grad = RandomTensor(f.slots(), d, rng);
+    const RefAttention ref = RefInstanceAttention(f, w, bias);
+    const Tensor ref_dscore = RefScoreGrad(f, ref.alpha, grad);
+    // An Inf score gradient on an all-zero instance (row 0 alone): pass B's
+    // zero skip keeps it out of every dw column, pass C spreads it into
+    // row 0's gradient.
+    Tensor dscore = ref_dscore;
+    int64_t zero_instance = -1;
+    for (int64_t i = 0; i < f.instances() && zero_instance < 0; ++i) {
+      const uint64_t e0 = f.leaf_offsets[static_cast<std::size_t>(i)];
+      if (f.leaf_offsets[static_cast<std::size_t>(i) + 1] == e0 + 1 && f.ids[e0] == 0) {
+        zero_instance = i;
+      }
+    }
+    ASSERT_GE(zero_instance, 0) << "fixture has no all-zero instance";
+    dscore.At(zero_instance, 0) = std::numeric_limits<float>::infinity();
+    const Tensor ref_dw = RefScoreWeightGrad(f, dscore);
+    const Tensor ref_gx = RefInputGrad(f, ref.alpha, dscore, w, grad);
+    for (int64_t k = 0; k < d; ++k) {
+      ASSERT_TRUE(std::isfinite(ref_dw.At(k, 0))) << "the zero skip must drop the Inf";
+    }
+
+    for (simd::IsaLevel level : SupportedLevels()) {
+      ASSERT_TRUE(simd::SetIsa(level));
+      const simd::KernelTable& kt = simd::Kernels();
+      const std::string where = "isa=" + std::string(simd::IsaName(level)) +
+                                " d=" + std::to_string(d);
+      // Whole range in one task, then split at a slot boundary with a tile
+      // each; outputs, α and tiles start as NaN, so a read of an element no
+      // kernel wrote shows.
+      for (const int64_t cut : {f.slots(), int64_t{4}}) {
+        Tensor out = Poisoned(f.slots(), d);
+        Tensor alpha = Poisoned(f.instances(), 1);
+        Tensor dsc = Poisoned(f.instances(), 1);
+        Tensor tiles = Poisoned(2, f.longest_slot() * d);
+        const std::pair<int64_t, int64_t> ranges[] = {{0, cut}, {cut, f.slots()}};
+        for (int t = 0; t < 2; ++t) {
+          kt.instance_attention(f.x.data(), d, f.ids.data(), f.leaf_offsets.data(),
+                                f.slot_offsets.data(), w.data(), bias, ranges[t].first,
+                                ranges[t].second, tiles.Row(t), alpha.data(), out.data());
+        }
+        EXPECT_TRUE(BitwiseEqual(ref.out, out)) << where << " cut=" << cut;
+        EXPECT_TRUE(BitwiseEqual(ref.alpha, alpha)) << where << " cut=" << cut;
+        tiles = Poisoned(2, f.longest_slot() * d);
+        for (int t = 0; t < 2; ++t) {
+          kt.instance_attention_grad(f.x.data(), d, f.ids.data(), f.leaf_offsets.data(),
+                                     f.slot_offsets.data(), ref.alpha.data(), grad.data(),
+                                     ranges[t].first, ranges[t].second, tiles.Row(t),
+                                     dsc.data());
+        }
+        EXPECT_TRUE(BitwiseEqual(ref_dscore, dsc)) << where << " cut=" << cut;
+      }
+      // Pass B over all columns at once and one 16-column block per call.
+      Tensor dw = Poisoned(d, 1);
+      kt.instance_attention_dw(f.x.data(), d, f.ids.data(), f.leaf_offsets.data(),
+                               f.instances(), dscore.data(), 0, d, dw.data());
+      EXPECT_TRUE(BitwiseEqual(ref_dw, dw)) << where;
+      dw = Poisoned(d, 1);
+      for (int64_t k0 = 0; k0 < d; k0 += simd::kPackAlignFloats) {
+        kt.instance_attention_dw(f.x.data(), d, f.ids.data(), f.leaf_offsets.data(),
+                                 f.instances(), dscore.data(), k0,
+                                 std::min(d, k0 + simd::kPackAlignFloats), dw.data());
+      }
+      EXPECT_TRUE(BitwiseEqual(ref_dw, dw)) << where << " per block";
+      // Pass C over all source rows, then split.
+      for (const int64_t cut : {f.vertices(), int64_t{9}}) {
+        Tensor gx(f.vertices(), d);
+        kt.instance_attention_input_grad(grad.data(), d, f.slot_of.data(), ref.alpha.data(),
+                                         dscore.data(), w.data(), f.src_offsets.data(),
+                                         f.src_segments.data(), f.leaf_offsets.data(), 0, cut,
+                                         gx.data());
+        kt.instance_attention_input_grad(grad.data(), d, f.slot_of.data(), ref.alpha.data(),
+                                         dscore.data(), w.data(), f.src_offsets.data(),
+                                         f.src_segments.data(), f.leaf_offsets.data(), cut,
+                                         f.vertices(), gx.data());
+        EXPECT_TRUE(BitwiseEqual(ref_gx, gx)) << where << " cut=" << cut;
+      }
+    }
+  }
+}
+
+// Every variant of every instance-attention kernel reads and writes only
+// inside its operands, whatever its compiler made of the register tiles and
+// the in-register transpose: each array ends flush against a guard page.
+TEST_F(SimdTest, InstanceAttentionKernelsTouchOnlyTheirOperands) {
+  for (const int64_t d : {1, 7, 16, 33}) {
+    Rng rng(static_cast<uint64_t>(700 + d));
+    const InstanceLevels f = MakeInstanceLevels(19, d, kSlotSizes, rng);
+    const int64_t n_inst = f.instances();
+    const Guarded<float> x(std::vector<float>(f.x.data(), f.x.data() + f.x.numel()));
+    const Guarded<uint32_t> ids(f.ids);
+    const Guarded<uint64_t> leaf_offsets(f.leaf_offsets);
+    const Guarded<uint64_t> slot_offsets(f.slot_offsets);
+    const Guarded<uint32_t> slot_of(f.slot_of);
+    const Guarded<uint64_t> src_offsets(f.src_offsets);
+    const Guarded<uint32_t> src_segments(f.src_segments);
+    const Guarded<float> w(d, 0.5f);
+    const Guarded<float> grad(f.slots() * d, 0.25f);
+    for (simd::IsaLevel level : SupportedLevels()) {
+      ASSERT_TRUE(simd::SetIsa(level));
+      const simd::KernelTable& kt = simd::Kernels();
+      Guarded<float> tile(f.longest_slot() * d);
+      Guarded<float> alpha(n_inst);
+      Guarded<float> out(f.slots() * d);
+      Guarded<float> dscore(n_inst);
+      Guarded<float> dw(d);
+      Guarded<float> gx(f.vertices() * d, 0.0f);
+      kt.instance_attention(x.data(), d, ids.data(), leaf_offsets.data(), slot_offsets.data(),
+                            w.data(), 0.1f, 0, f.slots(), tile.data(), alpha.data(), out.data());
+      kt.instance_attention_grad(x.data(), d, ids.data(), leaf_offsets.data(),
+                                 slot_offsets.data(), alpha.data(), grad.data(), 0, f.slots(),
+                                 tile.data(), dscore.data());
+      kt.instance_attention_dw(x.data(), d, ids.data(), leaf_offsets.data(), n_inst,
+                               dscore.data(), 0, d, dw.data());
+      kt.instance_attention_input_grad(grad.data(), d, slot_of.data(), alpha.data(),
+                                       dscore.data(), w.data(), src_offsets.data(),
+                                       src_segments.data(), leaf_offsets.data(), 0,
+                                       f.vertices(), gx.data());
+      // The last slot is empty, so its row is the zeros the kernel wrote.
+      EXPECT_EQ(out.data()[f.slots() * d - 1], 0.0f) << "isa=" << simd::IsaName(level);
+      EXPECT_TRUE(std::isfinite(dw.data()[d - 1])) << "isa=" << simd::IsaName(level);
     }
   }
 }

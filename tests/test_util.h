@@ -2,6 +2,7 @@
 #ifndef TESTS_TEST_UTIL_H_
 #define TESTS_TEST_UTIL_H_
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <functional>
@@ -41,6 +42,23 @@ inline ::testing::AssertionResult BitwiseEqual(const Tensor& a, const Tensor& b)
                << "first bit difference at flat index " << i << ": " << a.data()[i]
                << " vs " << b.data()[i];
       }
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+// Bitwise equality except that +0 and -0 compare equal: adopting a first
+// gradient keeps the sign of an exact zero that 0 + g would have cleared.
+inline ::testing::AssertionResult EqualUpToSignedZero(const Tensor& a, const Tensor& b) {
+  if (!a.SameShape(b)) {
+    return ::testing::AssertionFailure() << "shape mismatch";
+  }
+  for (int64_t i = 0; i < a.numel(); ++i) {
+    const float x = a.data()[i];
+    const float y = b.data()[i];
+    if (std::memcmp(&x, &y, sizeof(float)) != 0 && !(x == 0.0f && y == 0.0f)) {
+      return ::testing::AssertionFailure()
+             << "first difference at flat index " << i << ": " << x << " vs " << y;
     }
   }
   return ::testing::AssertionSuccess();
@@ -89,6 +107,78 @@ inline void ExpectGradientsMatch(const Tensor& input,
         << "gradient mismatch at flat index " << i;
   }
   (void)max_err;
+}
+
+// A synthetic MAGNN bottom + instance level for the instance-attention
+// kernels: `vertices` rows of width d, instances of 1–3 member vertices,
+// slots of `slot_sizes` instances each (0 makes an empty slot), and the
+// inverse (source → instance) map the bottom-level backward gathers over,
+// in ascending instance order. Column 0 of x is zero and so is all of row
+// 0, and about one instance in eight has row 0 as its only member, so
+// instance means carry exact zeros (gemm_trans_a's zero skip).
+struct InstanceLevels {
+  int64_t d = 0;
+  Tensor x;
+  std::vector<uint32_t> ids;
+  std::vector<uint64_t> leaf_offsets;  // [I + 1]
+  std::vector<uint64_t> slot_offsets;  // [S + 1]
+  std::vector<uint32_t> slot_of;       // [I]
+  std::vector<uint64_t> src_offsets;   // [vertices + 1]
+  std::vector<uint32_t> src_segments;
+
+  int64_t vertices() const { return x.rows(); }
+  int64_t instances() const { return static_cast<int64_t>(leaf_offsets.size()) - 1; }
+  int64_t slots() const { return static_cast<int64_t>(slot_offsets.size()) - 1; }
+  int64_t longest_slot() const {
+    uint64_t longest = 0;
+    for (std::size_t s = 0; s + 1 < slot_offsets.size(); ++s) {
+      longest = std::max(longest, slot_offsets[s + 1] - slot_offsets[s]);
+    }
+    return static_cast<int64_t>(longest);
+  }
+};
+
+inline InstanceLevels MakeInstanceLevels(int64_t vertices, int64_t d,
+                                         const std::vector<int64_t>& slot_sizes, Rng& rng) {
+  InstanceLevels f;
+  f.d = d;
+  f.x = RandomTensor(vertices, d, rng);
+  for (int64_t v = 0; v < vertices; ++v) {
+    f.x.At(v, 0) = 0.0f;
+  }
+  std::fill(f.x.Row(0), f.x.Row(0) + d, 0.0f);
+  f.leaf_offsets = {0};
+  f.slot_offsets = {0};
+  for (std::size_t s = 0; s < slot_sizes.size(); ++s) {
+    for (int64_t l = 0; l < slot_sizes[s]; ++l) {
+      if (rng.NextBounded(8) == 0) {
+        f.ids.push_back(0);
+      } else {
+        const uint64_t width = 1 + rng.NextBounded(3);
+        for (uint64_t e = 0; e < width; ++e) {
+          f.ids.push_back(static_cast<uint32_t>(rng.NextBounded(static_cast<uint64_t>(vertices))));
+        }
+      }
+      f.leaf_offsets.push_back(f.ids.size());
+      f.slot_of.push_back(static_cast<uint32_t>(s));
+    }
+    f.slot_offsets.push_back(f.leaf_offsets.size() - 1);
+  }
+  f.src_offsets.assign(static_cast<std::size_t>(vertices) + 1, 0);
+  for (const uint32_t v : f.ids) {
+    ++f.src_offsets[v + 1];
+  }
+  for (std::size_t v = 0; v < static_cast<std::size_t>(vertices); ++v) {
+    f.src_offsets[v + 1] += f.src_offsets[v];
+  }
+  f.src_segments.resize(f.ids.size());
+  std::vector<uint64_t> cursor(f.src_offsets.begin(), f.src_offsets.end() - 1);
+  for (std::size_t i = 0; i + 1 < f.leaf_offsets.size(); ++i) {
+    for (uint64_t e = f.leaf_offsets[i]; e < f.leaf_offsets[i + 1]; ++e) {
+      f.src_segments[cursor[f.ids[e]]++] = static_cast<uint32_t>(i);
+    }
+  }
+  return f;
 }
 
 }  // namespace flexgraph
