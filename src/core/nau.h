@@ -15,6 +15,8 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "src/core/aggregation.h"
@@ -42,8 +44,56 @@ struct NeighborSelectionContext {
 };
 
 // Called once per root; appends that root's neighbor records to the builder.
-using NeighborUdf =
+//
+// Concurrency contract: NeighborSelection calls the function concurrently for
+// different roots, each call with its own Rng and record buffer. It must
+// share no mutable state between calls: what it emits for a root, and the
+// draws it takes, may depend only on the graph, the root and ctx.rng.
+using NeighborFn =
     std::function<void(const NeighborSelectionContext&, VertexId root, HdgBuilder&)>;
+
+// The number of draws (Rng::NextU64 calls; NextBounded takes one) that a
+// NeighborFn takes from ctx.rng for `root`.
+using DrawCountFn = std::function<uint64_t(const CsrGraph&, VertexId root)>;
+
+// A model's neighbor UDF: the per-root function plus the draws it declares,
+// kept together so a declaration always describes the function it travels
+// with. NeighborSelection places each chunk of roots on the random stream by
+// the declared draws and re-runs, in root order, a chunk whose start it got
+// wrong: a wrong declaration costs time, never a different HDG.
+//
+// The cost: a UDF that draws from ctx.rng without declaring its draws (a
+// plain lambda that samples, say) runs every chunk after the second twice,
+// so at one thread its selection takes about twice as long as a serial loop.
+// A UDF that draws declares its draws with the two-argument constructor.
+class NeighborUdf {
+ public:
+  NeighborUdf() = default;
+
+  // A function that draws nothing. Implicit, so a plain function or lambda
+  // converts as it always has (paper Figure 5). One that does draw is still
+  // correct but pays the re-runs described above.
+  template <typename Fn,
+            typename = std::enable_if_t<!std::is_same_v<std::decay_t<Fn>, NeighborUdf> &&
+                                        std::is_constructible_v<NeighborFn, Fn>>>
+  NeighborUdf(Fn&& fn) : fn_(std::forward<Fn>(fn)) {}
+
+  NeighborUdf(NeighborFn fn, DrawCountFn draws) : fn_(std::move(fn)), draws_(std::move(draws)) {}
+
+  void operator()(const NeighborSelectionContext& ctx, VertexId root, HdgBuilder& builder) const {
+    fn_(ctx, root, builder);
+  }
+
+  explicit operator bool() const { return static_cast<bool>(fn_); }
+
+  uint64_t DeclaredDraws(const CsrGraph& graph, VertexId root) const {
+    return draws_ ? draws_(graph, root) : 0;
+  }
+
+ private:
+  NeighborFn fn_;
+  DrawCountFn draws_;
+};
 
 // One GNN layer: the Aggregation and Update stages. Aggregation receives the
 // previous layer's features for *all graph vertices* plus an aggregator bound

@@ -8,7 +8,8 @@ namespace flexgraph {
 
 NeighborUdf UniformSampledNeighborUdf(int fanout) {
   FLEX_CHECK_GE(fanout, 1);
-  return [fanout](const NeighborSelectionContext& ctx, VertexId root, HdgBuilder& builder) {
+  auto select = [fanout](const NeighborSelectionContext& ctx, VertexId root,
+                         HdgBuilder& builder) {
     const auto nbrs = ctx.graph.OutNeighbors(root);
     if (nbrs.empty()) {
       return;
@@ -36,11 +37,18 @@ NeighborUdf UniformSampledNeighborUdf(int fanout) {
       builder.AddRecord(root, 0, leaf);
     }
   };
+  // Floyd's loop draws once per pick; a root of degree ≤ fanout draws nothing.
+  auto draws = [fanout](const CsrGraph& graph, VertexId root) -> uint64_t {
+    const uint64_t deg = graph.OutDegree(root);
+    return deg > static_cast<uint64_t>(fanout) ? static_cast<uint64_t>(fanout) : 0;
+  };
+  return NeighborUdf(select, draws);
 }
 
 NeighborUdf DegreeBiasedNeighborUdf(int fanout) {
   FLEX_CHECK_GE(fanout, 1);
-  return [fanout](const NeighborSelectionContext& ctx, VertexId root, HdgBuilder& builder) {
+  auto select = [fanout](const NeighborSelectionContext& ctx, VertexId root,
+                         HdgBuilder& builder) {
     const auto nbrs = ctx.graph.OutNeighbors(root);
     if (nbrs.empty()) {
       return;
@@ -65,6 +73,10 @@ NeighborUdf DegreeBiasedNeighborUdf(int fanout) {
       builder.AddRecord(root, 0, leaf);
     }
   };
+  auto draws = [fanout](const CsrGraph& graph, VertexId root) -> uint64_t {
+    return graph.OutDegree(root) > 0 ? static_cast<uint64_t>(fanout) : 0;
+  };
+  return NeighborUdf(select, draws);
 }
 
 }  // namespace flexgraph

@@ -1,28 +1,16 @@
 #include "src/graph/random_walk.h"
 
 #include <algorithm>
-#include <unordered_map>
 
 namespace flexgraph {
 
-std::vector<VertexId> RandomWalk(const CsrGraph& g, VertexId start, int hops, Rng& rng) {
-  std::vector<VertexId> path;
-  path.reserve(static_cast<std::size_t>(hops));
-  VertexId cur = start;
-  for (int h = 0; h < hops; ++h) {
-    const auto nbrs = g.OutNeighbors(cur);
-    if (nbrs.empty()) {
-      break;
-    }
-    cur = nbrs[rng.NextBounded(nbrs.size())];
-    path.push_back(cur);
-  }
-  return path;
-}
-
 std::vector<VisitCount> TopKVisited(const CsrGraph& g, VertexId v, int num_walks, int hops,
                                     int top_k, Rng& rng) {
-  std::unordered_map<VertexId, uint32_t> freq;
+  // Scratch reused across calls on a thread, so a call allocates only its
+  // result: the visits (at most num_walks × hops) and their runs.
+  thread_local std::vector<VertexId> visits;
+  thread_local std::vector<VisitCount> runs;
+  visits.clear();
   for (int w = 0; w < num_walks; ++w) {
     VertexId cur = v;
     for (int h = 0; h < hops; ++h) {
@@ -32,25 +20,29 @@ std::vector<VisitCount> TopKVisited(const CsrGraph& g, VertexId v, int num_walks
       }
       cur = nbrs[rng.NextBounded(nbrs.size())];
       if (cur != v) {
-        ++freq[cur];
+        visits.push_back(cur);
       }
     }
   }
-  std::vector<VisitCount> counts;
-  counts.reserve(freq.size());
-  for (const auto& [vertex, count] : freq) {
-    counts.push_back({vertex, count});
+  // Sorted visits run-length count into (vertex, count) runs.
+  std::sort(visits.begin(), visits.end());
+  runs.clear();
+  for (VertexId u : visits) {
+    if (!runs.empty() && runs.back().vertex == u) {
+      ++runs.back().count;
+    } else {
+      runs.push_back({u, 1});
+    }
   }
-  std::sort(counts.begin(), counts.end(), [](const VisitCount& a, const VisitCount& b) {
+  const std::size_t k = std::min(runs.size(), static_cast<std::size_t>(std::max(top_k, 0)));
+  const auto top = runs.begin() + static_cast<std::ptrdiff_t>(k);
+  std::partial_sort(runs.begin(), top, runs.end(), [](const VisitCount& a, const VisitCount& b) {
     if (a.count != b.count) {
       return a.count > b.count;
     }
     return a.vertex < b.vertex;
   });
-  if (static_cast<int>(counts.size()) > top_k) {
-    counts.resize(static_cast<std::size_t>(top_k));
-  }
-  return counts;
+  return {runs.begin(), top};
 }
 
 }  // namespace flexgraph

@@ -23,6 +23,7 @@
 #ifndef SRC_HDG_HDG_H_
 #define SRC_HDG_HDG_H_
 
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -116,9 +117,19 @@ class Hdg {
 // Accumulates the (root, nei, nei_type) records emitted by NeighborSelection
 // UDFs (paper §4.1: "a set of formatted records, each representing one
 // 'neighbor'") and freezes them into the compact level storage.
+//
+// A builder may hand out parts: further record buffers over its schema and
+// roots, so NeighborSelection can give each chunk of roots its own buffer
+// and freeze them all at once, in emission order, with Build(parts).
 class HdgBuilder {
  public:
   HdgBuilder(SchemaTree schema, std::vector<VertexId> roots);
+
+  // An empty record buffer that checks its records against this builder's
+  // schema and roots without copying them. This builder must outlive it.
+  HdgBuilder NewPart() const;
+
+  std::span<const VertexId> roots() const { return index_->roots; }
 
   // Appends one neighbor record: `leaves` are the input-graph vertices the
   // instance is made of (a single vertex for flat models, a path for MAGNN,
@@ -126,11 +137,19 @@ class HdgBuilder {
   void AddRecord(VertexId root, uint32_t nei_type, std::span<const VertexId> leaves);
 
   uint64_t num_records() const { return records_.size(); }
+  uint64_t num_leaves() const { return leaves_.size(); }
 
-  // Sorts records by (root rank, type) — giving every instance exactly one
-  // implicit out-edge position — and builds the level arrays. The builder is
-  // consumed.
-  Hdg Build();
+  void Reserve(uint64_t records, uint64_t leaves);
+
+  // Drops every record, keeping the storage.
+  void Clear();
+
+  // Freezes this builder's records followed by each part's, in that order,
+  // into the level arrays. Instances are ordered by (root rank, type) —
+  // giving each exactly one implicit out-edge position — stably, so records
+  // of one slot keep their emission order. Only a builder made by the
+  // constructor can build; it and the parts are consumed.
+  Hdg Build(std::span<HdgBuilder> parts = {});
 
  private:
   struct Record {
@@ -140,9 +159,17 @@ class HdgBuilder {
     uint32_t leaf_count;
   };
 
-  SchemaTree schema_;
-  std::vector<VertexId> roots_;
-  std::vector<uint32_t> root_rank_;  // graph id → rank + 1 (0 = not a root)
+  // What records are checked against; shared by a builder and its parts.
+  struct Index {
+    SchemaTree schema;
+    std::vector<VertexId> roots;
+    std::vector<uint32_t> root_rank;  // graph id → rank + 1 (0 = not a root)
+  };
+
+  explicit HdgBuilder(const Index* index) : index_(index) {}
+
+  std::unique_ptr<Index> owned_index_;  // null in a part
+  const Index* index_;
   std::vector<Record> records_;
   std::vector<VertexId> leaves_;
 };

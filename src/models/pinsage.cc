@@ -1,5 +1,7 @@
 #include "src/models/pinsage.h"
 
+#include <algorithm>
+
 #include "src/graph/random_walk.h"
 #include "src/tensor/nn.h"
 
@@ -35,14 +37,22 @@ class PinSageLayer : public GnnLayer {
 }  // namespace
 
 NeighborUdf PinSageNeighborUdf(int num_walks, int walk_hops, int top_k) {
-  return [num_walks, walk_hops, top_k](const NeighborSelectionContext& ctx, VertexId root,
-                                       HdgBuilder& builder) {
+  auto select = [num_walks, walk_hops, top_k](const NeighborSelectionContext& ctx,
+                                              VertexId root, HdgBuilder& builder) {
     for (const VisitCount& vc : TopKVisited(ctx.graph, root, num_walks, walk_hops, top_k,
                                             ctx.rng)) {
       const VertexId leaves[1] = {vc.vertex};
       builder.AddRecord(root, 0, leaves);
     }
   };
+  // One draw per step. Exact unless a walk reaches a vertex with no
+  // out-edges and stops early; that costs a chunk re-run, never another HDG.
+  const uint64_t steps = static_cast<uint64_t>(std::max(num_walks, 0)) *
+                         static_cast<uint64_t>(std::max(walk_hops, 0));
+  auto draws = [steps](const CsrGraph& graph, VertexId root) -> uint64_t {
+    return graph.OutDegree(root) == 0 ? 0 : steps;
+  };
+  return NeighborUdf(select, draws);
 }
 
 GnnModel MakePinSageModel(const PinSageConfig& config, Rng& rng) {

@@ -38,8 +38,15 @@ class Rng {
     return result;
   }
 
-  // Uniform in [0, bound). bound must be > 0.
+  // Uniform in [0, bound). bound must be > 0. Exactly one draw.
   uint64_t NextBounded(uint64_t bound) { return NextU64() % bound; }
+
+  // Advances the stream by n draws, as n NextU64 calls would.
+  void Discard(uint64_t n) {
+    for (uint64_t i = 0; i < n; ++i) {
+      NextU64();
+    }
+  }
 
   uint32_t NextU32() { return static_cast<uint32_t>(NextU64() >> 32); }
 

@@ -2,19 +2,31 @@
 // HA must compute identical values), fused-op gradients, the level-wise
 // aggregator on the paper's worked example, and levels with no input rows.
 // Every level op runs over a compiled ExecutionPlan, as in production.
+// Also NeighborSelection's parallel chunks against the serial loop.
 #include "src/core/aggregation.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
+#include <numeric>
 #include <span>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "src/core/fused_ops.h"
+#include "src/core/neighbor_selection.h"
+#include "src/core/sampling.h"
+#include "src/data/datasets.h"
 #include "src/exec/chunks.h"
 #include "src/exec/parallel.h"
 #include "src/exec/simd.h"
 #include "src/exec/verify.h"
+#include "src/models/jknet.h"
+#include "src/models/magnn.h"
+#include "src/models/pinsage.h"
+#include "src/obs/metrics.h"
 #include "src/tensor/ops_dense.h"
 #include "src/tensor/ops_sparse.h"
 #include "tests/test_util.h"
@@ -509,6 +521,224 @@ TEST(EmptyLevelTest, HierarchyWithoutInstances) {
       Variable inst = agg.BottomLevelLstm(x, cell);
       return agg.SchemaLevel(agg.InstanceLevel(inst, ReduceKind::kMean), ReduceKind::kMean);
     });
+  }
+}
+
+// ---- NeighborSelection: parallel chunks on the serial random stream ----
+
+// BuildHdgForRoots as a plain serial loop: one builder, one stream, root by
+// root. The parallel selection must reproduce it bitwise.
+Hdg SerialSelection(const GnnModel& model, const CsrGraph& graph,
+                    const std::vector<VertexId>& roots, Rng& rng) {
+  HdgBuilder builder(model.schema, roots);
+  NeighborSelectionContext ctx{graph, rng};
+  for (VertexId root : roots) {
+    model.neighbor_udf(ctx, root, builder);
+  }
+  return builder.Build();
+}
+
+template <typename A, typename B>
+bool SameSpan(const A& a, const B& b) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end());
+}
+
+::testing::AssertionResult SameHdg(const Hdg& got, const Hdg& want) {
+  if (got.flat() != want.flat()) {
+    return ::testing::AssertionFailure() << "flat " << got.flat() << " vs " << want.flat();
+  }
+  if (!SameSpan(got.roots(), want.roots())) {
+    return ::testing::AssertionFailure() << "roots differ";
+  }
+  if (!SameSpan(got.slot_offsets(), want.slot_offsets())) {
+    return ::testing::AssertionFailure() << "slot_offsets differ";
+  }
+  if (!SameSpan(got.instance_leaf_offsets(), want.instance_leaf_offsets())) {
+    return ::testing::AssertionFailure() << "instance_leaf_offsets differ";
+  }
+  if (!SameSpan(got.leaf_vertex_ids(), want.leaf_vertex_ids())) {
+    return ::testing::AssertionFailure() << "leaf_vertex_ids differ";
+  }
+  return ::testing::AssertionSuccess();
+}
+
+int64_t CounterValue(const char* name) {
+  return obs::MetricRegistry::Get().GetCounter(name).value();
+}
+
+// Directed graph over three vertex types. About `dead_fraction` of the
+// vertices have no out-edges: roots whose walks cannot start, and walks
+// that stop mid-way.
+CsrGraph SelectionGraph(VertexId n, double dead_fraction, uint64_t seed) {
+  Rng rng(seed);
+  GraphBuilder b(n, 3);
+  for (VertexId v = 0; v < n; ++v) {
+    b.SetVertexType(v, static_cast<VertexType>(rng.NextBounded(3)));
+  }
+  for (VertexId v = 0; v < n; ++v) {
+    if (rng.NextDouble() < dead_fraction) {
+      continue;
+    }
+    const uint64_t degree = 2 + rng.NextBounded(12);
+    for (uint64_t e = 0; e < degree; ++e) {
+      b.AddEdge(v, static_cast<VertexId>(rng.NextBounded(n)));
+    }
+  }
+  return b.Build();
+}
+
+GnnModel SelectionModel(const std::string& name, SchemaTree schema, NeighborUdf udf) {
+  GnnModel model;
+  model.name = name;
+  model.schema = std::move(schema);
+  model.neighbor_udf = std::move(udf);
+  return model;
+}
+
+std::vector<GnnModel> SelectionModels() {
+  const PinSageConfig pinsage;
+  std::vector<std::string> metapath_names;
+  for (std::size_t i = 0; i < DefaultMetapaths3Type().size(); ++i) {
+    metapath_names.push_back("MP" + std::to_string(i + 1));
+  }
+  std::vector<GnnModel> models;
+  models.push_back(SelectionModel(
+      "pinsage", SchemaTree::Flat(),
+      PinSageNeighborUdf(pinsage.num_walks, pinsage.walk_hops, pinsage.top_k)));
+  models.push_back(SelectionModel("uniform8", SchemaTree::Flat(), UniformSampledNeighborUdf(8)));
+  models.push_back(SelectionModel("degree2", SchemaTree::Flat(), DegreeBiasedNeighborUdf(2)));
+  models.push_back(SelectionModel("magnn", SchemaTree::WithLeafTypes(metapath_names),
+                                  MagnnNeighborUdf(DefaultMetapaths3Type(), 32)));
+  models.push_back(SelectionModel("jknet", SchemaTree::WithLeafTypes({"hop1", "hop2"}),
+                                  JkNetNeighborUdf(2)));
+  return models;
+}
+
+std::vector<VertexId> AllVertices(VertexId n) {
+  std::vector<VertexId> roots(n);
+  std::iota(roots.begin(), roots.end(), 0);
+  return roots;
+}
+
+TEST(NeighborSelectionTest, ParallelChunksMatchSerialLoop) {
+  ThreadCountGuard guard;
+  constexpr VertexId kVertices = 700;  // three chunks of roots, the last partial
+  Rng shuffle_rng(5);
+  std::vector<VertexId> shuffled = AllVertices(kVertices);
+  for (std::size_t i = shuffled.size() - 1; i > 0; --i) {
+    std::swap(shuffled[i], shuffled[shuffle_rng.NextBounded(i + 1)]);
+  }
+  const std::vector<std::pair<std::string, std::vector<VertexId>>> root_sets = {
+      {"all", AllVertices(kVertices)},
+      {"shuffled subset", std::vector<VertexId>(shuffled.begin(), shuffled.begin() + 400)},
+      {"single root", {shuffled[0]}},
+      {"under one chunk", std::vector<VertexId>(shuffled.begin(), shuffled.begin() + 100)},
+  };
+  const std::vector<GnnModel> models = SelectionModels();
+  for (double dead_fraction : {0.0, 0.3}) {
+    const CsrGraph graph = SelectionGraph(kVertices, dead_fraction, 11);
+    for (const GnnModel& model : models) {
+      for (const auto& [set_name, roots] : root_sets) {
+        Rng serial_rng(29);
+        const Hdg want = SerialSelection(model, graph, roots, serial_rng);
+        for (int threads : {1, 2, 4, 8}) {
+          exec::SetNumThreads(threads);
+          const int64_t reruns_before = CounterValue("nau.selection_reruns");
+          Rng rng(29);
+          const Hdg got = BuildHdgForRoots(model, graph, roots, rng);
+          const std::string what = model.name + ", " + set_name + ", dead ends " +
+                                   std::to_string(dead_fraction) + ", " +
+                                   std::to_string(threads) + " threads";
+          EXPECT_TRUE(SameHdg(got, want)) << what;
+          EXPECT_TRUE(rng == serial_rng) << what;
+          const int64_t reruns = CounterValue("nau.selection_reruns") - reruns_before;
+          if (model.name == "pinsage" && set_name == "all") {
+            // Exact without dead ends; mid-walk dead ends make chunks re-run.
+            EXPECT_EQ(reruns > 0, dead_fraction > 0.0) << what;
+          } else if (dead_fraction == 0.0) {
+            EXPECT_EQ(reruns, 0) << what;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(NeighborSelectionTest, MisdeclaredDrawsCostRerunsNotResults) {
+  ThreadCountGuard guard;
+  const CsrGraph graph = SelectionGraph(700, 0.0, 13);
+  const std::vector<VertexId> roots = AllVertices(graph.num_vertices());
+  const NeighborUdf pinsage = PinSageNeighborUdf(10, 3, 10);
+  const std::vector<std::pair<std::string, DrawCountFn>> declarations = {
+      {"zero", [](const CsrGraph&, VertexId) -> uint64_t { return 0; }},
+      {"twice",
+       [pinsage](const CsrGraph& g, VertexId root) { return 2 * pinsage.DeclaredDraws(g, root); }},
+  };
+  for (const auto& [decl_name, declaration] : declarations) {
+    const GnnModel model =
+        SelectionModel("pinsage", SchemaTree::Flat(), NeighborUdf(pinsage, declaration));
+    Rng serial_rng(31);
+    const Hdg want = SerialSelection(model, graph, roots, serial_rng);
+    for (int threads : {1, 4}) {
+      exec::SetNumThreads(threads);
+      const int64_t reruns_before = CounterValue("nau.selection_reruns");
+      Rng rng(31);
+      const Hdg got = BuildHdgForRoots(model, graph, roots, rng);
+      const std::string what = decl_name + ", " + std::to_string(threads) + " threads";
+      EXPECT_TRUE(SameHdg(got, want)) << what;
+      EXPECT_TRUE(rng == serial_rng) << what;
+      EXPECT_GT(CounterValue("nau.selection_reruns") - reruns_before, 0) << what;
+    }
+  }
+}
+
+TEST(NeighborSelectionTest, PinSageOnRedditShapeNeedsNoReruns) {
+  ThreadCountGuard guard;
+  exec::SetNumThreads(4);
+  const Dataset ds = MakeRedditLike(0.5, 7);
+  const PinSageConfig config;
+  const GnnModel model = SelectionModel(
+      "pinsage", SchemaTree::Flat(),
+      PinSageNeighborUdf(config.num_walks, config.walk_hops, config.top_k));
+  const int64_t chunks_before = CounterValue("nau.selection_chunks");
+  const int64_t reruns_before = CounterValue("nau.selection_reruns");
+  Rng rng(7);
+  Rng serial_rng = rng;
+  const Hdg got = BuildHdgAllVertices(model, ds.graph, rng);
+  EXPECT_GT(CounterValue("nau.selection_chunks") - chunks_before, 1);
+  EXPECT_EQ(CounterValue("nau.selection_reruns") - reruns_before, 0);
+  const Hdg want = SerialSelection(model, ds.graph, AllVertices(ds.graph.num_vertices()),
+                                   serial_rng);
+  EXPECT_TRUE(SameHdg(got, want));
+  EXPECT_TRUE(rng == serial_rng);
+}
+
+TEST(NeighborSelectionTest, ErrorInMiddleChunkSurfacesAtEveryThreadCount) {
+  ThreadCountGuard guard;
+  const CsrGraph graph = SelectionGraph(700, 0.0, 17);
+  const std::vector<VertexId> roots = AllVertices(graph.num_vertices());
+  const NeighborUdf pinsage = PinSageNeighborUdf(10, 3, 10);
+  // Root 400 lies in the middle chunk (roots 256..511); a record of a type
+  // the flat schema lacks fails AddRecord's check there.
+  const NeighborUdf failing(
+      [pinsage](const NeighborSelectionContext& ctx, VertexId root, HdgBuilder& builder) {
+        pinsage(ctx, root, builder);
+        if (root == 400) {
+          const VertexId leaf[1] = {0};
+          builder.AddRecord(root, 1, leaf);
+        }
+      },
+      [pinsage](const CsrGraph& g, VertexId root) { return pinsage.DeclaredDraws(g, root); });
+  const GnnModel model = SelectionModel("failing", SchemaTree::Flat(), failing);
+  Rng serial_rng(37);
+  EXPECT_THROW(SerialSelection(model, graph, roots, serial_rng), CheckError);
+  for (int threads : {1, 2, 4, 8}) {
+    exec::SetNumThreads(threads);
+    Rng rng(37);
+    EXPECT_THROW(BuildHdgForRoots(model, graph, roots, rng), CheckError)
+        << threads << " threads";
+    // The stream stands where the serial loop's stood when it threw.
+    EXPECT_TRUE(rng == serial_rng) << threads << " threads";
   }
 }
 

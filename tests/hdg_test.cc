@@ -3,6 +3,8 @@
 #include "src/hdg/hdg.h"
 
 #include <algorithm>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -243,6 +245,111 @@ TEST_P(HdgRoundTripSweep, RecordsSurviveFreezing) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, HdgRoundTripSweep, ::testing::Values(1, 2, 3, 7, 11));
+
+struct EmittedRecord {
+  uint32_t root_rank;
+  uint32_t type;
+  std::vector<VertexId> leaves;
+};
+
+// Records emitted root by root with ascending types (`in_slot_order`), as
+// NeighborSelection emits them, or in random order. Some are single-leaf.
+std::vector<EmittedRecord> RandomEmission(Rng& rng, uint32_t num_roots, uint32_t num_types,
+                                          bool in_slot_order) {
+  std::vector<EmittedRecord> records;
+  for (int i = 0; i < 60; ++i) {
+    const uint64_t len = rng.NextBounded(2) == 0 ? 1 : 1 + rng.NextBounded(4);
+    std::vector<VertexId> leaves;
+    for (uint64_t l = 0; l < len; ++l) {
+      leaves.push_back(static_cast<VertexId>(rng.NextBounded(100)));
+    }
+    records.push_back({static_cast<uint32_t>(rng.NextBounded(num_roots)),
+                       static_cast<uint32_t>(rng.NextBounded(num_types)), std::move(leaves)});
+  }
+  if (in_slot_order) {
+    std::stable_sort(records.begin(), records.end(),
+                     [](const EmittedRecord& a, const EmittedRecord& b) {
+                       return a.root_rank != b.root_rank ? a.root_rank < b.root_rank
+                                                         : a.type < b.type;
+                     });
+  }
+  return records;
+}
+
+// Freezing records in a builder and any split of them into parts, in
+// emission order, gives the layout of a stable sort by (root rank, type).
+TEST(HdgBuilderTest, PartsFreezeLikeOneStableSortedBuilder) {
+  const std::vector<VertexId> roots = {4, 0, 9, 2, 7};
+  const std::vector<std::string> names = {"t0", "t1", "t2"};
+  const auto num_types = static_cast<uint32_t>(names.size());
+  for (bool in_slot_order : {true, false}) {
+    for (uint64_t seed = 1; seed <= 4; ++seed) {
+      Rng rng(seed);
+      const std::vector<EmittedRecord> records =
+          RandomEmission(rng, static_cast<uint32_t>(roots.size()), num_types, in_slot_order);
+
+      std::vector<EmittedRecord> sorted = records;
+      std::stable_sort(sorted.begin(), sorted.end(),
+                       [](const EmittedRecord& a, const EmittedRecord& b) {
+                         return a.root_rank != b.root_rank ? a.root_rank < b.root_rank
+                                                           : a.type < b.type;
+                       });
+      std::vector<uint64_t> want_slots(roots.size() * num_types + 1, 0);
+      std::vector<uint64_t> want_inst{0};
+      std::vector<VertexId> want_leaves;
+      for (const EmittedRecord& rec : sorted) {
+        ++want_slots[rec.root_rank * num_types + rec.type + 1];
+        want_leaves.insert(want_leaves.end(), rec.leaves.begin(), rec.leaves.end());
+        want_inst.push_back(want_leaves.size());
+      }
+      for (std::size_t s = 1; s < want_slots.size(); ++s) {
+        want_slots[s] += want_slots[s - 1];
+      }
+
+      for (std::size_t num_parts : {0, 1, 3}) {
+        HdgBuilder builder(SchemaTree::WithLeafTypes(names), roots);
+        std::vector<HdgBuilder> parts;
+        for (std::size_t p = 0; p < num_parts; ++p) {
+          parts.push_back(builder.NewPart());
+        }
+        for (std::size_t i = 0; i < records.size(); ++i) {
+          // Contiguous runs of the emission go to the builder, then each part.
+          const std::size_t bucket = i * (num_parts + 1) / records.size();
+          HdgBuilder& target = bucket == 0 ? builder : parts[bucket - 1];
+          target.AddRecord(roots[records[i].root_rank], records[i].type, records[i].leaves);
+        }
+        const Hdg hdg = builder.Build(parts);
+        const std::string what = std::string(in_slot_order ? "sorted" : "unsorted") +
+                                 " emission, seed " + std::to_string(seed) + ", " +
+                                 std::to_string(num_parts) + " parts";
+        EXPECT_FALSE(hdg.flat()) << what;
+        EXPECT_TRUE(std::equal(hdg.roots().begin(), hdg.roots().end(), roots.begin(),
+                               roots.end()))
+            << what;
+        EXPECT_TRUE(std::equal(hdg.slot_offsets().begin(), hdg.slot_offsets().end(),
+                               want_slots.begin(), want_slots.end()))
+            << what;
+        EXPECT_TRUE(std::equal(hdg.instance_leaf_offsets().begin(),
+                               hdg.instance_leaf_offsets().end(), want_inst.begin(),
+                               want_inst.end()))
+            << what;
+        EXPECT_TRUE(std::equal(hdg.leaf_vertex_ids().begin(), hdg.leaf_vertex_ids().end(),
+                               want_leaves.begin(), want_leaves.end()))
+            << what;
+      }
+    }
+  }
+}
+
+TEST(HdgBuilderTest, OnlyTheOwningBuilderBuilds) {
+  HdgBuilder builder(SchemaTree::Flat(), {0, 1});
+  HdgBuilder part = builder.NewPart();
+  EXPECT_THROW(part.Build(), CheckError);
+  HdgBuilder other(SchemaTree::Flat(), {0, 1});
+  std::vector<HdgBuilder> foreign;
+  foreign.push_back(other.NewPart());
+  EXPECT_THROW(builder.Build(foreign), CheckError);
+}
 
 }  // namespace
 }  // namespace flexgraph

@@ -1,6 +1,8 @@
 // Tests for random walks (PinSage neighbor selection) and metapath matching
 // (MAGNN neighbor selection).
 #include <algorithm>
+#include <unordered_map>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -18,35 +20,102 @@ CsrGraph MakeLineGraph(VertexId n) {
   return b.Build();
 }
 
-TEST(RandomWalkTest, RespectsHopCount) {
-  CsrGraph g = MakeLineGraph(10);
-  Rng rng(1);
-  auto path = RandomWalk(g, 5, 4, rng);
-  EXPECT_EQ(path.size(), 4u);
-  // Consecutive path vertices must be adjacent.
-  VertexId prev = 5;
-  for (VertexId v : path) {
-    auto nbrs = g.OutNeighbors(prev);
-    EXPECT_TRUE(std::find(nbrs.begin(), nbrs.end(), v) != nbrs.end());
-    prev = v;
+// TopKVisited as it was first written: a hash map of visit counts, sorted in
+// full by (count desc, vertex asc), then truncated.
+std::vector<VisitCount> HashMapTopKVisited(const CsrGraph& g, VertexId v, int num_walks,
+                                           int hops, int top_k, Rng& rng) {
+  std::unordered_map<VertexId, uint32_t> freq;
+  for (int w = 0; w < num_walks; ++w) {
+    VertexId cur = v;
+    for (int h = 0; h < hops; ++h) {
+      const auto nbrs = g.OutNeighbors(cur);
+      if (nbrs.empty()) {
+        break;
+      }
+      cur = nbrs[rng.NextBounded(nbrs.size())];
+      if (cur != v) {
+        ++freq[cur];
+      }
+    }
   }
+  std::vector<VisitCount> counts;
+  counts.reserve(freq.size());
+  for (const auto& [vertex, count] : freq) {
+    counts.push_back({vertex, count});
+  }
+  std::sort(counts.begin(), counts.end(), [](const VisitCount& a, const VisitCount& b) {
+    if (a.count != b.count) {
+      return a.count > b.count;
+    }
+    return a.vertex < b.vertex;
+  });
+  if (static_cast<int>(counts.size()) > top_k) {
+    counts.resize(static_cast<std::size_t>(top_k));
+  }
+  return counts;
 }
 
-TEST(RandomWalkTest, DeadEndTruncates) {
+// Directed graph in which about `dead_fraction` of the vertices have no
+// out-edges, so walks end early, some at their first step.
+CsrGraph RandomGraphWithDeadEnds(VertexId n, double dead_fraction, uint64_t seed) {
+  Rng rng(seed);
+  GraphBuilder b(n);
+  for (VertexId v = 0; v < n; ++v) {
+    if (rng.NextDouble() < dead_fraction) {
+      continue;
+    }
+    const uint64_t degree = 1 + rng.NextBounded(4);
+    for (uint64_t e = 0; e < degree; ++e) {
+      b.AddEdge(v, static_cast<VertexId>(rng.NextBounded(n)));
+    }
+  }
+  return b.Build();
+}
+
+TEST(TopKVisitedTest, MatchesHashMapReference) {
+  int ties_at_cut = 0;
+  int dead_end_roots = 0;
+  for (uint64_t seed = 1; seed <= 6; ++seed) {
+    const CsrGraph g = RandomGraphWithDeadEnds(40, 0.3, seed);
+    for (VertexId v = 0; v < g.num_vertices(); ++v) {
+      dead_end_roots += g.OutDegree(v) == 0 ? 1 : 0;
+      for (int top_k : {0, 1, 3, 10, 1000}) {
+        Rng got_rng(seed * 1000 + v);
+        Rng want_rng = got_rng;
+        const auto got = TopKVisited(g, v, 10, 3, top_k, got_rng);
+        const auto want = HashMapTopKVisited(g, v, 10, 3, top_k, want_rng);
+        ASSERT_EQ(got.size(), want.size()) << "seed " << seed << " root " << v << " k " << top_k;
+        for (std::size_t i = 0; i < got.size(); ++i) {
+          EXPECT_EQ(got[i].vertex, want[i].vertex) << "seed " << seed << " root " << v;
+          EXPECT_EQ(got[i].count, want[i].count) << "seed " << seed << " root " << v;
+        }
+        EXPECT_TRUE(got_rng == want_rng) << "seed " << seed << " root " << v;
+        if (top_k == 3) {
+          Rng full_rng(seed * 1000 + v);
+          const auto full = HashMapTopKVisited(g, v, 10, 3, 1000, full_rng);
+          ties_at_cut += full.size() > 3 && full[2].count == full[3].count ? 1 : 0;
+        }
+      }
+    }
+  }
+  // The inputs exercise what the order must settle: equal counts across the
+  // top-k cut, and roots whose walks cannot start.
+  EXPECT_GT(ties_at_cut, 0);
+  EXPECT_GT(dead_end_roots, 0);
+}
+
+TEST(TopKVisitedTest, DeadEndTruncatesWalks) {
   GraphBuilder b(3);
   b.AddEdge(0, 1);  // directed: 1 has no out-edges
-  CsrGraph g = b.Build();
+  const CsrGraph g = b.Build();
   Rng rng(2);
-  auto path = RandomWalk(g, 0, 5, rng);
-  EXPECT_EQ(path.size(), 1u);
-  EXPECT_EQ(path[0], 1u);
-}
-
-TEST(RandomWalkTest, DeterministicForFixedSeed) {
-  CsrGraph g = MakeLineGraph(50);
-  Rng rng1(42);
-  Rng rng2(42);
-  EXPECT_EQ(RandomWalk(g, 25, 10, rng1), RandomWalk(g, 25, 10, rng2));
+  Rng expected_end = rng;
+  expected_end.Discard(3);  // each of the 3 walks takes one step, then stops
+  const auto top = TopKVisited(g, 0, 3, 5, 10, rng);
+  ASSERT_EQ(top.size(), 1u);
+  EXPECT_EQ(top[0].vertex, 1u);
+  EXPECT_EQ(top[0].count, 3u);
+  EXPECT_TRUE(rng == expected_end);
 }
 
 TEST(TopKVisitedTest, ExcludesStartAndBoundsK) {

@@ -142,6 +142,7 @@ void PrintStageBreakdown(bool distributed) {
   };
   static constexpr StageRow kRows[] = {
       {"NeighborSelection", "nau.neighbor_selection_seconds"},
+      {"Plan compile", "exec.plan_compile_seconds"},
       {"Aggregation", "nau.aggregation_seconds"},
       {"Update", "nau.update_seconds"},
       {"Backward", "nau.backward_seconds"},
