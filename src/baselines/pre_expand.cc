@@ -117,14 +117,14 @@ MagnnExpandedGraph PrecomputeMagnnExpandedGraph(const CsrGraph& g,
   MetapathMatchOptions options;
   options.max_instances_per_path = max_instances_per_path;
   for (VertexId v = 0; v < g.num_vertices(); ++v) {
-    for (const MetapathInstance& inst : FindAllMetapathInstances(g, v, metapaths, options)) {
-      for (VertexId leaf : inst.vertices) {
-        expanded.leaf_ids.push_back(leaf);
-      }
-      expanded.instance_offsets.push_back(expanded.leaf_ids.size());
-      expanded.instance_root.push_back(v);
-      expanded.instance_type.push_back(inst.metapath_index);
-    }
+    ForEachMetapathInstance(g, v, metapaths, options,
+                            [&](uint32_t metapath_index, std::span<const VertexId> instance) {
+                              expanded.leaf_ids.insert(expanded.leaf_ids.end(), instance.begin(),
+                                                       instance.end());
+                              expanded.instance_offsets.push_back(expanded.leaf_ids.size());
+                              expanded.instance_root.push_back(v);
+                              expanded.instance_type.push_back(metapath_index);
+                            });
   }
   return expanded;
 }

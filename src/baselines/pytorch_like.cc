@@ -171,29 +171,34 @@ EpochOutcome PyTorchLikeMagnnEpoch(const Dataset& ds, const ModelDims& dims,
   // tensor exceeds the budget. max_instances_per_path == 0 means uncapped.
   MetapathMatchOptions options;
   options.max_instances_per_path = max_instances_per_path;
-  std::vector<MetapathInstance> instances;
+  // Instance i is inst_vertices[inst_offsets[i], inst_offsets[i + 1]), root first.
+  std::vector<VertexId> inst_vertices;
+  std::vector<uint64_t> inst_offsets{0};
   std::size_t path_len = 3;  // metapaths here are all length-2 (3 vertices)
   const uint64_t bytes_per_instance =
       static_cast<uint64_t>(path_len) * static_cast<uint64_t>(in_dim) * sizeof(float) * 2;
   const uint64_t instance_budget = mem_cap_bytes / std::max<uint64_t>(1, bytes_per_instance);
   for (VertexId v = 0; v < g.num_vertices(); ++v) {
-    for (auto& inst : FindAllMetapathInstances(g, v, metapaths, options)) {
-      path_len = std::max(path_len, inst.vertices.size());
-      instances.push_back(std::move(inst));
-    }
-    if (instances.size() > instance_budget) {
+    ForEachMetapathInstance(g, v, metapaths, options,
+                            [&](uint32_t, std::span<const VertexId> instance) {
+                              path_len = std::max(path_len, instance.size());
+                              inst_vertices.insert(inst_vertices.end(), instance.begin(),
+                                                   instance.end());
+                              inst_offsets.push_back(inst_vertices.size());
+                            });
+    if (inst_offsets.size() - 1 > instance_budget) {
       const uint64_t projected =
-          static_cast<uint64_t>(instances.size()) * bytes_per_instance *
+          static_cast<uint64_t>(inst_offsets.size() - 1) * bytes_per_instance *
           std::max<uint64_t>(1, g.num_vertices() / (v + 1));
       return EpochOutcome::Oom(projected);
     }
   }
+  const std::size_t num_instances = inst_offsets.size() - 1;
 
   // Padded instance tensor [I, L·d]: every instance materializes all member
   // features side by side — the "large intermediate tensors" that OOM the
   // real PyTorch implementation on big graphs.
-  const uint64_t padded_bytes =
-      static_cast<uint64_t>(instances.size()) * bytes_per_instance;
+  const uint64_t padded_bytes = static_cast<uint64_t>(num_instances) * bytes_per_instance;
   outcome.peak_bytes = padded_bytes;
   if (padded_bytes > mem_cap_bytes) {
     return EpochOutcome::Oom(padded_bytes);
@@ -202,18 +207,18 @@ EpochOutcome PyTorchLikeMagnnEpoch(const Dataset& ds, const ModelDims& dims,
   Tensor h = ds.features;
   for (int layer = 0; layer < 2; ++layer) {
     const int64_t d = h.cols();
-    Tensor padded(static_cast<int64_t>(instances.size()), static_cast<int64_t>(path_len) * d);
-    std::vector<uint32_t> inst_root(instances.size());
-    for (std::size_t i = 0; i < instances.size(); ++i) {
-      const auto& inst = instances[i];
-      inst_root[i] = inst.vertices.front();
-      for (std::size_t p = 0; p < inst.vertices.size(); ++p) {
+    Tensor padded(static_cast<int64_t>(num_instances), static_cast<int64_t>(path_len) * d);
+    std::vector<uint32_t> inst_root(num_instances);
+    for (std::size_t i = 0; i < num_instances; ++i) {
+      inst_root[i] = inst_vertices[inst_offsets[i]];
+      for (uint64_t p = 0; p < inst_offsets[i + 1] - inst_offsets[i]; ++p) {
         std::memcpy(padded.Row(static_cast<int64_t>(i)) + static_cast<int64_t>(p) * d,
-                    h.Row(inst.vertices[p]), static_cast<std::size_t>(d) * sizeof(float));
+                    h.Row(inst_vertices[inst_offsets[i] + p]),
+                    static_cast<std::size_t>(d) * sizeof(float));
       }
     }
     // Instance representation: mean over the padded axis.
-    Tensor inst_feats(static_cast<int64_t>(instances.size()), d);
+    Tensor inst_feats(static_cast<int64_t>(num_instances), d);
     for (int64_t i = 0; i < inst_feats.rows(); ++i) {
       const float* prow = padded.Row(i);
       float* orow = inst_feats.Row(i);

@@ -40,7 +40,7 @@ Variable HdgAggregator::BottomLevelMax(const Variable& vertex_feats) const {
     stats_->materialized_bytes += hdg_.leaf_vertex_ids().size() *
                                   static_cast<uint64_t>(vertex_feats.cols()) * sizeof(float);
   }
-  Variable gathered = AgGatherRows(vertex_feats, plan_.bottom().gather_index);
+  Variable gathered = AgGatherRows(vertex_feats, plan_.bottom().leaf_ids);
   return AgSegmentMax(gathered, plan_.bottom().offsets);
 }
 
@@ -52,8 +52,8 @@ Variable HdgAggregator::BottomLevelLstm(const Variable& vertex_feats,
                                   static_cast<uint64_t>(vertex_feats.cols()) * sizeof(float);
   }
   // The recurrence is inherently sequential within a segment, so the LSTM
-  // takes its own copy of the offsets; the gather index comes from the plan.
-  Variable gathered = AgGatherRows(vertex_feats, plan_.bottom().gather_index);
+  // takes its own copy of the offsets; the gather index is the plan's leaf ids.
+  Variable gathered = AgGatherRows(vertex_feats, plan_.bottom().leaf_ids);
   return AgSegmentLstm(gathered, std::vector<uint64_t>(*plan_.bottom().offsets), cell);
 }
 
@@ -71,11 +71,11 @@ Variable HdgAggregator::BottomLevelEdgeAttention(const Variable& transformed,
                                   static_cast<uint64_t>(transformed.cols() + 2) * sizeof(float);
   }
   const LevelPlan& bottom = plan_.bottom();
-  Variable edge_scores = AgLeakyRelu(AgAdd(AgGatherRows(src_scores, bottom.gather_index),
+  Variable edge_scores = AgLeakyRelu(AgAdd(AgGatherRows(src_scores, bottom.leaf_ids),
                                            AgGatherRows(dst_scores, plan_.edge_dst_index())),
                                      leaky_slope);
   Variable weights = AgSegmentSoftmax(edge_scores, bottom.offsets, bottom.chunks);
-  Variable messages = AgGatherRows(transformed, bottom.gather_index);
+  Variable messages = AgGatherRows(transformed, bottom.leaf_ids);
   Variable weighted = AgMulRowScalar(messages, weights);
   return AgSegmentReduce(weighted, bottom.offsets, ReduceKind::kSum, bottom.chunks);
 }

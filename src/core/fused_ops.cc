@@ -169,8 +169,7 @@ Variable AgIndirectSegmentReduce(const Variable& x, const LevelPlan& level, Redu
                                  ExecStrategy strategy, AggregationStats* stats) {
   FLEX_CHECK_MSG(kind == ReduceKind::kSum || kind == ReduceKind::kMean,
                  "differentiable aggregation supports sum/mean");
-  FLEX_CHECK(level.offsets && level.leaf_ids && level.gather_index && level.src_offsets &&
-             level.src_edge_segments);
+  FLEX_CHECK(level.offsets && level.leaf_ids && level.src_offsets && level.src_edge_segments);
   const int64_t d = x.cols();
   const int64_t src_rows = x.rows();
   const std::size_t num_refs = level.leaf_ids->size();
@@ -184,10 +183,10 @@ Variable AgIndirectSegmentReduce(const Variable& x, const LevelPlan& level, Redu
     // ascending-row order, so numerics are bitwise unchanged.
     FLEX_TRACE_SPAN("kernel.sa_gather_scatter", {{"rows", static_cast<double>(num_refs)}});
     FLEX_COUNTER_ADD("kernel.sparse_leaf_refs", static_cast<int64_t>(num_refs));
-    Tensor gathered = GatherRows(x.value(), *level.gather_index);
+    Tensor gathered = GatherRows(x.value(), *level.leaf_ids);
     if (stats != nullptr) {
-      stats->materialized_bytes +=
-          gathered.ByteSize() + level.scatter_index->size() * sizeof(uint32_t);
+      // The gathered rows plus the per-row segment index a scatter reads.
+      stats->materialized_bytes += gathered.ByteSize() + num_refs * sizeof(uint32_t);
       stats->sparse_rows += static_cast<uint64_t>(gathered.rows());
     }
     out = SegmentReduce(gathered, *level.offsets, kind, *level.chunks);
@@ -274,7 +273,7 @@ Variable AgInstanceAttention(const Variable& x, const Variable& w, const Variabl
   FLEX_CHECK_EQ(w.cols(), 1);
   FLEX_CHECK_EQ(b.rows(), 1);
   FLEX_CHECK_EQ(b.cols(), 1);
-  FLEX_CHECK(bottom.offsets && bottom.gather_index && bottom.src_offsets &&
+  FLEX_CHECK(bottom.offsets && bottom.leaf_ids && bottom.src_offsets &&
              bottom.src_edge_segments && bottom.src_chunks);
   FLEX_CHECK(instance.offsets && instance.chunks && instance.scatter_index);
   const auto& leaf_offs = *bottom.offsets;
@@ -282,7 +281,7 @@ Variable AgInstanceAttention(const Variable& x, const Variable& w, const Variabl
   const auto num_instances = static_cast<int64_t>(leaf_offs.size()) - 1;
   const auto num_slots = static_cast<int64_t>(slot_offs.size()) - 1;
   FLEX_CHECK_EQ(static_cast<int64_t>(slot_offs.back()), num_instances);
-  const auto num_refs = static_cast<int64_t>(bottom.gather_index->size());
+  const auto num_refs = static_cast<int64_t>(bottom.leaf_ids->size());
   FLEX_TRACE_SPAN("kernel.fa_instance_attention",
                   {{"rows", static_cast<double>(num_refs)},
                    {"instances", static_cast<double>(num_instances)}});
@@ -300,7 +299,7 @@ Variable AgInstanceAttention(const Variable& x, const Variable& w, const Variabl
   const float* xd = x.value().data();
   const float bias = b.value().At(0, 0);
   ForEachIndexedChunk(*instance.chunks, num_refs * d, [&](int64_t c, int64_t s_lo, int64_t s_hi) {
-    kt.instance_attention(xd, d, bottom.gather_index->data(), leaf_offs.data(), slot_offs.data(),
+    kt.instance_attention(xd, d, bottom.leaf_ids->data(), leaf_offs.data(), slot_offs.data(),
                           w.value().data(), bias, s_lo, s_hi, tiles.Row(c), alpha.data(),
                           out.data());
   });
@@ -313,7 +312,7 @@ Variable AgInstanceAttention(const Variable& x, const Variable& w, const Variabl
   auto wn = w.node();
   auto bn = b.node();
   const U64Vec leaf_offsets = bottom.offsets;
-  const U32Vec ids = bottom.gather_index;
+  const U32Vec ids = bottom.leaf_ids;
   const U64Vec slot_offsets = instance.offsets;
   const I64Vec chunks = instance.chunks;
   const U32Vec slot_of = instance.scatter_index;

@@ -1,7 +1,8 @@
 // LowerPass — HDG levels → LevelDrafts. This is the former monolithic body of
-// CompileExecutionPlan: segment offsets, gather/scatter index tensors, the
-// inverse leaf→segment map for the deterministic parallel backward, fixed
-// chunk tables, and GAT's per-edge destination index.
+// CompileExecutionPlan: segment offsets, the bottom level's leaf ids (its
+// gather index), the upper levels' scatter index tensors, the inverse
+// leaf→segment map for the deterministic parallel backward, fixed chunk
+// tables, and GAT's per-edge destination index.
 #include <algorithm>
 #include <vector>
 
@@ -24,28 +25,28 @@ std::vector<uint32_t> SegmentOfRow(std::span<const uint64_t> offsets) {
 }
 
 // Builds a bottom level's inverse (source → segment) map and source chunk
-// table from its gather_index / scatter_index, over source rows
-// [0, max(gather_index) + 1).
+// table from its leaf ids and offsets, over source rows
+// [0, max(leaf_ids) + 1).
 void BuildLevelInverseMap(LevelDraft& level) {
-  const std::vector<uint32_t>& gather = level.gather_index;
+  const std::vector<VertexId>& leaves = level.leaf_ids;
   uint32_t max_id = 0;
-  for (const uint32_t v : gather) {
+  for (const VertexId v : leaves) {
     max_id = std::max(max_id, v);
   }
-  const int64_t src_rows = gather.empty() ? 0 : static_cast<int64_t>(max_id) + 1;
+  const int64_t src_rows = leaves.empty() ? 0 : static_cast<int64_t>(max_id) + 1;
   std::vector<uint64_t> src_offsets(static_cast<std::size_t>(src_rows) + 1, 0);
-  for (const uint32_t v : gather) {
+  for (const VertexId v : leaves) {
     ++src_offsets[static_cast<std::size_t>(v) + 1];
   }
   for (std::size_t v = 1; v < src_offsets.size(); ++v) {
     src_offsets[v] += src_offsets[v - 1];
   }
-  std::vector<uint32_t> src_edge_segments(gather.size());
+  std::vector<uint32_t> src_edge_segments(leaves.size());
   std::vector<uint64_t> cursor(src_offsets.begin(), src_offsets.end() - 1);
-  const auto& seg_of_row = level.scatter_index;
-  for (std::size_t e = 0; e < gather.size(); ++e) {
-    const auto v = static_cast<std::size_t>(gather[e]);
-    src_edge_segments[cursor[v]++] = seg_of_row[e];
+  for (std::size_t s = 0; s + 1 < level.offsets.size(); ++s) {
+    for (uint64_t e = level.offsets[s]; e < level.offsets[s + 1]; ++e) {
+      src_edge_segments[cursor[leaves[e]]++] = static_cast<uint32_t>(s);
+    }
   }
   level.src_rows = src_rows;
   level.src_chunks = MakeSegmentChunks(src_offsets, kPlanChunkTarget);
@@ -66,9 +67,9 @@ void LowerPass(PlanDraft& draft, const Hdg& hdg) {
   bottom.num_segments = static_cast<int64_t>(hdg.num_bottom_segments());
   bottom.input_rows = static_cast<int64_t>(leaf_span.size());
   bottom.offsets.assign(bottom_offs.begin(), bottom_offs.end());
+  // The leaf ids are the gather index. No scatter index: the executor reduces
+  // the bottom level over its offsets, never by a per-row segment id.
   bottom.leaf_ids.assign(leaf_span.begin(), leaf_span.end());
-  bottom.gather_index.assign(leaf_span.begin(), leaf_span.end());
-  bottom.scatter_index = SegmentOfRow(bottom_offs);
   bottom.chunks = MakeSegmentChunks(bottom_offs, kPlanChunkTarget);
 
   // Inverse leaf→segment map for the deterministic parallel backward: bucket

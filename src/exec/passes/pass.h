@@ -3,7 +3,7 @@
 //   RunPlanPipeline
 //     ├─ AnalyzePass   — HDG leaf/degree/overlap statistics (src/hdg/stats),
 //     │                  fusion budget heuristic; writes PassContext only
-//     ├─ LowerPass     — HDG levels → LevelDrafts: segment offsets, gather/
+//     ├─ LowerPass     — HDG levels → LevelDrafts: segment offsets, leaf ids,
 //     │                  scatter index tensors, inverse leaf→segment map,
 //     │                  chunk tables, GAT's edge_dst index
 //     ├─ FusePass      — optimize: HAG-style common-subtree fusion; mines
@@ -41,7 +41,6 @@ struct LevelDraft {
 
   std::vector<uint64_t> offsets;
   std::vector<VertexId> leaf_ids;
-  std::vector<uint32_t> gather_index;
   std::vector<uint32_t> scatter_index;
   std::vector<int64_t> chunks;
 

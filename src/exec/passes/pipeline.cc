@@ -40,7 +40,6 @@ LevelPlan LevelDraft::Freeze() && {
   level.group = group;
   level.offsets = Shared(std::move(offsets));
   level.leaf_ids = Shared(std::move(leaf_ids));
-  level.gather_index = Shared(std::move(gather_index));
   level.scatter_index = Shared(std::move(scatter_index));
   level.chunks = Shared(std::move(chunks));
   level.src_offsets = Shared(std::move(src_offsets));
@@ -108,11 +107,22 @@ ExecutionPlan RunPlanPipeline(const std::string& model_name, const Hdg& hdg,
   draft.flat = hdg.flat();
   draft.planned_dim = std::max<int64_t>(1, hint_dim);
 
+  // Each pass's seconds go to its own histogram, so a pass's compile cost can
+  // be weighed against what it saves. (FLEX_HIST_OBSERVE binds its histogram
+  // once per call site, hence one site per pass.)
   PassContext ctx;
+  WallTimer pass_timer;
   AnalyzePass(hdg, ctx);
+  FLEX_HIST_OBSERVE("exec.plan_analyze_seconds", pass_timer.ElapsedSeconds());
+  pass_timer.Reset();
   LowerPass(draft, hdg);
+  FLEX_HIST_OBSERVE("exec.plan_lower_seconds", pass_timer.ElapsedSeconds());
+  pass_timer.Reset();
   FusePass(draft, options, ctx);
+  FLEX_HIST_OBSERVE("exec.plan_fuse_seconds", pass_timer.ElapsedSeconds());
+  pass_timer.Reset();
   FinalizePass(draft);
+  FLEX_HIST_OBSERVE("exec.plan_finalize_seconds", pass_timer.ElapsedSeconds());
 
   // Stamped pre-freeze: the debug-only verify hook below is excluded so the
   // reported compile time matches release builds.

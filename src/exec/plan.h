@@ -121,10 +121,11 @@ struct LevelPlan {
 
   U64Vec offsets;       // [S+1] segment boundaries over the input rows
                         // (the schema level's are [0, T, 2T, …])
-  IdVec leaf_ids;       // bottom level: graph vertex id per leaf ref
-  U32Vec gather_index;  // bottom level: leaf_ids as u32 (gather index tensor)
-  U32Vec scatter_index; // destination segment per input row (scatter paths
-                        // and the broadcast backward of segment reduces)
+  IdVec leaf_ids;       // bottom level: graph vertex id per leaf ref, which
+                        // is also the gather index tensor
+  U32Vec scatter_index; // instance and schema levels: destination segment
+                        // per input row (scatter paths). Empty at the bottom
+                        // level, which reduces over its offsets only
 
   // Fixed parallel chunking: chunk c covers segments
   // [chunks[c], chunks[c+1]). Balanced by leaf count, independent of the

@@ -196,10 +196,10 @@ void VerifyFusion(VerifyResult* result, const LevelPlan& bottom) {
     }
   }
 
-  if (bottom.gather_index == nullptr || bottom.offsets == nullptr) {
+  if (bottom.leaf_ids == nullptr || bottom.offsets == nullptr) {
     return;  // missing originals already reported by the level checks
   }
-  const auto& orig = *bottom.gather_index;
+  const auto& orig = *bottom.leaf_ids;
   const auto& orig_offs = *bottom.offsets;
   if (!std::equal(f.scale_offsets->begin(), f.scale_offsets->end(), orig_offs.begin(),
                   orig_offs.end())) {
@@ -339,9 +339,10 @@ VerifyResult VerifyHdg(const Hdg& hdg, uint64_t num_graph_vertices) {
 namespace {
 
 // Verifies one LevelPlan's self-consistency. Every level carries offsets
-// (the schema level's are fixed-width, [0, T, 2T, …]).
-void VerifyLevel(VerifyResult* result, const std::string& level_name,
-                 const LevelPlan& level) {
+// (the schema level's are fixed-width, [0, T, 2T, …]); the instance and
+// schema levels also carry a scatter index, the bottom level none.
+void VerifyLevel(VerifyResult* result, const std::string& level_name, const LevelPlan& level,
+                 bool scatters) {
   IssueSink sink(result, level_name);
   if (level.num_segments < 0 || level.input_rows < 0) {
     sink.Fail("level", -1,
@@ -354,7 +355,7 @@ void VerifyLevel(VerifyResult* result, const std::string& level_name,
     return;
   }
   CheckOffsets(sink, "offsets", *level.offsets, level.num_segments, level.input_rows);
-  if (level.scatter_index != nullptr &&
+  if (scatters && level.scatter_index != nullptr &&
       static_cast<int64_t>(level.offsets->size()) == level.num_segments + 1) {
     CheckScatter(sink, *level.scatter_index, *level.offsets, level.num_segments,
                  level.input_rows);
@@ -369,27 +370,28 @@ void VerifyLevel(VerifyResult* result, const std::string& level_name,
   }
 }
 
-// The leaf→segment inverse map must be a true inverse of the forward scatter:
+// The leaf→segment inverse map must be a true inverse of the forward reduce:
 // same edge multiset, bucketed by source vertex, ascending edge order within
 // each bucket. Verified with one O(E) cursor walk over the forward edge
-// order — each edge must land exactly where the walk's cursor points.
+// order, each edge's segment read off the level's offsets — each edge must
+// land exactly where the walk's cursor points.
 void VerifyInverseMap(VerifyResult* result, const LevelPlan& bottom) {
   IssueSink sink(result, "bottom");
   if (bottom.src_offsets == nullptr || bottom.src_edge_segments == nullptr ||
-      bottom.leaf_ids == nullptr || bottom.scatter_index == nullptr) {
+      bottom.leaf_ids == nullptr) {
     sink.Fail("src_offsets", -1, "bottom level is missing its inverse map");
     return;
   }
   const auto& src_offsets = *bottom.src_offsets;
   const auto& src_segments = *bottom.src_edge_segments;
   const auto& leaf_ids = *bottom.leaf_ids;
-  const auto& scatter = *bottom.scatter_index;
 
   CheckOffsets(sink, "src_offsets", src_offsets, bottom.src_rows, bottom.input_rows);
   if (!result->issues.empty()) {
-    return;
+    return;  // the walk below trusts the level's offsets, checked clean by now
   }
-  if (src_segments.size() != leaf_ids.size() || scatter.size() != leaf_ids.size()) {
+  if (src_segments.size() != leaf_ids.size() ||
+      static_cast<int64_t>(leaf_ids.size()) != bottom.input_rows) {
     sink.Fail("src_edge_segments", -1,
               "inverse map covers " + U64(src_segments.size()) + " edges, forward has " +
                   U64(leaf_ids.size()));
@@ -399,29 +401,33 @@ void VerifyInverseMap(VerifyResult* result, const LevelPlan& bottom) {
     CheckChunks(sink, "src_chunks", *bottom.src_chunks, bottom.src_rows);
   }
 
+  const auto& offsets = *bottom.offsets;
   std::vector<uint64_t> cursor(src_offsets.begin(), src_offsets.end() - 1);
-  for (std::size_t e = 0; e < leaf_ids.size(); ++e) {
-    const auto v = static_cast<std::size_t>(leaf_ids[e]);
-    if (v >= cursor.size()) {
-      sink.Fail("src_offsets", static_cast<int64_t>(e),
-                "edge " + U64(e) + " sources vertex " + U64(leaf_ids[e]) +
-                    " beyond src_rows=" + I64(bottom.src_rows));
-      return;
-    }
-    const uint64_t slot = cursor[v]++;
-    if (slot >= src_offsets[v + 1]) {
-      sink.Fail("src_edge_segments", static_cast<int64_t>(e),
-                "source vertex " + U64(leaf_ids[e]) + " has more forward edges than its " +
-                    "inverse bucket holds");
-      return;
-    }
-    if (src_segments[static_cast<std::size_t>(slot)] != scatter[e]) {
-      sink.Fail("src_edge_segments", static_cast<int64_t>(slot),
-                "inverse map is not the inverse: edge " + U64(e) + " of source vertex " +
-                    U64(leaf_ids[e]) + " scatters to segment " + U64(scatter[e]) +
-                    " but the inverse records segment " +
-                    U64(src_segments[static_cast<std::size_t>(slot)]));
-      return;
+  for (int64_t s = 0; s < bottom.num_segments; ++s) {
+    for (uint64_t e = offsets[static_cast<std::size_t>(s)];
+         e < offsets[static_cast<std::size_t>(s) + 1]; ++e) {
+      const auto v = static_cast<std::size_t>(leaf_ids[e]);
+      if (v >= cursor.size()) {
+        sink.Fail("src_offsets", static_cast<int64_t>(e),
+                  "edge " + U64(e) + " sources vertex " + U64(leaf_ids[e]) +
+                      " beyond src_rows=" + I64(bottom.src_rows));
+        return;
+      }
+      const uint64_t slot = cursor[v]++;
+      if (slot >= src_offsets[v + 1]) {
+        sink.Fail("src_edge_segments", static_cast<int64_t>(e),
+                  "source vertex " + U64(leaf_ids[e]) + " has more forward edges than its " +
+                      "inverse bucket holds");
+        return;
+      }
+      if (src_segments[static_cast<std::size_t>(slot)] != static_cast<uint32_t>(s)) {
+        sink.Fail("src_edge_segments", static_cast<int64_t>(slot),
+                  "inverse map is not the inverse: edge " + U64(e) + " of source vertex " +
+                      U64(leaf_ids[e]) + " reduces into segment " + I64(s) +
+                      " but the inverse records segment " +
+                      U64(src_segments[static_cast<std::size_t>(slot)]));
+        return;
+      }
     }
   }
   for (std::size_t v = 0; v + 1 < src_offsets.size(); ++v) {
@@ -441,42 +447,28 @@ VerifyResult VerifyPlan(const ExecutionPlan& plan, const HdgView& view,
                         uint64_t num_graph_vertices) {
   VerifyResult result;
 
-  VerifyLevel(&result, "bottom", plan.bottom());
+  VerifyLevel(&result, "bottom", plan.bottom(), /*scatters=*/false);
   if (plan.has_instance()) {
-    VerifyLevel(&result, "instance", plan.instance());
+    VerifyLevel(&result, "instance", plan.instance(), /*scatters=*/true);
   }
   if (plan.has_schema()) {
-    VerifyLevel(&result, "schema", plan.schema());
+    VerifyLevel(&result, "schema", plan.schema(), /*scatters=*/true);
   }
 
   IssueSink bottom_sink(&result, "bottom");
 
-  // Gather index tensor: same length as the forward edges, every entry a real
-  // graph vertex, and byte-for-byte the leaf id array (it is the same data in
-  // gather-kernel dtype).
-  if (plan.bottom().gather_index == nullptr || plan.bottom().leaf_ids == nullptr) {
-    bottom_sink.Fail("gather_index", -1, "bottom level is missing its gather index");
+  // Leaf ids, which the kernels also gather by: every entry a real graph
+  // vertex.
+  if (plan.bottom().leaf_ids == nullptr) {
+    bottom_sink.Fail("leaf_ids", -1, "bottom level is missing its leaf ids");
   } else {
-    const auto& gather = *plan.bottom().gather_index;
     const auto& leaf_ids = *plan.bottom().leaf_ids;
-    if (gather.size() != leaf_ids.size()) {
-      bottom_sink.Fail("gather_index", -1,
-                       "gather index has " + U64(gather.size()) + " entries, leaf ids have " +
-                           U64(leaf_ids.size()));
-    } else {
-      for (std::size_t i = 0; i < gather.size(); ++i) {
-        if (gather[i] >= num_graph_vertices) {
-          bottom_sink.Fail("gather_index", static_cast<int64_t>(i),
-                           "gather index " + U64(gather[i]) + " out of range [0, " +
-                               U64(num_graph_vertices) + ")");
-          break;
-        }
-        if (gather[i] != static_cast<uint32_t>(leaf_ids[i])) {
-          bottom_sink.Fail("gather_index", static_cast<int64_t>(i),
-                           "gather index diverges from leaf ids: " + U64(gather[i]) +
-                               " != " + U64(leaf_ids[i]));
-          break;
-        }
+    for (std::size_t i = 0; i < leaf_ids.size(); ++i) {
+      if (leaf_ids[i] >= num_graph_vertices) {
+        bottom_sink.Fail("leaf_ids", static_cast<int64_t>(i),
+                         "leaf id " + U64(leaf_ids[i]) + " out of range [0, " +
+                             U64(num_graph_vertices) + ")");
+        break;
       }
     }
   }
@@ -527,21 +519,27 @@ VerifyResult VerifyPlan(const ExecutionPlan& plan, const HdgView& view,
 
   // Flat plans carry the per-edge destination vertex (GAT broadcast): each
   // edge's destination must be the root of the segment that owns it.
-  if (plan.flat() && plan.edge_dst_index() != nullptr && plan.bottom().scatter_index != nullptr &&
-      view.roots.size() == static_cast<std::size_t>(plan.bottom().num_segments)) {
+  const LevelPlan& bottom = plan.bottom();
+  if (plan.flat() && plan.edge_dst_index() != nullptr && bottom.offsets != nullptr &&
+      bottom.offsets->size() == static_cast<std::size_t>(bottom.num_segments) + 1 &&
+      view.roots.size() == static_cast<std::size_t>(bottom.num_segments)) {
     const auto& dst = *plan.edge_dst_index();
-    const auto& scatter = *plan.bottom().scatter_index;
-    if (dst.size() != scatter.size()) {
+    const auto& offsets = *bottom.offsets;
+    if (static_cast<int64_t>(dst.size()) != bottom.input_rows) {
       bottom_sink.Fail("edge_dst_index", -1,
                        "edge destination index has " + U64(dst.size()) + " entries, expected " +
-                           U64(scatter.size()));
+                           I64(bottom.input_rows));
     } else {
-      for (std::size_t e = 0; e < dst.size(); ++e) {
-        if (dst[e] != static_cast<uint32_t>(view.roots[scatter[e]])) {
-          bottom_sink.Fail("edge_dst_index", static_cast<int64_t>(e),
-                           "edge " + U64(e) + " records destination " + U64(dst[e]) +
-                               " but its segment's root is " + U64(view.roots[scatter[e]]));
-          break;
+      bool ok = true;
+      for (std::size_t s = 0; ok && s < view.roots.size(); ++s) {
+        for (uint64_t e = offsets[s]; e < offsets[s + 1] && e < dst.size(); ++e) {
+          if (dst[e] != static_cast<uint32_t>(view.roots[s])) {
+            bottom_sink.Fail("edge_dst_index", static_cast<int64_t>(e),
+                             "edge " + U64(e) + " records destination " + U64(dst[e]) +
+                                 " but its segment's root is " + U64(view.roots[s]));
+            ok = false;
+            break;
+          }
         }
       }
     }

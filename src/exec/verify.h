@@ -6,13 +6,15 @@
 //   * each level's CSC Offset array is monotone, starts at 0, and its last
 //     entry equals the level's input row count;
 //   * the elided in-between Dst property — instances are sorted by
-//     destination slot, so the per-row destination (scatter_index) is
-//     non-decreasing and consistent with the Offset array;
+//     destination slot, so the per-row destination (scatter_index, carried
+//     by the instance and schema levels) is non-decreasing and consistent
+//     with the Offset array;
 //   * the schema tree is stored once and shared across roots, never
 //     duplicated per root;
-//   * gather/scatter index tensors only address rows that exist;
+//   * leaf ids (the bottom level's gather index) and scatter index tensors
+//     only address rows that exist;
 //   * the leaf→segment inverse map really is the inverse of the forward
-//     scatter (same edges, ascending edge order within each source);
+//     reduce (same edges, ascending edge order within each source);
 //   * the compiled workspace estimate covers the arena's measured high water.
 //
 // VerifyHdg/VerifyPlan re-check all of this in O(E) and return structured

@@ -54,10 +54,10 @@ NeighborUdf MagnnNeighborUdf(std::vector<Metapath> metapaths,
              const NeighborSelectionContext& ctx, VertexId root, HdgBuilder& builder) {
     MetapathMatchOptions options;
     options.max_instances_per_path = max_instances_per_path;
-    for (const MetapathInstance& inst :
-         FindAllMetapathInstances(ctx.graph, root, metapaths, options)) {
-      builder.AddRecord(root, inst.metapath_index, inst.vertices);
-    }
+    ForEachMetapathInstance(ctx.graph, root, metapaths, options,
+                            [&](uint32_t metapath_index, std::span<const VertexId> instance) {
+                              builder.AddRecord(root, metapath_index, instance);
+                            });
   };
 }
 

@@ -119,14 +119,16 @@ TEST(ExecutionPlanTest, BottomLevelLayoutMatchesHdg) {
   EXPECT_EQ(plan.model_name(), "gcn");
   const auto leaf_span = hdg.leaf_vertex_ids();
   ASSERT_TRUE(plan.bottom().offsets);
-  ASSERT_TRUE(plan.bottom().gather_index);
-  EXPECT_EQ(plan.bottom().gather_index->size(), leaf_span.size());
+  ASSERT_TRUE(plan.bottom().leaf_ids);
+  EXPECT_EQ(plan.bottom().leaf_ids->size(), leaf_span.size());
   EXPECT_EQ(plan.bottom().input_rows, static_cast<int64_t>(leaf_span.size()));
   EXPECT_EQ(plan.bottom().offsets->back(), leaf_span.size());
   for (std::size_t i = 0; i < leaf_span.size(); ++i) {
-    ASSERT_EQ((*plan.bottom().gather_index)[i], static_cast<uint32_t>(leaf_span[i]))
-        << "at leaf " << i;
+    ASSERT_EQ((*plan.bottom().leaf_ids)[i], leaf_span[i]) << "at leaf " << i;
   }
+  // The bottom level reduces over its offsets; it keeps no per-row segment id.
+  ASSERT_TRUE(plan.bottom().scatter_index);
+  EXPECT_TRUE(plan.bottom().scatter_index->empty());
   EXPECT_GT(plan.planned_bytes(), 0u);
 }
 
@@ -142,7 +144,7 @@ TEST(ExecutionPlanTest, InverseMapListsEachLeafOccurrenceInEdgeOrder) {
   const auto& src_offsets = *plan.bottom().src_offsets;
   const auto& src_segments = *plan.bottom().src_edge_segments;
   const auto& offsets = *plan.bottom().offsets;
-  const auto& ids = *plan.bottom().gather_index;
+  const auto& ids = *plan.bottom().leaf_ids;
   ASSERT_EQ(src_offsets.size(), static_cast<std::size_t>(plan.bottom().src_rows) + 1);
   ASSERT_EQ(src_segments.size(), ids.size());
 

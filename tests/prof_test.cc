@@ -323,7 +323,7 @@ TEST_F(ProfTest, InstanceAttentionAccountingIsThreadCountInvariant) {
       MakeInstanceLevels(500, d, std::vector<int64_t>(250, 16), rng);
   LevelPlan bottom;
   bottom.offsets = std::make_shared<const std::vector<uint64_t>>(f.leaf_offsets);
-  bottom.gather_index = std::make_shared<const std::vector<uint32_t>>(f.ids);
+  bottom.leaf_ids = std::make_shared<const std::vector<uint32_t>>(f.ids);
   bottom.src_offsets = std::make_shared<const std::vector<uint64_t>>(f.src_offsets);
   bottom.src_edge_segments = std::make_shared<const std::vector<uint32_t>>(f.src_segments);
   bottom.src_chunks = std::make_shared<const std::vector<int64_t>>(

@@ -250,8 +250,9 @@ TEST(VerifyHdgNegative, SchemaTreeMustBeShared) {
   ExpectIssue(VerifyHdg(view, kNumVertices), "hdg", "schema", -1);
 }
 
-// Builds the plan draft matching FlatFixture: one bottom level, the
-// elided-Dst scatter {0, 0, 1}, gather = leaf ids, and the true inverse map.
+// Builds the plan draft matching FlatFixture: one bottom level (leaf ids,
+// which the kernels also gather by, and no scatter index) and the true
+// inverse map.
 // Negative tests corrupt the draft, Freeze() it, and verify the frozen plan
 // — the frozen ExecutionPlan itself is immutable by design.
 PlanDraft MakeFlatDraft(const FlatFixture& fx) {
@@ -267,8 +268,6 @@ PlanDraft MakeFlatDraft(const FlatFixture& fx) {
   b.input_rows = 3;
   b.offsets = fx.slot_offsets;
   b.leaf_ids = fx.leaf_ids;
-  b.gather_index = {1, 2, 0};
-  b.scatter_index = {0, 0, 1};
   b.chunks = {0, 2};
   // Inverse: vertex 0 feeds segment 1 (edge 2), vertex 1 feeds segment 0
   // (edge 0), vertex 2 feeds segment 0 (edge 1).
@@ -292,38 +291,35 @@ TEST(VerifyPlanNegative, FixtureIsCleanBeforeCorruption) {
 TEST(VerifyPlanNegative, ScatterMustMatchOffsets) {
   FlatFixture fx;
   PlanDraft draft = MakeFlatDraft(fx);
-  // Edge 1 claims segment 1 but lives in segment 0's offset range — the
-  // elided in-between Dst property is broken at exactly that edge.
-  draft.bottom.scatter_index = {0, 1, 1};
+  // An instance level over the fixture's three leaf rows: segments {0, 1}
+  // and {2}. Row 1 claims segment 1 but lives in segment 0's offset range —
+  // the elided in-between Dst property is broken at exactly that row.
+  draft.has_instance = true;
+  LevelDraft& inst = draft.instance;
+  inst.kernel = LevelKernelClass::kSegmentReduce;
+  inst.num_segments = 2;
+  inst.input_rows = 3;
+  inst.offsets = {0, 2, 3};
+  inst.scatter_index = {0, 1, 1};
+  inst.chunks = {0, 2};
   const ExecutionPlan plan = std::move(draft).Freeze();
   const VerifyResult result = VerifyPlan(plan, fx.View(), kNumVertices);
   ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.issues[0].level, "bottom");
+  EXPECT_EQ(result.issues[0].level, "instance");
   EXPECT_EQ(result.issues[0].array, "scatter_index");
   EXPECT_EQ(result.issues[0].index, 1);
 }
 
-TEST(VerifyPlanNegative, GatherIndexMustBeInRange) {
+TEST(VerifyPlanNegative, LeafIdsMustBeInRange) {
   FlatFixture fx;
   PlanDraft draft = MakeFlatDraft(fx);
-  draft.bottom.gather_index = {1, 7, 0};
+  draft.bottom.leaf_ids = {1, 7, 0};
   const ExecutionPlan plan = std::move(draft).Freeze();
   const VerifyResult result = VerifyPlan(plan, fx.View(), kNumVertices);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.issues[0].level, "bottom");
-  EXPECT_EQ(result.issues[0].array, "gather_index");
+  EXPECT_EQ(result.issues[0].array, "leaf_ids");
   EXPECT_EQ(result.issues[0].index, 1);
-}
-
-TEST(VerifyPlanNegative, GatherIndexMustMirrorLeafIds) {
-  FlatFixture fx;
-  PlanDraft draft = MakeFlatDraft(fx);
-  draft.bottom.gather_index = {1, 2, 2};
-  const ExecutionPlan plan = std::move(draft).Freeze();
-  const VerifyResult result = VerifyPlan(plan, fx.View(), kNumVertices);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.issues[0].array, "gather_index");
-  EXPECT_EQ(result.issues[0].index, 2);
 }
 
 TEST(VerifyPlanNegative, InverseMapMustRecordTheForwardSegments) {
@@ -369,7 +365,6 @@ TEST(VerifyPlanNegative, PlanOffsetsMustMirrorTheHdg) {
   PlanDraft draft = MakeFlatDraft(fx);
   // Valid in isolation (same totals) but not the HDG's segmentation.
   draft.bottom.offsets = {0, 1, 3};
-  draft.bottom.scatter_index = {0, 1, 1};
   draft.bottom.src_edge_segments = {1, 0, 1};
   const ExecutionPlan plan = std::move(draft).Freeze();
   const VerifyResult result = VerifyPlan(plan, fx.View(), kNumVertices);
@@ -382,11 +377,10 @@ TEST(VerifyPlanNegative, PlanOffsetsMustMirrorTheHdg) {
 TEST(VerifyPlanNegative, PlanLeafIdsMustMirrorTheHdg) {
   FlatFixture fx;
   PlanDraft draft = MakeFlatDraft(fx);
-  // Swap the two leaves of segment 0 in the plan's leaf ids and its gather
-  // index alike: the gather and the inverse map stay self-consistent, but
-  // the plan no longer reads the HDG's leaves in the HDG's order.
+  // Swap the two leaves of segment 0 in the plan's leaf ids: the inverse map
+  // stays self-consistent, but the plan no longer reads the HDG's leaves in
+  // the HDG's order.
   draft.bottom.leaf_ids = {2, 1, 0};
-  draft.bottom.gather_index = {2, 1, 0};
   const ExecutionPlan plan = std::move(draft).Freeze();
   const VerifyResult result = VerifyPlan(plan, fx.View(), kNumVertices);
   ASSERT_NO_FATAL_FAILURE(ExpectIssue(result, "bottom", "leaf_ids", 0));
@@ -455,8 +449,6 @@ PlanDraft MakeFusedDraft(const FusedFixture& fx) {
   b.input_rows = 4;
   b.offsets = fx.slot_offsets;
   b.leaf_ids = fx.leaf_ids;
-  b.gather_index = {1, 2, 1, 2};
-  b.scatter_index = {0, 0, 1, 1};
   b.chunks = {0, 2};
   b.src_rows = 3;
   b.src_offsets = {0, 0, 2, 4};

@@ -1,13 +1,18 @@
 // Tests for random walks (PinSage neighbor selection) and metapath matching
 // (MAGNN neighbor selection).
 #include <algorithm>
+#include <span>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "src/core/neighbor_selection.h"
+#include "src/data/datasets.h"
 #include "src/graph/metapath.h"
 #include "src/graph/random_walk.h"
+#include "src/models/magnn.h"
 
 namespace flexgraph {
 namespace {
@@ -148,6 +153,99 @@ TEST(TopKVisitedTest, StarGraphNeighborsDominate) {
   }
 }
 
+// The instances ForEachMetapathInstance visits, in visit order.
+using TaggedInstances = std::vector<std::pair<uint32_t, std::vector<VertexId>>>;
+
+TaggedInstances Visited(const CsrGraph& g, VertexId root, const std::vector<Metapath>& mps,
+                        const MetapathMatchOptions& options = {}) {
+  TaggedInstances out;
+  ForEachMetapathInstance(g, root, mps, options,
+                          [&](uint32_t metapath_index, std::span<const VertexId> instance) {
+                            out.emplace_back(metapath_index, std::vector<VertexId>(
+                                                                 instance.begin(), instance.end()));
+                          });
+  return out;
+}
+
+// One metapath's instances, untagged.
+std::vector<std::vector<VertexId>> Instances(const CsrGraph& g, VertexId root, const Metapath& mp,
+                                             const MetapathMatchOptions& options = {}) {
+  std::vector<std::vector<VertexId>> out;
+  for (auto& [index, instance] : Visited(g, root, {mp}, options)) {
+    out.push_back(std::move(instance));
+  }
+  return out;
+}
+
+// The list-returning matcher ForEachMetapathInstance replaced, spelled out:
+// an iterative DFS per metapath that copies each instance into a new list,
+// then a second list tagging every instance with its metapath.
+std::vector<std::vector<VertexId>> SpelledOutMatchOne(const CsrGraph& g, VertexId root,
+                                                      const Metapath& mp,
+                                                      const MetapathMatchOptions& options) {
+  std::vector<std::vector<VertexId>> instances;
+  if (mp.types.empty() || g.TypeOf(root) != mp.types[0]) {
+    return instances;
+  }
+  if (mp.length() == 0) {
+    instances.push_back({root});
+    return instances;
+  }
+  struct Frame {
+    VertexId vertex;
+    std::size_t cursor;
+  };
+  std::vector<Frame> stack;
+  std::vector<VertexId> path{root};
+  stack.push_back({root, 0});
+  while (!stack.empty()) {
+    Frame& frame = stack.back();
+    const std::size_t depth = stack.size() - 1;
+    const auto nbrs = g.OutNeighbors(frame.vertex);
+    bool descended = false;
+    while (frame.cursor < nbrs.size()) {
+      const VertexId next = nbrs[frame.cursor++];
+      if (g.TypeOf(next) != mp.types[depth + 1]) {
+        continue;
+      }
+      if (options.simple_paths && std::find(path.begin(), path.end(), next) != path.end()) {
+        continue;
+      }
+      if (depth + 1 == mp.length()) {
+        path.push_back(next);
+        instances.push_back(path);
+        path.pop_back();
+        if (options.max_instances_per_path != 0 &&
+            instances.size() >= options.max_instances_per_path) {
+          return instances;
+        }
+      } else {
+        path.push_back(next);
+        stack.push_back({next, 0});
+        descended = true;
+        break;
+      }
+    }
+    if (!descended && frame.cursor >= nbrs.size()) {
+      stack.pop_back();
+      path.pop_back();
+    }
+  }
+  return instances;
+}
+
+TaggedInstances SpelledOutMatchAll(const CsrGraph& g, VertexId root,
+                                   const std::vector<Metapath>& mps,
+                                   const MetapathMatchOptions& options) {
+  TaggedInstances all;
+  for (uint32_t i = 0; i < mps.size(); ++i) {
+    for (auto& instance : SpelledOutMatchOne(g, root, mps[i], options)) {
+      all.emplace_back(i, std::move(instance));
+    }
+  }
+  return all;
+}
+
 CsrGraph MakePaperHeteroGraph() {
   // Figure 2a with 3 vertex types by color:
   //   green:  A(0), G(6)        → type 0
@@ -177,7 +275,7 @@ TEST(MetapathTest, PaperFigure2Instances) {
   // MP: [0, 1, 1] rooted at A(0): A-D-C (D's purple neighbor C). A-E? E's
   // purple neighbors: none (E connects A and B). → expect exactly {A,D,C}.
   Metapath mp{{0, 1, 1}};
-  auto instances = FindMetapathInstances(g, 0, mp);
+  auto instances = Instances(g, 0, mp);
   ASSERT_EQ(instances.size(), 1u);
   EXPECT_EQ(instances[0], (std::vector<VertexId>{0, 3, 2}));
 }
@@ -185,7 +283,7 @@ TEST(MetapathTest, PaperFigure2Instances) {
 TEST(MetapathTest, TypeMismatchAtRootYieldsNothing) {
   CsrGraph g = MakePaperHeteroGraph();
   Metapath mp{{1, 0, 1}};
-  EXPECT_TRUE(FindMetapathInstances(g, 0, mp).empty());  // A is type 0, not 1
+  EXPECT_TRUE(Instances(g, 0, mp).empty());  // A is type 0, not 1
 }
 
 TEST(MetapathTest, SimplePathsExcludeRevisits) {
@@ -196,7 +294,7 @@ TEST(MetapathTest, SimplePathsExcludeRevisits) {
   b.AddUndirectedEdge(0, 1);
   CsrGraph g = b.Build();
   Metapath mp{{0, 1, 0}};  // would need to return to 0
-  EXPECT_TRUE(FindMetapathInstances(g, 0, mp).empty());
+  EXPECT_TRUE(Instances(g, 0, mp).empty());
 }
 
 TEST(MetapathTest, NonSimpleAllowsRevisits) {
@@ -208,7 +306,7 @@ TEST(MetapathTest, NonSimpleAllowsRevisits) {
   Metapath mp{{0, 1, 0}};
   MetapathMatchOptions options;
   options.simple_paths = false;
-  auto instances = FindMetapathInstances(g, 0, mp, options);
+  auto instances = Instances(g, 0, mp, options);
   ASSERT_EQ(instances.size(), 1u);
   EXPECT_EQ(instances[0], (std::vector<VertexId>{0, 1, 0}));
 }
@@ -225,23 +323,95 @@ TEST(MetapathTest, MaxInstancesCap) {
   Metapath mp{{0, 1}};
   MetapathMatchOptions options;
   options.max_instances_per_path = 5;
-  EXPECT_EQ(FindMetapathInstances(g, 0, mp, options).size(), 5u);
+  EXPECT_EQ(Instances(g, 0, mp, options).size(), 5u);
 }
 
 TEST(MetapathTest, AllInstancesTaggedByIndex) {
   CsrGraph g = MakePaperHeteroGraph();
   std::vector<Metapath> mps = {Metapath{{0, 1, 1}}, Metapath{{0, 2, 0}}};
-  auto all = FindAllMetapathInstances(g, 0, mps);
   bool saw0 = false;
   bool saw1 = false;
-  for (const auto& inst : all) {
-    EXPECT_EQ(inst.vertices.front(), 0u);
-    EXPECT_EQ(inst.vertices.size(), 3u);
-    saw0 = saw0 || inst.metapath_index == 0;
-    saw1 = saw1 || inst.metapath_index == 1;
+  for (const auto& [metapath_index, vertices] : Visited(g, 0, mps)) {
+    EXPECT_EQ(vertices.front(), 0u);
+    EXPECT_EQ(vertices.size(), 3u);
+    saw0 = saw0 || metapath_index == 0;
+    saw1 = saw1 || metapath_index == 1;
   }
   EXPECT_TRUE(saw0);
   EXPECT_TRUE(saw1);  // A-F-G and A-H-G match [0,2,0]
+}
+
+// Random typed graphs with self-loops and parallel edges, unsorted neighbor
+// lists, metapaths of length 0-3 (some rooted at a type the root lacks):
+// the visitor sees the spelled-out matcher's instances, in its order.
+TEST(MetapathTest, VisitorMatchesSpelledOutMatcher) {
+  Rng rng(2024);
+  for (int trial = 0; trial < 40; ++trial) {
+    const auto n = static_cast<VertexId>(2 + rng.NextBounded(30));
+    const int num_types = 1 + static_cast<int>(rng.NextBounded(3));
+    GraphBuilder b(n, num_types);
+    for (VertexId v = 0; num_types > 1 && v < n; ++v) {
+      b.SetVertexType(v, static_cast<VertexType>(rng.NextBounded(num_types)));
+    }
+    const uint64_t num_edges = rng.NextBounded(6 * n);
+    for (uint64_t e = 0; e < num_edges; ++e) {
+      const auto u = static_cast<VertexId>(rng.NextBounded(n));
+      const auto v = rng.NextBounded(8) == 0 ? u : static_cast<VertexId>(rng.NextBounded(n));
+      b.AddEdge(u, v);
+    }
+    GraphBuilder::Options build;
+    build.sort_neighbors = trial % 2 == 0;
+    const CsrGraph g = b.Build(build);
+    std::vector<Metapath> mps(1 + rng.NextBounded(4));
+    for (Metapath& mp : mps) {
+      mp.types.resize(1 + rng.NextBounded(4));
+      for (VertexType& t : mp.types) {
+        t = static_cast<VertexType>(rng.NextBounded(num_types));
+      }
+    }
+    for (const std::size_t cap : {0, 1, 3, 32}) {
+      for (const bool simple : {true, false}) {
+        MetapathMatchOptions options;
+        options.max_instances_per_path = cap;
+        options.simple_paths = simple;
+        for (VertexId root = 0; root < n; ++root) {
+          ASSERT_EQ(Visited(g, root, mps, options), SpelledOutMatchAll(g, root, mps, options))
+              << "trial " << trial << " root " << root << " cap " << cap << " simple "
+              << simple;
+        }
+      }
+    }
+  }
+}
+
+// MAGNN's NeighborSelection drives the visitor straight into the builder; its
+// HDG at scale 0.1 is the one the spelled-out matcher's instance lists build.
+TEST(MetapathTest, MagnnHdgMatchesSpelledOutMatcher) {
+  const Dataset ds = WithSyntheticVertexTypes(MakeDatasetByName("twitter", 0.1, 7), 3);
+  Rng model_rng(7);
+  const GnnModel model = MakeMagnnModel(MagnnConfig{}, model_rng);
+  GnnModel reference;
+  reference.schema = model.schema;
+  reference.cache_policy = model.cache_policy;
+  const std::vector<Metapath> mps = DefaultMetapaths3Type();
+  reference.neighbor_udf = [&mps](const NeighborSelectionContext& ctx, VertexId root,
+                                  HdgBuilder& builder) {
+    MetapathMatchOptions options;
+    options.max_instances_per_path = MagnnConfig{}.max_instances_per_path;
+    for (const auto& [index, instance] : SpelledOutMatchAll(ctx.graph, root, mps, options)) {
+      builder.AddRecord(root, index, instance);
+    }
+  };
+  Rng rng_a(1);
+  Rng rng_b(1);
+  const Hdg got = BuildHdgAllVertices(model, ds.graph, rng_a);
+  const Hdg want = BuildHdgAllVertices(reference, ds.graph, rng_b);
+  ASSERT_GT(want.num_instances(), 0u);
+  EXPECT_EQ(got.flat(), want.flat());
+  EXPECT_TRUE(std::ranges::equal(got.roots(), want.roots()));
+  EXPECT_TRUE(std::ranges::equal(got.slot_offsets(), want.slot_offsets()));
+  EXPECT_TRUE(std::ranges::equal(got.instance_leaf_offsets(), want.instance_leaf_offsets()));
+  EXPECT_TRUE(std::ranges::equal(got.leaf_vertex_ids(), want.leaf_vertex_ids()));
 }
 
 }  // namespace

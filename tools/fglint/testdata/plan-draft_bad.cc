@@ -10,7 +10,7 @@ flexgraph::ExecutionPlan HandRolledPlan() {
 }
 
 void PatchBottomLevel(flexgraph::LevelDraft* level) {
-  level->gather_index.push_back(0);
+  level->leaf_ids.push_back(0);
 }
 
 void GrowFusion(flexgraph::FusionDraft* fusion) {

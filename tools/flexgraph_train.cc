@@ -213,6 +213,11 @@ void PrintStageBreakdown(bool distributed) {
                            "%)"});
   }
   exec_table.AddRow({"plan compile seconds", TablePrinter::Num(compile_seconds, 4)});
+  for (const char* pass : {"analyze", "lower", "fuse", "finalize"}) {
+    auto it = snap.histograms.find(std::string("exec.plan_") + pass + "_seconds");
+    exec_table.AddRow({std::string("  ") + pass,
+                       TablePrinter::Num(it != snap.histograms.end() ? it->second.sum : 0.0, 4)});
+  }
   exec_table.AddRow(
       {"arena planned KiB", TablePrinter::Num(gauge("exec.planned_bytes") / 1024.0, 1)});
   exec_table.AddRow({"arena reserved KiB",
