@@ -2,8 +2,8 @@
 // kernel classes the hybrid execution strategy arbitrates between — sparse
 // gather+scatter (SA), scalar fused (a DGL-like fusion without SIMD layout),
 // vectorized fused (FlexGraph's feature fusion) — plus the dense-vs-sparse
-// schema-level reduce. These isolate the per-kernel gaps that the
-// macro-benches (Table 2, Figure 14) aggregate.
+// schema-level reduce and MAGNN's instance-attention passes. These isolate
+// the per-kernel gaps that the macro-benches (Table 2, Figure 14) aggregate.
 //
 // Every benchmark runs a fixed ->Iterations(n): with FLEXGRAPH_PROFILE=1 the
 // exported prof.* counters sum over all iterations, and the bench gate
@@ -164,6 +164,101 @@ void BM_FusedAggregateWorkspace(benchmark::State& state) {
   state.SetLabel(use_arena ? "arena" : "heap");
 }
 BENCHMARK(BM_FusedAggregateWorkspace)->Arg(0)->Arg(1)->Iterations(100);
+
+// MAGNN's instance attention (DESIGN.md §20) on a MAGNN-shaped level:
+// 4096 slots of 32 width-3 instances [root, middle, end] that share their
+// root and middle, one 32-instance prefix run per slot, as the capped
+// metapath DFS emits them. Each iteration is one kernel-table call over
+// the whole range, so the exported prof.instance_attention{,_grad,_dw}
+// counters pin the rows the kernels gather. α and the score gradient are
+// random: the kernels' work does not depend on their values.
+struct InstanceFixture {
+  static constexpr int64_t kD = 64;
+  static constexpr int64_t kRun = 32;
+  std::vector<float> x, w, grad, alpha, dscore;
+  std::vector<uint32_t> ids;
+  std::vector<uint64_t> leaf_offsets{0};
+  std::vector<uint64_t> slot_offsets{0};
+  int64_t instances() const { return static_cast<int64_t>(leaf_offsets.size()) - 1; }
+  int64_t slots() const { return static_cast<int64_t>(slot_offsets.size()) - 1; }
+};
+
+const InstanceFixture& MagnnInstanceFixture() {
+  static const InstanceFixture f = [] {
+    constexpr uint64_t kVertices = 16384;
+    constexpr int64_t kSlots = 4096;
+    InstanceFixture g;
+    Rng rng(6);
+    const auto fill = [&](std::vector<float>& v, std::size_t n) {
+      v.resize(n);
+      for (float& e : v) {
+        e = rng.NextFloat();
+      }
+    };
+    fill(g.x, kVertices * InstanceFixture::kD);
+    fill(g.w, InstanceFixture::kD);
+    fill(g.grad, kSlots * InstanceFixture::kD);
+    for (int64_t s = 0; s < kSlots; ++s) {
+      const auto root = static_cast<uint32_t>(s);
+      const auto middle = static_cast<uint32_t>(rng.NextBounded(kVertices));
+      for (int64_t l = 0; l < InstanceFixture::kRun; ++l) {
+        g.ids.insert(g.ids.end(),
+                     {root, middle, static_cast<uint32_t>(rng.NextBounded(kVertices))});
+        g.leaf_offsets.push_back(g.ids.size());
+      }
+      g.slot_offsets.push_back(g.leaf_offsets.size() - 1);
+    }
+    fill(g.alpha, static_cast<std::size_t>(g.instances()));
+    fill(g.dscore, static_cast<std::size_t>(g.instances()));
+    return g;
+  }();
+  return f;
+}
+
+void BM_InstanceAttention(benchmark::State& state) {
+  const InstanceFixture& f = MagnnInstanceFixture();
+  constexpr int64_t d = InstanceFixture::kD;
+  std::vector<float> tile(InstanceFixture::kRun * d);
+  std::vector<float> alpha(f.alpha.size());
+  std::vector<float> out(static_cast<std::size_t>(f.slots() * d));
+  for (auto _ : state) {
+    simd::Kernels().instance_attention(f.x.data(), d, f.ids.data(), f.leaf_offsets.data(),
+                                       f.slot_offsets.data(), f.w.data(), 0.5f, 0, f.slots(),
+                                       tile.data(), alpha.data(), out.data());
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_InstanceAttention)->Iterations(20);
+
+void BM_InstanceAttentionGrad(benchmark::State& state) {
+  const InstanceFixture& f = MagnnInstanceFixture();
+  constexpr int64_t d = InstanceFixture::kD;
+  std::vector<float> tile(InstanceFixture::kRun * d);
+  std::vector<float> dscore(f.dscore.size());
+  for (auto _ : state) {
+    simd::Kernels().instance_attention_grad(f.x.data(), d, f.ids.data(), f.leaf_offsets.data(),
+                                            f.slot_offsets.data(), f.alpha.data(),
+                                            f.grad.data(), 0, f.slots(), tile.data(),
+                                            dscore.data());
+    benchmark::DoNotOptimize(dscore.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_InstanceAttentionGrad)->Iterations(20);
+
+void BM_InstanceAttentionDw(benchmark::State& state) {
+  const InstanceFixture& f = MagnnInstanceFixture();
+  constexpr int64_t d = InstanceFixture::kD;
+  std::vector<float> dw(d);
+  for (auto _ : state) {
+    simd::Kernels().instance_attention_dw(f.x.data(), d, f.ids.data(), f.leaf_offsets.data(),
+                                          f.instances(), f.dscore.data(), 0, d, dw.data());
+    benchmark::DoNotOptimize(dw.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_InstanceAttentionDw)->Iterations(20);
 
 void BM_MatMul(benchmark::State& state) {
   Rng rng(3);

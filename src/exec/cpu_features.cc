@@ -42,12 +42,13 @@ namespace {
 IsaLevel ProbeIsa() {
 #if defined(__x86_64__) || defined(__i386__)
   __builtin_cpu_init();
-  // The AVX-512 kernels use 512-bit float loads/adds/muls/max/min only, all
-  // AVX-512F; BW/DQ/VL are not required by the variant TU.
+  // The AVX-512 kernels use 512-bit float loads/adds/muls/fmadds/max/min
+  // only, all AVX-512F; BW/DQ/VL are not required by the variant TU.
   if (__builtin_cpu_supports("avx512f")) {
     return IsaLevel::kAvx512;
   }
-  if (__builtin_cpu_supports("avx2")) {
+  // The AVX2 table's Fma is _mm256_fmadd_ps, and its TU builds with -mfma.
+  if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma")) {
     return IsaLevel::kAvx2;
   }
   // SSE2 is part of the x86-64 baseline; 32-bit x86 still probes it.

@@ -157,13 +157,42 @@ void ProfSegmentReduceExt(const float* x, int64_t base_rows, const float* partia
                                  s_lo, s_hi, kind, out);
 }
 
-// The instance-attention kernels bill the member rows they gather (with
-// their ids) as reads, like segment_reduce_ext; the tile is task-private
-// scratch and counts on neither side. Their totals must not follow how a
-// call is split into tasks (which follows the thread count), so a task
-// bills one offset per segment it owns, and the task that starts at 0 adds
-// the closing offset and any operand every task reads (the score weight w)
-// — gemm's fence term.
+// Member rows the instance-attention kernels gather for instances
+// [i_lo, i_hi), one range of prefix runs: the first instance of a run
+// gathers all its w rows, each later one its last row only. Counted from
+// the ids before a shim's timed scope opens.
+int64_t GatheredRows(const uint32_t* ids, const uint64_t* leaf_offsets, uint64_t i_lo,
+                     uint64_t i_hi) {
+  int64_t rows = 0;
+  uint64_t prev_width = 0;
+  for (uint64_t i = i_lo; i < i_hi; ++i) {
+    const uint64_t e0 = leaf_offsets[i];
+    const uint64_t width = leaf_offsets[i + 1] - e0;
+    rows += static_cast<int64_t>(ContinuesPrefixRun(ids, e0, width, prev_width) ? 1 : width);
+    prev_width = width;
+  }
+  return rows;
+}
+
+// The forward and pass A find runs inside each slot.
+int64_t SlotGatheredRows(const uint32_t* ids, const uint64_t* leaf_offsets,
+                         const uint64_t* slot_offsets, int64_t s_lo, int64_t s_hi) {
+  int64_t rows = 0;
+  for (int64_t s = s_lo; s < s_hi; ++s) {
+    rows += GatheredRows(ids, leaf_offsets, slot_offsets[s], slot_offsets[s + 1]);
+  }
+  return rows;
+}
+
+// The instance-attention kernels bill the member rows they gather as
+// reads, and every leaf id once (the run test reads them all); the tile is
+// task-private scratch and counts on neither side. Their totals must not
+// follow how a call is split into tasks (which follows the thread count),
+// so a task bills one offset per segment it owns, and the task that starts
+// at 0 adds the closing offset and any operand every task reads (the
+// score weight w) — gemm's fence term. The forward and pass A find runs
+// inside slots, which no chunk splits, so their row counts do not follow
+// the split either.
 void ProfInstanceAttention(const float* x, int64_t d, const uint32_t* ids,
                            const uint64_t* leaf_offsets, const uint64_t* slot_offsets,
                            const float* w, float bias, int64_t s_lo, int64_t s_hi, float* tile,
@@ -173,13 +202,14 @@ void ProfInstanceAttention(const float* x, int64_t d, const uint32_t* ids,
   const uint64_t i_hi = slot_offsets[s_hi];
   const auto inst = static_cast<int64_t>(i_hi - i_lo);
   const auto refs = static_cast<int64_t>(leaf_offsets[i_hi] - leaf_offsets[i_lo]);
-  const int64_t read = refs * (d * kF + kIdx) + (inst + segs) * kOff +
+  const int64_t rows = SlotGatheredRows(ids, leaf_offsets, slot_offsets, s_lo, s_hi);
+  const int64_t read = rows * d * kF + refs * kIdx + (inst + segs) * kOff +
                        (s_lo == 0 ? 2 * kOff + d * kF : 0);
-  // Means (an add per ref element, a scale per instance element), the score
-  // chain (a multiply-add per element) and its bias add, the softmax (5 per
-  // instance, row_softmax's nominal count), the weighted sum (a
-  // multiply-add per element).
-  const int64_t flops = refs * d + inst * (5 * d + 6);
+  // Means (an add per gathered row element, a scale per instance element),
+  // the score chain (a multiply-add per element) and its bias add, the
+  // softmax (5 per instance, row_softmax's nominal count), the weighted sum
+  // (a multiply-add per element).
+  const int64_t flops = rows * d + inst * (5 * d + 6);
   obs::TimedKernelScope scope(ProfKernel::kInstanceAttention, read,
                               segs * d * kF + inst * kF, flops);
   ProfBase()->instance_attention(x, d, ids, leaf_offsets, slot_offsets, w, bias, s_lo, s_hi,
@@ -195,12 +225,13 @@ void ProfInstanceAttentionGrad(const float* x, int64_t d, const uint32_t* ids,
   const uint64_t i_hi = slot_offsets[s_hi];
   const auto inst = static_cast<int64_t>(i_hi - i_lo);
   const auto refs = static_cast<int64_t>(leaf_offsets[i_hi] - leaf_offsets[i_lo]);
+  const int64_t rows = SlotGatheredRows(ids, leaf_offsets, slot_offsets, s_lo, s_hi);
   // The forward's gather, plus α and each slot's gradient row.
-  const int64_t read = refs * (d * kF + kIdx) + (inst + segs) * kOff +
+  const int64_t read = rows * d * kF + refs * kIdx + (inst + segs) * kOff +
                        (s_lo == 0 ? 2 * kOff : 0) + inst * kF + segs * d * kF;
   // Means, gα (a multiply-add per element), then the slot dot and
   // α·(gα − dot), 2 each per instance.
-  const int64_t flops = refs * d + inst * (3 * d + 4);
+  const int64_t flops = rows * d + inst * (3 * d + 4);
   obs::TimedKernelScope scope(ProfKernel::kInstanceAttentionGrad, read, inst * kF, flops);
   ProfBase()->instance_attention_grad(x, d, ids, leaf_offsets, slot_offsets, alpha, grad_slots,
                                       s_lo, s_hi, tile, dscore);
@@ -211,15 +242,18 @@ void ProfInstanceAttentionDw(const float* x, int64_t d, const uint32_t* ids,
                              const float* dscore, int64_t k_lo, int64_t k_hi, float* dw) {
   const int64_t cols = k_hi - k_lo;
   const auto refs = static_cast<int64_t>(leaf_offsets[num_instances]);
+  // Runs may cross slots here: every block sweeps all instances.
+  const int64_t rows =
+      GatheredRows(ids, leaf_offsets, 0, static_cast<uint64_t>(num_instances));
   // Every 16-column block sweeps all instances: the ids, offsets and dscore
-  // once per block, the member rows' columns once. Linear in the blocks, so
-  // the totals do not follow how a call's blocks are split into tasks.
+  // once per block, the gathered rows' columns once. Linear in the blocks,
+  // so the totals do not follow how a call's blocks are split into tasks.
   const int64_t blocks = (cols + kPackAlignFloats - 1) / kPackAlignFloats;
   const int64_t read = blocks * (refs * kIdx + (num_instances + 1) * kOff + num_instances * kF) +
-                       refs * cols * kF;
+                       rows * cols * kF;
   // Means per column, then a nominal multiply-add per instance (the zero
   // skip depends on the data; see gemm_trans_a).
-  const int64_t flops = cols * (refs + 3 * num_instances);
+  const int64_t flops = cols * (rows + 3 * num_instances);
   obs::TimedKernelScope scope(ProfKernel::kInstanceAttentionDw, read, cols * kF, flops);
   ProfBase()->instance_attention_dw(x, d, ids, leaf_offsets, num_instances, dscore, k_lo, k_hi,
                                     dw);

@@ -15,7 +15,8 @@
 // element the accumulation order over edges / rows / k is exactly the
 // sequential scalar kernel's, lanes never mix, and no variant contracts a
 // multiply-add (variant TUs build with -ffp-contract=off; the two FMA chains
-// of the instance-attention backward are explicit std::fma, as in the tensor
+// of the instance-attention backward are explicit fused ops — the policy's
+// Fma, which rounds once like std::fma, and std::fma — as in the tensor
 // layer's RowDot and segment softmax backward).
 // Results are therefore bitwise identical across scalar/sse2/avx2/avx512 and
 // across thread counts.
@@ -46,6 +47,23 @@ inline constexpr int64_t kPrefetchLeafRows = 8;
 
 inline constexpr int64_t PackedStride(int64_t n) {
   return (n + kPackAlignFloats - 1) / kPackAlignFloats * kPackAlignFloats;
+}
+
+// MAGNN's instance attention (the instance_attention* kernels below): the
+// instance with leaves [e0, e0 + width) continues a prefix run when the
+// instance before it, which ends at e0, has the same width ≥ 1 and the
+// same first width − 1 leaf ids. Both means then fold the same partial of
+// those rows before adding their last row, so the kernels gather a run's
+// shared rows once (per column block) and one row per instance after
+// that. A kernel passes prev_width = 0 for the first instance of its
+// range, so it never reads ids before the range.
+inline bool ContinuesPrefixRun(const uint32_t* ids, uint64_t e0, uint64_t width,
+                               uint64_t prev_width) {
+  bool same = width != 0 && width == prev_width;
+  for (uint64_t k = 0; same && k + 1 < width; ++k) {
+    same = ids[e0 - width + k] == ids[e0 + k];
+  }
+  return same;
 }
 
 // Function-pointer table for one ISA level. Row primitives cover the simple
@@ -94,7 +112,9 @@ struct KernelTable {
   // (segment_reduce's kMean fold: +0, then + each row in leaf order, then
   // × 1/width); slot s holds instances [slot_offsets[s], slot_offsets[s+1]).
   // No kernel stores an instance row: each re-forms the means it needs into
-  // registers or into `tile`, a per-task scratch of (longest slot) × d floats.
+  // registers or into `tile`, a per-task scratch of (longest slot) × d floats,
+  // one prefix run (ContinuesPrefixRun) at a time — the forward and pass A
+  // within each slot, pass B across the whole range.
 
   // Forward over slots [s_lo, s_hi). Per slot: the instance means into
   // `tile`, the scores s_i = ((0 + m_i[0]·w[0]) + m_i[1]·w[1] + …) + bias
@@ -109,8 +129,9 @@ struct KernelTable {
 
   // Backward pass A over slots [s_lo, s_hi): re-forms each slot's means in
   // `tile` and writes dscore[i] = α_i·(gα_i − Σ_r α_r·gα_r), where gα_i is
-  // the FMA chain Σ_j G_s[j]·m_i[j] over the slot's gradient row G_s and the
-  // slot sum an FMA chain too, both from +0 (the segment softmax backward).
+  // the FMA chain Σ_j G_s[j]·m_i[j] over the slot's gradient row G_s
+  // (lane-parallel across instances, like the scores) and the slot sum an
+  // FMA chain too, both from +0 (the segment softmax backward).
   void (*instance_attention_grad)(const float* x, int64_t d, const uint32_t* ids,
                                   const uint64_t* leaf_offsets, const uint64_t* slot_offsets,
                                   const float* alpha, const float* grad_slots, int64_t s_lo,

@@ -1,7 +1,8 @@
-// 256-bit AVX2 kernel variant. Built with -mavx2 -ffp-contract=off and
-// deliberately never uses _mm256_fmadd_ps: fused multiply-add rounds once
-// where mul+add rounds twice, which would break bitwise parity with the
-// scalar and SSE2 variants.
+// 256-bit AVX2 kernel variant. Built with -mavx2 -mfma -ffp-contract=off:
+// a fused multiply-add rounds once where mul+add rounds twice, so the
+// compiler never contracts a pair, and _mm256_fmadd_ps appears only as
+// Fma, for the chains the float contract spells as std::fma. The table is
+// selected only on CPUs that report both AVX2 and FMA.
 #include "src/exec/simd_body.h"
 
 #if defined(__AVX2__)
@@ -21,6 +22,7 @@ struct Vec256 {
   static void Store(float* p, Reg v) { _mm256_storeu_ps(p, v); }
   static Reg Add(Reg a, Reg b) { return _mm256_add_ps(a, b); }
   static Reg Mul(Reg a, Reg b) { return _mm256_mul_ps(a, b); }
+  static Reg Fma(Reg a, Reg b, Reg c) { return _mm256_fmadd_ps(a, b, c); }
   static Reg Max(Reg a, Reg b) { return _mm256_max_ps(a, b); }  // a>b?a:b — b on ties/NaN
   static Reg Min(Reg a, Reg b) { return _mm256_min_ps(a, b); }  // a<b?a:b — b on ties/NaN
   static Reg Broadcast(float s) { return _mm256_set1_ps(s); }

@@ -1,7 +1,8 @@
 // 512-bit AVX-512F kernel variant (the paper's §4.3 vertex-reduce fast
-// path). Requires only AVX-512F — loads, stores, add, mul, max, min,
-// broadcast, compare-to-mask. Built with -ffp-contract=off and no FMA
-// intrinsics so results match the narrower variants bitwise.
+// path). Requires only AVX-512F — loads, stores, add, mul, fmadd, max,
+// min, broadcast, compare-to-mask. Built with -ffp-contract=off, and
+// _mm512_fmadd_ps appears only as Fma (the chains the float contract
+// spells as std::fma), so results match the narrower variants bitwise.
 #include "src/exec/simd_body.h"
 
 #if defined(__AVX512F__)
@@ -21,6 +22,7 @@ struct Vec512 {
   static void Store(float* p, Reg v) { _mm512_storeu_ps(p, v); }
   static Reg Add(Reg a, Reg b) { return _mm512_add_ps(a, b); }
   static Reg Mul(Reg a, Reg b) { return _mm512_mul_ps(a, b); }
+  static Reg Fma(Reg a, Reg b, Reg c) { return _mm512_fmadd_ps(a, b, c); }
   static Reg Max(Reg a, Reg b) { return _mm512_max_ps(a, b); }  // a>b?a:b — b on ties/NaN
   static Reg Min(Reg a, Reg b) { return _mm512_min_ps(a, b); }  // a<b?a:b — b on ties/NaN
   static Reg Broadcast(float s) { return _mm512_set1_ps(s); }

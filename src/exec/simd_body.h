@@ -1,19 +1,21 @@
 // Shared kernel bodies for the SIMD dispatch layer. Each variant TU
 // (simd_scalar.cc, simd_sse2.cc, simd_avx2.cc, simd_avx512.cc) defines a
-// vector policy V — register type, lane count, load/store/add/mul/max/min/
-// broadcast, a masked add for the zero skip, and an in-register transpose of
-// kWidth registers — includes this header, and exports MakeTable<V>().
+// vector policy V — register type, lane count, load/store/add/mul/fma/max/
+// min/broadcast, a masked add for the zero skip, and an in-register
+// transpose of kWidth registers — includes this header, and exports
+// MakeTable<V>().
 //
 // Every lane holds one output element. The bodies vectorize along the
 // feature (j) dimension and finish with a scalar tail — except the narrow
 // GemmTransA (n below the lane count), which vectorizes along a's columns,
-// one lane per row of c, and the instance scores, one lane per instance.
-// Either way each output element's accumulation
+// one lane per row of c, and the instance scores and score-gradient dots,
+// one lane per instance. Either way each output element's accumulation
 // order over edges / rows / k is identical at every lane width: results are
 // bitwise identical across scalar, 128-bit, 256-bit, and 512-bit variants.
 // Variant TUs compile with -ffp-contract=off so the scalar tails (and the
 // scalar policy) never fuse the multiply-add pairs the vector paths keep
-// separate.
+// separate; V::Fma, used only where the float contract spells std::fma,
+// rounds once at every width, as std::fma does.
 //
 // Comparison semantics are pinned to maxps/minps: max(acc, src) returns acc
 // when acc > src and src otherwise (so src wins on NaN and ±0 ties), and the
@@ -190,55 +192,88 @@ struct Body {
 
   // ---- MAGNN instance attention (recomputed, never stored) ----
 
-  // Instance i's mean into `row`: per element segment_reduce's kMean fold,
-  // ((+0 + x_0) + x_1 + …) × 1/width over the member rows in leaf order, with
-  // the accumulator in a register across the rows. Width 0 leaves zeros.
-  static void MeanRow(const float* x, int64_t d, const uint32_t* ids, uint64_t e0, uint64_t e1,
-                      float* row) {
-    const float inv = e1 > e0 ? 1.0f / static_cast<float>(e1 - e0) : 0.0f;
-    const auto src = [&](uint64_t e) { return x + static_cast<int64_t>(ids[e]) * d; };
-    int64_t j = 0;
-    for (; j + kW <= d; j += kW) {
-      Reg acc = V::Zero();
-      for (uint64_t e = e0; e < e1; ++e) {
-        acc = V::Add(acc, V::Load(src(e) + j));
-      }
-      V::Store(row + j, e1 > e0 ? V::Mul(acc, V::Broadcast(inv)) : acc);
-    }
-    for (; j < d; ++j) {
-      float acc = 0.0f;
-      for (uint64_t e = e0; e < e1; ++e) {
-        acc = acc + src(e)[j];
-      }
-      row[j] = e1 > e0 ? acc * inv : acc;
+  static const float* LeafRow(const float* x, int64_t d, const uint32_t* ids, uint64_t e) {
+    return x + static_cast<int64_t>(ids[e]) * d;
+  }
+
+  // Prefetches the first line of each member row of instance i.
+  static void PrefetchInstance(const float* x, int64_t d, const uint32_t* ids,
+                               const uint64_t* leaf_offsets, uint64_t i, int64_t k0) {
+    for (uint64_t e = leaf_offsets[i]; e < leaf_offsets[i + 1]; ++e) {
+      __builtin_prefetch(LeafRow(x, d, ids, e) + k0);
     }
   }
 
-  // Means of instances [lo, hi) into tile rows 0 .. hi-lo, prefetching member
-  // rows kPrefetchLeafRows refs ahead, up to the task's last ref leaf_end.
+  // Means of the prefix run [r0, r1) into rows 0 .. r1-r0: per element
+  // segment_reduce's kMean fold, ((+0 + x_0) + x_1 + …) × 1/w over the
+  // member rows in leaf order. Row 0 first holds the partial of the run's
+  // shared first w − 1 rows; each instance adds its own last row to it,
+  // instance r0 last and in place — the same float ops in the same order.
+  // Width 0 (always a run of one) leaves zeros.
+  static void RunMeans(const float* x, int64_t d, const uint32_t* ids,
+                       const uint64_t* leaf_offsets, uint64_t r0, uint64_t r1, float* rows) {
+    const uint64_t e0 = leaf_offsets[r0];
+    const uint64_t width = leaf_offsets[r0 + 1] - e0;
+    std::fill(rows, rows + d, 0.0f);
+    if (width == 0) {
+      return;
+    }
+    for (uint64_t e = e0; e + 1 < e0 + width; ++e) {
+      AddRow(rows, LeafRow(x, d, ids, e), d);
+    }
+    const float inv = 1.0f / static_cast<float>(width);
+    const auto mean = [&](uint64_t i, float* out) {
+      const float* last = LeafRow(x, d, ids, leaf_offsets[i + 1] - 1);
+      int64_t j = 0;
+      for (; j + kW <= d; j += kW) {
+        const Reg sum = V::Add(V::Load(rows + j), V::Load(last + j));
+        V::Store(out + j, V::Mul(sum, V::Broadcast(inv)));
+      }
+      for (; j < d; ++j) {
+        out[j] = (rows[j] + last[j]) * inv;
+      }
+    };
+    for (uint64_t i = r0 + 1; i < r1; ++i) {
+      mean(i, rows + static_cast<int64_t>(i - r0) * d);
+    }
+    mean(r0, rows);
+  }
+
+  // Means of one slot's instances [lo, hi) into tile rows 0 .. hi-lo, run
+  // by prefix run; runs are found inside the slot only, so what a task
+  // reads does not follow where the chunks cut. Prefetches the member
+  // rows of the instance kPrefetchLeafRows ahead, up to the task's last
+  // instance i_end.
   static void FormMeans(const float* x, int64_t d, const uint32_t* ids,
-                        const uint64_t* leaf_offsets, uint64_t lo, uint64_t hi, uint64_t leaf_end,
+                        const uint64_t* leaf_offsets, uint64_t lo, uint64_t hi, uint64_t i_end,
                         float* tile) {
     constexpr uint64_t kPf = static_cast<uint64_t>(kPrefetchLeafRows);
-    for (uint64_t i = lo; i < hi; ++i) {
-      const uint64_t e0 = leaf_offsets[i];
-      const uint64_t e1 = leaf_offsets[i + 1];
-      for (uint64_t e = e0; e < e1 && e + kPf < leaf_end; ++e) {
-        __builtin_prefetch(x + static_cast<int64_t>(ids[e + kPf]) * d);
+    uint64_t r1 = lo;
+    for (uint64_t r0 = lo; r0 < hi; r0 = r1) {
+      const uint64_t width = leaf_offsets[r0 + 1] - leaf_offsets[r0];
+      r1 = r0 + 1;
+      while (r1 < hi && ContinuesPrefixRun(ids, leaf_offsets[r1],
+                                           leaf_offsets[r1 + 1] - leaf_offsets[r1], width)) {
+        ++r1;
       }
-      MeanRow(x, d, ids, e0, e1, tile + static_cast<int64_t>(i - lo) * d);
+      for (uint64_t i = r0; i < r1 && i + kPf < i_end; ++i) {
+        PrefetchInstance(x, d, ids, leaf_offsets, i + kPf, 0);
+      }
+      RunMeans(x, d, ids, leaf_offsets, r0, r1, tile + static_cast<int64_t>(r0 - lo) * d);
     }
   }
 
-  // scores[l] = ((0 + m_l[0]·w[0]) + m_l[1]·w[1] + …) + bias for tile rows
-  // l < n — gemm's n = 1 chain, then AddRowVector — lane-parallel: lane l of
-  // the accumulator runs instance l0 + l's k-ascending chain. Each group of
-  // kW rows is loaded kW columns at a time and transposed in registers, so
-  // register q holds column k + q of the group; a short last group repeats
-  // row n - 1 in its spare lanes, whose results are dropped. The d % kW
-  // trailing columns continue each lane's chain in scalar code.
-  static void SlotScores(const float* tile, int64_t n, int64_t d, const float* w, float bias,
-                         float* scores) {
+  // out[l] = the k-ascending chain Σ_k m_l[k]·v[k] from +0 for tile rows
+  // l < n, lane-parallel: lane l of the accumulator runs instance l0 + l's
+  // chain. Each group of kW rows is loaded kW columns at a time and
+  // transposed in registers, so register q holds column k + q of the
+  // group; a short last group repeats row n - 1 in its spare lanes, whose
+  // results are dropped. The d % kW trailing columns continue each lane's
+  // chain in scalar code. kFused picks the step: multiply, then add
+  // (gemm's n = 1 chain) or one FMA (RowDot's).
+  template <bool kFused>
+  static void TransposedDots(const float* tile, int64_t n, int64_t d, const float* v,
+                             float* out) {
     const int64_t d_vec = d / kW * kW;
     for (int64_t l0 = 0; l0 < n; l0 += kW) {
       Reg acc = V::Zero();
@@ -249,7 +284,8 @@ struct Body {
         });
         V::Transpose(r);
         Unroll<kW>([&]<int64_t q>() {
-          acc = V::Add(acc, V::Mul(r[q], V::Broadcast(w[k + q])));
+          const Reg b = V::Broadcast(v[k + q]);
+          acc = kFused ? V::Fma(r[q], b, acc) : V::Add(acc, V::Mul(r[q], b));
         });
       }
       float lanes[static_cast<std::size_t>(kW)];
@@ -258,10 +294,14 @@ struct Body {
         float a = lanes[l - l0];
         const float* m = tile + l * d;
         for (int64_t k = d_vec; k < d; ++k) {
-          const float p = m[k] * w[k];
-          a = a + p;
+          if constexpr (kFused) {
+            a = std::fma(m[k], v[k], a);
+          } else {
+            const float p = m[k] * v[k];
+            a = a + p;
+          }
         }
-        scores[l] = a + bias;
+        out[l] = a;
       }
     }
   }
@@ -311,7 +351,7 @@ struct Body {
                                 const uint64_t* leaf_offsets, const uint64_t* slot_offsets,
                                 const float* w, float bias, int64_t s_lo, int64_t s_hi,
                                 float* tile, float* alpha, float* out) {
-    const uint64_t leaf_end = leaf_offsets[slot_offsets[static_cast<std::size_t>(s_hi)]];
+    const uint64_t i_end = slot_offsets[static_cast<std::size_t>(s_hi)];
     for (int64_t s = s_lo; s < s_hi; ++s) {
       const uint64_t lo = slot_offsets[static_cast<std::size_t>(s)];
       const uint64_t hi = slot_offsets[static_cast<std::size_t>(s) + 1];
@@ -321,38 +361,15 @@ struct Body {
         continue;
       }
       const auto n = static_cast<int64_t>(hi - lo);
-      FormMeans(x, d, ids, leaf_offsets, lo, hi, leaf_end, tile);
+      FormMeans(x, d, ids, leaf_offsets, lo, hi, i_end, tile);
+      // The scores: gemm's n = 1 chain, then AddRowVector's bias.
       float* a = alpha + lo;
-      SlotScores(tile, n, d, w, bias, a);
+      TransposedDots<false>(tile, n, d, w, a);
+      for (int64_t l = 0; l < n; ++l) {
+        a[l] = a[l] + bias;
+      }
       SlotSoftmax(a, n);
       SlotWeightedSum(tile, n, d, a, dst);
-    }
-  }
-
-  // out[l] = the FMA chain Σ_j g[j]·m_l[j] from +0 (RowDot), eight
-  // instances' chains interleaved so the loop is not bound by one FMA's
-  // latency per step.
-  static constexpr int64_t kDotChains = 8;
-
-  static void SlotRowDots(const float* tile, int64_t n, int64_t d, const float* g, float* out) {
-    int64_t l = 0;
-    for (; l + kDotChains <= n; l += kDotChains) {
-      float acc[kDotChains];
-      Unroll<kDotChains>([&]<int64_t r>() { acc[r] = 0.0f; });
-      for (int64_t j = 0; j < d; ++j) {
-        const float gj = g[j];
-        Unroll<kDotChains>([&]<int64_t r>() {
-          acc[r] = std::fma(gj, tile[(l + r) * d + j], acc[r]);
-        });
-      }
-      Unroll<kDotChains>([&]<int64_t r>() { out[l + r] = acc[r]; });
-    }
-    for (; l < n; ++l) {
-      float acc = 0.0f;
-      for (int64_t j = 0; j < d; ++j) {
-        acc = std::fma(g[j], tile[l * d + j], acc);
-      }
-      out[l] = acc;
     }
   }
 
@@ -360,7 +377,7 @@ struct Body {
                                     const uint64_t* leaf_offsets, const uint64_t* slot_offsets,
                                     const float* alpha, const float* grad_slots, int64_t s_lo,
                                     int64_t s_hi, float* tile, float* dscore) {
-    const uint64_t leaf_end = leaf_offsets[slot_offsets[static_cast<std::size_t>(s_hi)]];
+    const uint64_t i_end = slot_offsets[static_cast<std::size_t>(s_hi)];
     for (int64_t s = s_lo; s < s_hi; ++s) {
       const uint64_t lo = slot_offsets[static_cast<std::size_t>(s)];
       const uint64_t hi = slot_offsets[static_cast<std::size_t>(s) + 1];
@@ -368,9 +385,9 @@ struct Body {
         continue;
       }
       const auto n = static_cast<int64_t>(hi - lo);
-      FormMeans(x, d, ids, leaf_offsets, lo, hi, leaf_end, tile);
-      float* ds = dscore + lo;  // gα first, then overwritten by dscore
-      SlotRowDots(tile, n, d, grad_slots + s * d, ds);
+      FormMeans(x, d, ids, leaf_offsets, lo, hi, i_end, tile);
+      float* ds = dscore + lo;  // gα (RowDot's FMA chain) first, then dscore
+      TransposedDots<true>(tile, n, d, grad_slots + s * d, ds);
       const float* a = alpha + lo;
       float dot = 0.0f;
       for (int64_t l = 0; l < n; ++l) {
@@ -382,60 +399,82 @@ struct Body {
     }
   }
 
+  // Each column block sweeps every instance in ascending i and keeps the
+  // prefix partial of the current run in registers, so a run — which here
+  // may cross a slot boundary — gathers its shared rows once per block.
+  // A width-0 instance has m_i = 0, which the zero skip drops from every
+  // column; it is passed over.
   static void InstanceAttentionDw(const float* x, int64_t d, const uint32_t* ids,
                                   const uint64_t* leaf_offsets, int64_t num_instances,
                                   const float* dscore, int64_t k_lo, int64_t k_hi, float* dw) {
     constexpr int64_t kBlock = kPackAlignFloats;
     constexpr int64_t kNv = kBlock / kW;
     constexpr uint64_t kPf = static_cast<uint64_t>(kPrefetchLeafRows);
-    const uint64_t leaf_end = leaf_offsets[static_cast<std::size_t>(num_instances)];
-    const auto src = [&](uint64_t e) { return x + static_cast<int64_t>(ids[e]) * d; };
+    const auto n = static_cast<uint64_t>(num_instances);
     int64_t k0 = k_lo;
-    // Whole 16-column blocks: the block's columns of m_i and of dw in
-    // registers, the zero skip a per-lane mask, as in gemm_trans_a.
+    // Whole 16-column blocks: the block's columns of the prefix partial,
+    // of m_i and of dw in registers, the zero skip a per-lane mask, as in
+    // gemm_trans_a.
     for (; k0 + kBlock <= k_hi; k0 += kBlock) {
       Reg acc[static_cast<std::size_t>(kNv)];
-      Unroll<kNv>([&]<int64_t v>() { acc[v] = V::Zero(); });
-      for (int64_t i = 0; i < num_instances; ++i) {
-        const uint64_t e0 = leaf_offsets[static_cast<std::size_t>(i)];
-        const uint64_t e1 = leaf_offsets[static_cast<std::size_t>(i) + 1];
-        Reg m[static_cast<std::size_t>(kNv)];
-        Unroll<kNv>([&]<int64_t v>() { m[v] = V::Zero(); });
-        for (uint64_t e = e0; e < e1; ++e) {
-          if (e + kPf < leaf_end) {
-            __builtin_prefetch(src(e + kPf) + k0);
+      Reg p[static_cast<std::size_t>(kNv)];
+      Unroll<kNv>([&]<int64_t v>() {
+        acc[v] = V::Zero();
+        p[v] = V::Zero();
+      });
+      uint64_t e0 = leaf_offsets[0];
+      uint64_t prev_width = 0;
+      for (uint64_t i = 0; i < n; ++i) {
+        const uint64_t e1 = leaf_offsets[i + 1];
+        const uint64_t width = e1 - e0;
+        if (width != 0) {
+          if (i + kPf < n) {
+            PrefetchInstance(x, d, ids, leaf_offsets, i + kPf, k0);
           }
-          const float* row = src(e) + k0;
-          Unroll<kNv>([&]<int64_t v>() { m[v] = V::Add(m[v], V::Load(row + v * kW)); });
+          if (!ContinuesPrefixRun(ids, e0, width, prev_width)) {
+            Unroll<kNv>([&]<int64_t v>() { p[v] = V::Zero(); });
+            for (uint64_t e = e0; e + 1 < e1; ++e) {
+              const float* row = LeafRow(x, d, ids, e) + k0;
+              Unroll<kNv>([&]<int64_t v>() { p[v] = V::Add(p[v], V::Load(row + v * kW)); });
+            }
+          }
+          const float* last = LeafRow(x, d, ids, e1 - 1) + k0;
+          const Reg inv = V::Broadcast(1.0f / static_cast<float>(width));
+          const Reg ds = V::Broadcast(dscore[i]);
+          Unroll<kNv>([&]<int64_t v>() {
+            const Reg m = V::Mul(V::Add(p[v], V::Load(last + v * kW)), inv);
+            acc[v] = V::AddWhereNonzero(acc[v], m, V::Mul(m, ds));
+          });
         }
-        if (e1 > e0) {
-          const Reg inv = V::Broadcast(1.0f / static_cast<float>(e1 - e0));
-          Unroll<kNv>([&]<int64_t v>() { m[v] = V::Mul(m[v], inv); });
-        }
-        const Reg ds = V::Broadcast(dscore[i]);
-        Unroll<kNv>([&]<int64_t v>() {
-          acc[v] = V::AddWhereNonzero(acc[v], m[v], V::Mul(m[v], ds));
-        });
+        prev_width = width;
+        e0 = e1;
       }
       Unroll<kNv>([&]<int64_t v>() { V::Store(dw + k0 + v * kW, acc[v]); });
     }
     // A narrower last block: one scalar chain per column.
     for (int64_t k = k0; k < k_hi; ++k) {
       float acc = 0.0f;
-      for (int64_t i = 0; i < num_instances; ++i) {
-        const uint64_t e0 = leaf_offsets[static_cast<std::size_t>(i)];
-        const uint64_t e1 = leaf_offsets[static_cast<std::size_t>(i) + 1];
-        float m = 0.0f;
-        for (uint64_t e = e0; e < e1; ++e) {
-          m = m + src(e)[k];
+      float p = 0.0f;
+      uint64_t e0 = leaf_offsets[0];
+      uint64_t prev_width = 0;
+      for (uint64_t i = 0; i < n; ++i) {
+        const uint64_t e1 = leaf_offsets[i + 1];
+        const uint64_t width = e1 - e0;
+        if (width != 0) {
+          if (!ContinuesPrefixRun(ids, e0, width, prev_width)) {
+            p = 0.0f;
+            for (uint64_t e = e0; e + 1 < e1; ++e) {
+              p = p + LeafRow(x, d, ids, e)[k];
+            }
+          }
+          const float m = (p + LeafRow(x, d, ids, e1 - 1)[k]) * (1.0f / static_cast<float>(width));
+          if (m != 0.0f) {
+            const float prod = m * dscore[i];
+            acc = acc + prod;
+          }
         }
-        if (e1 > e0) {
-          m = m * (1.0f / static_cast<float>(e1 - e0));
-        }
-        if (m != 0.0f) {
-          const float p = m * dscore[i];
-          acc = acc + p;
-        }
+        prev_width = width;
+        e0 = e1;
       }
       dw[k] = acc;
     }

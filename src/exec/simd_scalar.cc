@@ -1,6 +1,7 @@
 // Scalar (portable C++) kernel variant. This TU builds with
 // -ffp-contract=off so its multiply-add pairs match the vector variants,
-// which keep mul and add as separate instructions, bit for bit.
+// which keep mul and add as separate instructions, bit for bit; Fma is
+// std::fma, which rounds once like their fused instructions.
 #include "src/exec/simd_body.h"
 
 namespace flexgraph {
@@ -14,6 +15,7 @@ struct VecScalar {
   static void Store(float* p, Reg v) { *p = v; }
   static Reg Add(Reg a, Reg b) { return a + b; }
   static Reg Mul(Reg a, Reg b) { return a * b; }
+  static Reg Fma(Reg a, Reg b, Reg c) { return std::fma(a, b, c); }
   static Reg Max(Reg a, Reg b) { return a > b ? a : b; }
   static Reg Min(Reg a, Reg b) { return a < b ? a : b; }
   static Reg Broadcast(float s) { return s; }

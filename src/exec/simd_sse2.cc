@@ -1,7 +1,10 @@
 // 128-bit kernel variant: SSE2 on x86 (baseline for x86-64), NEON on
 // AArch64. Compiled with -ffp-contract=off; SSE2 has no FMA instruction and
 // the NEON path spells out vmulq + vaddq, so multiply-add pairs stay
-// unfused and match every other variant bitwise.
+// unfused and match every other variant bitwise. Fma, the one fused op,
+// rounds once: per-lane std::fma on SSE2, vfmaq_f32 on NEON.
+#include <cmath>
+
 #include "src/exec/simd_body.h"
 
 #if defined(__SSE2__)
@@ -23,6 +26,18 @@ struct Vec128 {
   static void Store(float* p, Reg v) { _mm_storeu_ps(p, v); }
   static Reg Add(Reg a, Reg b) { return _mm_add_ps(a, b); }
   static Reg Mul(Reg a, Reg b) { return _mm_mul_ps(a, b); }
+  static Reg Fma(Reg a, Reg b, Reg c) {
+    alignas(16) float la[4];
+    alignas(16) float lb[4];
+    alignas(16) float lc[4];
+    _mm_store_ps(la, a);
+    _mm_store_ps(lb, b);
+    _mm_store_ps(lc, c);
+    for (int l = 0; l < 4; ++l) {
+      lc[l] = std::fma(la[l], lb[l], lc[l]);
+    }
+    return _mm_load_ps(lc);
+  }
   static Reg Max(Reg a, Reg b) { return _mm_max_ps(a, b); }  // a>b?a:b — b on ties/NaN
   static Reg Min(Reg a, Reg b) { return _mm_min_ps(a, b); }  // a<b?a:b — b on ties/NaN
   static Reg Broadcast(float s) { return _mm_set1_ps(s); }
@@ -49,6 +64,7 @@ struct Vec128 {
   static void Store(float* p, Reg v) { vst1q_f32(p, v); }
   static Reg Add(Reg a, Reg b) { return vaddq_f32(a, b); }
   static Reg Mul(Reg a, Reg b) { return vmulq_f32(a, b); }
+  static Reg Fma(Reg a, Reg b, Reg c) { return vfmaq_f32(c, a, b); }
   // vbslq selects a where a > b, else b — matches the scalar ternary for
   // NaN/±0 exactly (NEON vmaxq propagates NaN differently, so avoid it).
   static Reg Max(Reg a, Reg b) { return vbslq_f32(vcgtq_f32(a, b), a, b); }

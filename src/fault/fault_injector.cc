@@ -213,6 +213,13 @@ bool FaultInjector::CheckpointTruncationAt(int64_t epoch) {
   return false;
 }
 
+void FaultInjector::Rearm() {
+  MutexLock lock(mutex_);
+  for (Slot& slot : slots_) {
+    slot.consumed = false;
+  }
+}
+
 std::vector<FaultEvent> FaultInjector::schedule() const {
   MutexLock lock(mutex_);
   return schedule_;

@@ -17,6 +17,9 @@
 //
 // Every fired event increments a `fault.*` counter in the MetricRegistry and
 // is appended to fired() so tests can assert the exact schedule replayed.
+// Each scheduled event does so once, however often it fires: Rearm() lets
+// a second phase of one run replay the one-shot events without counting
+// them again.
 #ifndef SRC_FAULT_FAULT_INJECTOR_H_
 #define SRC_FAULT_FAULT_INJECTOR_H_
 
@@ -108,6 +111,12 @@ class FaultInjector {
   // (torn-write / disk-corruption model). Consumes the event.
   bool CheckpointTruncationAt(int64_t epoch) FLEX_EXCLUDES(mutex_);
 
+  // Makes every consumed one-shot event fire again, for a later phase of
+  // the same run that replays the schedule from epoch 0. An event already
+  // fired stays counted once: neither its `fault.*` counter nor fired()
+  // grows when it fires again.
+  void Rearm() FLEX_EXCLUDES(mutex_);
+
   // ---- Introspection ----
   // Snapshots, returned by value: queries above mutate the underlying state
   // concurrently, so handing out references would be a data race.
@@ -124,7 +133,7 @@ class FaultInjector {
   struct Slot {
     FaultEvent event;
     bool consumed = false;
-    bool reported = false;  // stragglers: fired() records them once
+    bool reported = false;  // fired() and the counters record each event once
   };
 
   FaultInjector& Add(const FaultEvent& event) FLEX_EXCLUDES(mutex_);

@@ -123,6 +123,28 @@ TEST(FaultInjectorTest, CrashIsOneShot) {
   EXPECT_EQ(injector.fired_count(FaultKind::kWorkerCrash), 1);
 }
 
+// flexgraph_train replays one schedule in two phases (the runtime's forward
+// epochs, then training): the re-armed crash fires again, but the process
+// counts each scheduled event once.
+TEST(FaultInjectorTest, RearmFiresOneShotEventsAgainButCountsThemOnce) {
+  obs::MetricRegistry::Get().Reset();
+  FaultInjector injector;
+  injector.ScheduleCrash(/*epoch=*/2, /*worker=*/1).ScheduleStraggler(/*epoch=*/1, 0, 4.0);
+  for (int phase = 0; phase < 2; ++phase) {
+    if (phase == 1) {
+      injector.Rearm();
+    }
+    EXPECT_DOUBLE_EQ(injector.StragglerFactor(1, 0), 4.0) << "phase " << phase;
+    EXPECT_TRUE(injector.NextCrash(2).has_value()) << "phase " << phase;
+    EXPECT_FALSE(injector.NextCrash(2).has_value()) << "phase " << phase;
+  }
+  EXPECT_EQ(injector.fired_count(FaultKind::kWorkerCrash), 1);
+  EXPECT_EQ(injector.fired_count(FaultKind::kStraggler), 1);
+  const obs::MetricsSnapshot snap = obs::MetricRegistry::Get().Snapshot();
+  EXPECT_EQ(snap.counters.at("fault.worker_crashes"), 1);
+  EXPECT_EQ(snap.counters.at("fault.stragglers"), 1);
+}
+
 TEST(FaultInjectorTest, TransferFailuresSumAndConsume) {
   FaultInjector injector;
   injector.ScheduleMessageDrop(/*epoch=*/0, /*layer=*/1, /*dst_worker=*/2, /*failures=*/2);

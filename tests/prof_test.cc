@@ -242,15 +242,28 @@ TEST_F(ProfTest, SegmentReduceExtAccounting) {
 // ---- MAGNN instance attention: the four recomputing kernels ----
 
 // Each kernel's row pinned on one whole-range call: gathered member rows
-// (and their ids) count as reads, the per-task tile on neither side, the
-// score weight once per call (the task that starts at 0).
+// count as reads, every leaf id once, the per-task tile on neither side,
+// the score weight once per call (the task that starts at 0). The slots
+// hold prefix runs, so the gathered rows are fewer than the leaf refs.
 TEST_F(ProfTest, InstanceAttentionAccounting) {
   const int64_t d = 5;
   Rng rng(5);
-  const InstanceLevels f = MakeInstanceLevels(9, d, {2, 0, 3, 1}, rng);
+  const InstanceSlots slots = {
+      {{1, 2, 3}, {1, 2, 4}, {1, 2, 5}},  // one run: 3 + 1 + 1 rows
+      {},
+      // {1, 2, 6} continues slot 0's run for pass B only (3 rows in the
+      // forward, 1 in pass B); the width change starts a run (2 rows) that
+      // {6, 8} continues (1 row); width 0 gathers nothing.
+      {{1, 2, 6}, {6, 7}, {6, 8}, {}},
+      {{0}},  // width 1: 1 row
+  };
+  const InstanceLevels f = MakeInstanceLevelsFromSlots(9, d, slots, rng);
   const int64_t inst = f.instances();
   const int64_t segs = f.slots();
   const auto refs = static_cast<int64_t>(f.ids.size());
+  ASSERT_EQ(refs, 17);
+  const int64_t rows = 12;       // runs inside slots: forward and pass A
+  const int64_t sweep_rows = 10;  // runs across slots: pass B
   const int64_t kOff = static_cast<int64_t>(sizeof(uint64_t));
   const Tensor w = Filled(d, 1, 0.1f);
   const Tensor grad = Filled(segs, d);
@@ -277,25 +290,26 @@ TEST_F(ProfTest, InstanceAttentionAccounting) {
   const KernelProfileRow fwd = Row(ProfKernel::kInstanceAttention);
   EXPECT_EQ(fwd.calls, 1);
   EXPECT_EQ(fwd.timed_calls, 1);
-  EXPECT_EQ(fwd.bytes_read,
-            refs * (d * kF + kIdx) + (inst + 1) * kOff + (segs + 1) * kOff + d * kF);
+  EXPECT_EQ(fwd.bytes_read, rows * d * kF + refs * kIdx + (inst + 1) * kOff +
+                                (segs + 1) * kOff + d * kF);
   EXPECT_EQ(fwd.bytes_written, segs * d * kF + inst * kF);
-  EXPECT_EQ(fwd.flops, refs * d + inst * (5 * d + 6));
+  EXPECT_EQ(fwd.flops, rows * d + inst * (5 * d + 6));
 
   const KernelProfileRow grad_row = Row(ProfKernel::kInstanceAttentionGrad);
   EXPECT_EQ(grad_row.calls, 1);
-  EXPECT_EQ(grad_row.bytes_read, refs * (d * kF + kIdx) + (inst + 1) * kOff +
+  EXPECT_EQ(grad_row.bytes_read, rows * d * kF + refs * kIdx + (inst + 1) * kOff +
                                      (segs + 1) * kOff + inst * kF + segs * d * kF);
   EXPECT_EQ(grad_row.bytes_written, inst * kF);
-  EXPECT_EQ(grad_row.flops, refs * d + inst * (3 * d + 4));
+  EXPECT_EQ(grad_row.flops, rows * d + inst * (3 * d + 4));
 
   const KernelProfileRow dw_row = Row(ProfKernel::kInstanceAttentionDw);
   EXPECT_EQ(dw_row.calls, 1);
-  // One 16-column block (d = 5): ids, offsets and dscore once, the member
-  // rows' d columns.
-  EXPECT_EQ(dw_row.bytes_read, refs * kIdx + (inst + 1) * kOff + inst * kF + refs * d * kF);
+  // One 16-column block (d = 5): ids, offsets and dscore once, the
+  // gathered rows' d columns.
+  EXPECT_EQ(dw_row.bytes_read,
+            refs * kIdx + (inst + 1) * kOff + inst * kF + sweep_rows * d * kF);
   EXPECT_EQ(dw_row.bytes_written, d * kF);
-  EXPECT_EQ(dw_row.flops, d * (refs + 3 * inst));
+  EXPECT_EQ(dw_row.flops, d * (sweep_rows + 3 * inst));
 
   const KernelProfileRow in_row = Row(ProfKernel::kInstanceAttentionInputGrad);
   EXPECT_EQ(in_row.calls, 1);

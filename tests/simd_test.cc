@@ -643,88 +643,102 @@ Tensor Poisoned(int64_t rows, int64_t cols) {
   return Tensor::Full(rows, cols, std::numeric_limits<float>::quiet_NaN());
 }
 
+// The two fixtures every instance-attention kernel test runs: random
+// instances (runs longer than width 1 almost never occur) and MAGNN-shaped
+// slots full of prefix runs.
+std::vector<std::pair<std::string, InstanceLevels>> InstanceFixtures(int64_t vertices, int64_t d,
+                                                                     Rng& rng) {
+  std::vector<std::pair<std::string, InstanceLevels>> fixtures;
+  fixtures.emplace_back("random", MakeInstanceLevels(vertices, d, kSlotSizes, rng));
+  const InstanceSlots slots = MagnnShapedSlots(vertices, rng);
+  fixtures.emplace_back("magnn-shaped", MakeInstanceLevelsFromSlots(vertices, d, slots, rng));
+  return fixtures;
+}
+
 TEST_F(SimdTest, InstanceAttentionKernelsMatchSpelledOutReference) {
   for (const int64_t d : {1, 7, 16, 33, 64}) {
     Rng rng(static_cast<uint64_t>(600 + d));
-    const InstanceLevels f = MakeInstanceLevels(23, d, kSlotSizes, rng);
-    const Tensor w = RandomTensor(d, 1, rng);
-    const float bias = 0.375f;
-    const Tensor grad = RandomTensor(f.slots(), d, rng);
-    const RefAttention ref = RefInstanceAttention(f, w, bias);
-    const Tensor ref_dscore = RefScoreGrad(f, ref.alpha, grad);
-    // An Inf score gradient on an all-zero instance (row 0 alone): pass B's
-    // zero skip keeps it out of every dw column, pass C spreads it into
-    // row 0's gradient.
-    Tensor dscore = ref_dscore;
-    int64_t zero_instance = -1;
-    for (int64_t i = 0; i < f.instances() && zero_instance < 0; ++i) {
-      const uint64_t e0 = f.leaf_offsets[static_cast<std::size_t>(i)];
-      if (f.leaf_offsets[static_cast<std::size_t>(i) + 1] == e0 + 1 && f.ids[e0] == 0) {
-        zero_instance = i;
+    for (const auto& [name, f] : InstanceFixtures(23, d, rng)) {
+      const Tensor w = RandomTensor(d, 1, rng);
+      const float bias = 0.375f;
+      const Tensor grad = RandomTensor(f.slots(), d, rng);
+      const RefAttention ref = RefInstanceAttention(f, w, bias);
+      const Tensor ref_dscore = RefScoreGrad(f, ref.alpha, grad);
+      // An Inf score gradient on an all-zero instance (row 0 alone): pass
+      // B's zero skip keeps it out of every dw column, pass C spreads it
+      // into row 0's gradient.
+      Tensor dscore = ref_dscore;
+      int64_t zero_instance = -1;
+      for (int64_t i = 0; i < f.instances() && zero_instance < 0; ++i) {
+        const uint64_t e0 = f.leaf_offsets[static_cast<std::size_t>(i)];
+        if (f.leaf_offsets[static_cast<std::size_t>(i) + 1] == e0 + 1 && f.ids[e0] == 0) {
+          zero_instance = i;
+        }
       }
-    }
-    ASSERT_GE(zero_instance, 0) << "fixture has no all-zero instance";
-    dscore.At(zero_instance, 0) = std::numeric_limits<float>::infinity();
-    const Tensor ref_dw = RefScoreWeightGrad(f, dscore);
-    const Tensor ref_gx = RefInputGrad(f, ref.alpha, dscore, w, grad);
-    for (int64_t k = 0; k < d; ++k) {
-      ASSERT_TRUE(std::isfinite(ref_dw.At(k, 0))) << "the zero skip must drop the Inf";
-    }
+      ASSERT_GE(zero_instance, 0) << name << " fixture has no all-zero instance";
+      dscore.At(zero_instance, 0) = std::numeric_limits<float>::infinity();
+      const Tensor ref_dw = RefScoreWeightGrad(f, dscore);
+      const Tensor ref_gx = RefInputGrad(f, ref.alpha, dscore, w, grad);
+      for (int64_t k = 0; k < d; ++k) {
+        ASSERT_TRUE(std::isfinite(ref_dw.At(k, 0))) << "the zero skip must drop the Inf";
+      }
 
-    for (simd::IsaLevel level : SupportedLevels()) {
-      ASSERT_TRUE(simd::SetIsa(level));
-      const simd::KernelTable& kt = simd::Kernels();
-      const std::string where = "isa=" + std::string(simd::IsaName(level)) +
-                                " d=" + std::to_string(d);
-      // Whole range in one task, then split at a slot boundary with a tile
-      // each; outputs, α and tiles start as NaN, so a read of an element no
-      // kernel wrote shows.
-      for (const int64_t cut : {f.slots(), int64_t{4}}) {
-        Tensor out = Poisoned(f.slots(), d);
-        Tensor alpha = Poisoned(f.instances(), 1);
-        Tensor dsc = Poisoned(f.instances(), 1);
-        Tensor tiles = Poisoned(2, f.longest_slot() * d);
-        const std::pair<int64_t, int64_t> ranges[] = {{0, cut}, {cut, f.slots()}};
-        for (int t = 0; t < 2; ++t) {
-          kt.instance_attention(f.x.data(), d, f.ids.data(), f.leaf_offsets.data(),
-                                f.slot_offsets.data(), w.data(), bias, ranges[t].first,
-                                ranges[t].second, tiles.Row(t), alpha.data(), out.data());
+      for (simd::IsaLevel level : SupportedLevels()) {
+        ASSERT_TRUE(simd::SetIsa(level));
+        const simd::KernelTable& kt = simd::Kernels();
+        const std::string where = name + " isa=" + std::string(simd::IsaName(level)) +
+                                  " d=" + std::to_string(d);
+        // Whole range in one task, then split at a slot boundary with a tile
+        // each (in the MAGNN-shaped fixture, where a prefix continues into
+        // the next slot); outputs, α and tiles start as NaN, so a read of an
+        // element no kernel wrote shows.
+        for (const int64_t cut : {f.slots(), int64_t{4}}) {
+          Tensor out = Poisoned(f.slots(), d);
+          Tensor alpha = Poisoned(f.instances(), 1);
+          Tensor dsc = Poisoned(f.instances(), 1);
+          Tensor tiles = Poisoned(2, f.longest_slot() * d);
+          const std::pair<int64_t, int64_t> ranges[] = {{0, cut}, {cut, f.slots()}};
+          for (int t = 0; t < 2; ++t) {
+            kt.instance_attention(f.x.data(), d, f.ids.data(), f.leaf_offsets.data(),
+                                  f.slot_offsets.data(), w.data(), bias, ranges[t].first,
+                                  ranges[t].second, tiles.Row(t), alpha.data(), out.data());
+          }
+          EXPECT_TRUE(BitwiseEqual(ref.out, out)) << where << " cut=" << cut;
+          EXPECT_TRUE(BitwiseEqual(ref.alpha, alpha)) << where << " cut=" << cut;
+          tiles = Poisoned(2, f.longest_slot() * d);
+          for (int t = 0; t < 2; ++t) {
+            kt.instance_attention_grad(f.x.data(), d, f.ids.data(), f.leaf_offsets.data(),
+                                       f.slot_offsets.data(), ref.alpha.data(), grad.data(),
+                                       ranges[t].first, ranges[t].second, tiles.Row(t),
+                                       dsc.data());
+          }
+          EXPECT_TRUE(BitwiseEqual(ref_dscore, dsc)) << where << " cut=" << cut;
         }
-        EXPECT_TRUE(BitwiseEqual(ref.out, out)) << where << " cut=" << cut;
-        EXPECT_TRUE(BitwiseEqual(ref.alpha, alpha)) << where << " cut=" << cut;
-        tiles = Poisoned(2, f.longest_slot() * d);
-        for (int t = 0; t < 2; ++t) {
-          kt.instance_attention_grad(f.x.data(), d, f.ids.data(), f.leaf_offsets.data(),
-                                     f.slot_offsets.data(), ref.alpha.data(), grad.data(),
-                                     ranges[t].first, ranges[t].second, tiles.Row(t),
-                                     dsc.data());
-        }
-        EXPECT_TRUE(BitwiseEqual(ref_dscore, dsc)) << where << " cut=" << cut;
-      }
-      // Pass B over all columns at once and one 16-column block per call.
-      Tensor dw = Poisoned(d, 1);
-      kt.instance_attention_dw(f.x.data(), d, f.ids.data(), f.leaf_offsets.data(),
-                               f.instances(), dscore.data(), 0, d, dw.data());
-      EXPECT_TRUE(BitwiseEqual(ref_dw, dw)) << where;
-      dw = Poisoned(d, 1);
-      for (int64_t k0 = 0; k0 < d; k0 += simd::kPackAlignFloats) {
+        // Pass B over all columns at once and one 16-column block per call.
+        Tensor dw = Poisoned(d, 1);
         kt.instance_attention_dw(f.x.data(), d, f.ids.data(), f.leaf_offsets.data(),
-                                 f.instances(), dscore.data(), k0,
-                                 std::min(d, k0 + simd::kPackAlignFloats), dw.data());
-      }
-      EXPECT_TRUE(BitwiseEqual(ref_dw, dw)) << where << " per block";
-      // Pass C over all source rows, then split.
-      for (const int64_t cut : {f.vertices(), int64_t{9}}) {
-        Tensor gx(f.vertices(), d);
-        kt.instance_attention_input_grad(grad.data(), d, f.slot_of.data(), ref.alpha.data(),
-                                         dscore.data(), w.data(), f.src_offsets.data(),
-                                         f.src_segments.data(), f.leaf_offsets.data(), 0, cut,
-                                         gx.data());
-        kt.instance_attention_input_grad(grad.data(), d, f.slot_of.data(), ref.alpha.data(),
-                                         dscore.data(), w.data(), f.src_offsets.data(),
-                                         f.src_segments.data(), f.leaf_offsets.data(), cut,
-                                         f.vertices(), gx.data());
-        EXPECT_TRUE(BitwiseEqual(ref_gx, gx)) << where << " cut=" << cut;
+                                 f.instances(), dscore.data(), 0, d, dw.data());
+        EXPECT_TRUE(BitwiseEqual(ref_dw, dw)) << where;
+        dw = Poisoned(d, 1);
+        for (int64_t k0 = 0; k0 < d; k0 += simd::kPackAlignFloats) {
+          kt.instance_attention_dw(f.x.data(), d, f.ids.data(), f.leaf_offsets.data(),
+                                   f.instances(), dscore.data(), k0,
+                                   std::min(d, k0 + simd::kPackAlignFloats), dw.data());
+        }
+        EXPECT_TRUE(BitwiseEqual(ref_dw, dw)) << where << " per block";
+        // Pass C over all source rows, then split.
+        for (const int64_t cut : {f.vertices(), int64_t{9}}) {
+          Tensor gx(f.vertices(), d);
+          kt.instance_attention_input_grad(grad.data(), d, f.slot_of.data(), ref.alpha.data(),
+                                           dscore.data(), w.data(), f.src_offsets.data(),
+                                           f.src_segments.data(), f.leaf_offsets.data(), 0,
+                                           cut, gx.data());
+          kt.instance_attention_input_grad(grad.data(), d, f.slot_of.data(), ref.alpha.data(),
+                                           dscore.data(), w.data(), f.src_offsets.data(),
+                                           f.src_segments.data(), f.leaf_offsets.data(), cut,
+                                           f.vertices(), gx.data());
+          EXPECT_TRUE(BitwiseEqual(ref_gx, gx)) << where << " cut=" << cut;
+        }
       }
     }
   }
@@ -734,42 +748,47 @@ TEST_F(SimdTest, InstanceAttentionKernelsMatchSpelledOutReference) {
 // inside its operands, whatever its compiler made of the register tiles and
 // the in-register transpose: each array ends flush against a guard page.
 TEST_F(SimdTest, InstanceAttentionKernelsTouchOnlyTheirOperands) {
-  for (const int64_t d : {1, 7, 16, 33}) {
+  for (const int64_t d : {1, 7, 16, 33, 64}) {
     Rng rng(static_cast<uint64_t>(700 + d));
-    const InstanceLevels f = MakeInstanceLevels(19, d, kSlotSizes, rng);
-    const int64_t n_inst = f.instances();
-    const Guarded<float> x(std::vector<float>(f.x.data(), f.x.data() + f.x.numel()));
-    const Guarded<uint32_t> ids(f.ids);
-    const Guarded<uint64_t> leaf_offsets(f.leaf_offsets);
-    const Guarded<uint64_t> slot_offsets(f.slot_offsets);
-    const Guarded<uint32_t> slot_of(f.slot_of);
-    const Guarded<uint64_t> src_offsets(f.src_offsets);
-    const Guarded<uint32_t> src_segments(f.src_segments);
-    const Guarded<float> w(d, 0.5f);
-    const Guarded<float> grad(f.slots() * d, 0.25f);
-    for (simd::IsaLevel level : SupportedLevels()) {
-      ASSERT_TRUE(simd::SetIsa(level));
-      const simd::KernelTable& kt = simd::Kernels();
-      Guarded<float> tile(f.longest_slot() * d);
-      Guarded<float> alpha(n_inst);
-      Guarded<float> out(f.slots() * d);
-      Guarded<float> dscore(n_inst);
-      Guarded<float> dw(d);
-      Guarded<float> gx(f.vertices() * d, 0.0f);
-      kt.instance_attention(x.data(), d, ids.data(), leaf_offsets.data(), slot_offsets.data(),
-                            w.data(), 0.1f, 0, f.slots(), tile.data(), alpha.data(), out.data());
-      kt.instance_attention_grad(x.data(), d, ids.data(), leaf_offsets.data(),
-                                 slot_offsets.data(), alpha.data(), grad.data(), 0, f.slots(),
-                                 tile.data(), dscore.data());
-      kt.instance_attention_dw(x.data(), d, ids.data(), leaf_offsets.data(), n_inst,
-                               dscore.data(), 0, d, dw.data());
-      kt.instance_attention_input_grad(grad.data(), d, slot_of.data(), alpha.data(),
-                                       dscore.data(), w.data(), src_offsets.data(),
-                                       src_segments.data(), leaf_offsets.data(), 0,
-                                       f.vertices(), gx.data());
-      // The last slot is empty, so its row is the zeros the kernel wrote.
-      EXPECT_EQ(out.data()[f.slots() * d - 1], 0.0f) << "isa=" << simd::IsaName(level);
-      EXPECT_TRUE(std::isfinite(dw.data()[d - 1])) << "isa=" << simd::IsaName(level);
+    for (const auto& [name, f] : InstanceFixtures(19, d, rng)) {
+      const int64_t n_inst = f.instances();
+      const Guarded<float> x(std::vector<float>(f.x.data(), f.x.data() + f.x.numel()));
+      const Guarded<uint32_t> ids(f.ids);
+      const Guarded<uint64_t> leaf_offsets(f.leaf_offsets);
+      const Guarded<uint64_t> slot_offsets(f.slot_offsets);
+      const Guarded<uint32_t> slot_of(f.slot_of);
+      const Guarded<uint64_t> src_offsets(f.src_offsets);
+      const Guarded<uint32_t> src_segments(f.src_segments);
+      const Guarded<float> w(d, 0.5f);
+      const Guarded<float> grad(f.slots() * d, 0.25f);
+      for (simd::IsaLevel level : SupportedLevels()) {
+        ASSERT_TRUE(simd::SetIsa(level));
+        const simd::KernelTable& kt = simd::Kernels();
+        const std::string where = name + " isa=" + std::string(simd::IsaName(level));
+        Guarded<float> tile(f.longest_slot() * d);
+        Guarded<float> alpha(n_inst);
+        Guarded<float> out(f.slots() * d);
+        Guarded<float> dscore(n_inst);
+        Guarded<float> dw(d);
+        Guarded<float> gx(f.vertices() * d, 0.0f);
+        kt.instance_attention(x.data(), d, ids.data(), leaf_offsets.data(), slot_offsets.data(),
+                              w.data(), 0.1f, 0, f.slots(), tile.data(), alpha.data(),
+                              out.data());
+        kt.instance_attention_grad(x.data(), d, ids.data(), leaf_offsets.data(),
+                                   slot_offsets.data(), alpha.data(), grad.data(), 0, f.slots(),
+                                   tile.data(), dscore.data());
+        kt.instance_attention_dw(x.data(), d, ids.data(), leaf_offsets.data(), n_inst,
+                                 dscore.data(), 0, d, dw.data());
+        kt.instance_attention_input_grad(grad.data(), d, slot_of.data(), alpha.data(),
+                                         dscore.data(), w.data(), src_offsets.data(),
+                                         src_segments.data(), leaf_offsets.data(), 0,
+                                         f.vertices(), gx.data());
+        // The last slot of the random fixture is empty, so its row is the
+        // zeros the kernel wrote; the MAGNN-shaped one's holds one width-0
+        // instance, whose mean is zero.
+        EXPECT_EQ(out.data()[f.slots() * d - 1], 0.0f) << where;
+        EXPECT_TRUE(std::isfinite(dw.data()[d - 1])) << where;
+      }
     }
   }
 }

@@ -648,15 +648,18 @@ int RunDistributed(const CliOptions& opts, const Dataset& ds, GnnModel& model) {
   // backend's worker processes are reaped before the trainer forks its own.
   // The last epoch's logits are CRC'd below: with the same seed the line is
   // bitwise identical across backends (the CI smoke job diffs it).
+  // One injector serves both phases, so each scheduled event counts once
+  // in the process's `fault.*` counters although both phases fire it.
+  FaultInjector injector(opts.seed);
+  const bool have_faults = BuildFaultSchedule(opts, injector);
   Tensor logits;
   {
-    FaultInjector injector(opts.seed);
     DistConfig config;
     config.strategy = ParseStrategy(opts.strategy);
     config.pipeline = true;
     config.backward_compute_factor = 1.0;
     config.backend = backend;
-    if (BuildFaultSchedule(opts, injector)) {
+    if (have_faults) {
       config.fault = &injector;
     }
     DistributedRuntime runtime(ds.graph,
@@ -721,16 +724,17 @@ int RunDistributed(const CliOptions& opts, const Dataset& ds, GnnModel& model) {
     std::printf("logits crc32 0x%08x\n", Crc32(logits.data(), logits.ByteSize()));
   }
 
-  // Phase 2 — data-parallel training. A fresh injector: the runtime loop
-  // consumed the one-shot events above. The backend changes how gradients
-  // move (modeled allreduce vs. real broadcast to replica processes), never
-  // the math — `final loss` must match bitwise across backends.
-  FaultInjector train_injector(opts.seed);
+  // Phase 2 — data-parallel training, on the same schedule re-armed: the
+  // runtime loop consumed the one-shot events above. The backend changes
+  // how gradients move (modeled allreduce vs. real broadcast to replica
+  // processes), never the math — `final loss` must match bitwise across
+  // backends.
+  injector.Rearm();
   DistTrainConfig train_config;
   train_config.learning_rate = opts.lr;
   train_config.backend = backend;
-  if (BuildFaultSchedule(opts, train_injector)) {
-    train_config.fault = &train_injector;
+  if (have_faults) {
+    train_config.fault = &injector;
   }
   DistributedTrainer trainer(ds.graph,
                              HashPartition(ds.graph.num_vertices(), opts.workers),
