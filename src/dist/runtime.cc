@@ -118,7 +118,7 @@ DistEpochStats DistributedRuntime::RunEpoch(const GnnModel& model, const Tensor&
       cluster_ = std::make_unique<SocketCluster>(graph_, &parts_, cluster_config);
       cluster_->Start(model, features);
     }
-    return cluster_->RunForwardEpoch(model, features, rng, epoch, logits_out);
+    return cluster_->RunForwardEpoch(model, rng, epoch, logits_out);
   }
 
   std::optional<CrashPlan> crash =

@@ -16,6 +16,7 @@
 #include "src/fault/recovery.h"
 #include "src/obs/metrics.h"
 #include "src/util/check.h"
+#include "src/util/crc32.h"
 #include "src/util/logging.h"
 #include "src/util/timer.h"
 
@@ -107,9 +108,10 @@ void SocketCluster::BroadcastPartition() {
   w.PutU64(parts_->owner.size());
   w.PutBytes(parts_->owner.data(), parts_->owner.size() * sizeof(uint32_t));
   const std::string payload = w.Take();
+  const uint32_t crc = Crc32(payload.data(), payload.size());
   for (uint32_t worker = 0; worker < procs_.size(); ++worker) {
     if (procs_[worker].alive) {
-      (void)transport_.SendTo(worker, FrameType::kPartition, payload);
+      (void)transport_.SendTo(worker, FrameType::kPartition, payload, crc);
     }
   }
   need_prepare_ = true;
@@ -205,10 +207,9 @@ bool SocketCluster::PrepareAll(Rng& rng, double* build_makespan, uint32_t* dead)
   return true;
 }
 
-bool SocketCluster::TryForwardEpoch(const GnnModel& model, const Tensor& features,
-                                    Rng& rng, int64_t epoch, const CrashPlan* kill,
-                                    Tensor* logits_out, DistEpochStats* stats,
-                                    uint32_t* dead) {
+bool SocketCluster::TryForwardEpoch(const GnnModel& model, Rng& rng, int64_t epoch,
+                                    const CrashPlan* kill, Tensor* logits_out,
+                                    DistEpochStats* stats, uint32_t* dead) {
   const uint32_t k = parts_->num_parts;
   const double slice = std::min(config_.retry.DetectionSeconds() * 0.25, 0.02);
   WallTimer epoch_timer;
@@ -220,7 +221,8 @@ bool SocketCluster::TryForwardEpoch(const GnnModel& model, const Tensor& feature
     }
   }
 
-  Tensor h = features;
+  // The previous layer's output; layer 0 reads the workers' own features.
+  Tensor h;
   for (std::size_t li = 0; li < model.layers.size(); ++li) {
     if (kill != nullptr && kill->layer == static_cast<int>(li) &&
         kill->worker < procs_.size() && procs_[kill->worker].alive) {
@@ -249,6 +251,7 @@ bool SocketCluster::TryForwardEpoch(const GnnModel& model, const Tensor& feature
       pw.PutBytes(h.data(), static_cast<std::size_t>(h.numel()) * sizeof(float));
     }
     const std::string payload = pw.Take();
+    const uint32_t crc = Crc32(payload.data(), payload.size());
 
     uint64_t layer_bytes = 0;
     uint32_t layer_messages = 0;
@@ -259,7 +262,7 @@ bool SocketCluster::TryForwardEpoch(const GnnModel& model, const Tensor& feature
       if (!procs_[w].alive || roots_by_worker_[w].empty()) {
         continue;
       }
-      (void)transport_.SendTo(w, FrameType::kLayerRun, payload);
+      (void)transport_.SendTo(w, FrameType::kLayerRun, payload, crc);
       pending[w] = 1;
       participated[w] = 1;
       ++outstanding;
@@ -372,8 +375,7 @@ bool SocketCluster::TryForwardEpoch(const GnnModel& model, const Tensor& feature
   return true;
 }
 
-DistEpochStats SocketCluster::RunForwardEpoch(const GnnModel& model,
-                                              const Tensor& features, Rng& rng,
+DistEpochStats SocketCluster::RunForwardEpoch(const GnnModel& model, Rng& rng,
                                               int64_t epoch, Tensor* logits_out) {
   FLEX_CHECK_MSG(started_, "RunForwardEpoch before Start");
   std::optional<CrashPlan> kill =
@@ -391,8 +393,8 @@ DistEpochStats SocketCluster::RunForwardEpoch(const GnnModel& model,
     DistEpochStats stats;
     uint32_t dead = kNoWorker;
     WallTimer attempt_timer;
-    if (TryForwardEpoch(model, features, rng, epoch, kill ? &*kill : nullptr,
-                        logits_out, &stats, &dead)) {
+    if (TryForwardEpoch(model, rng, epoch, kill ? &*kill : nullptr, logits_out, &stats,
+                        &dead)) {
       stats.lost_work_seconds = lost_work;
       stats.detection_seconds = detection_total;
       stats.crashes_recovered = crashes;
@@ -452,9 +454,10 @@ void SocketCluster::BroadcastGradients(const GnnModel& model, float lr, int64_t 
     w.PutBytes(grad.data(), static_cast<std::size_t>(grad.numel()) * sizeof(float));
   }
   const std::string payload = w.Take();
+  const uint32_t crc = Crc32(payload.data(), payload.size());
   for (uint32_t worker = 0; worker < procs_.size(); ++worker) {
     if (procs_[worker].alive) {
-      (void)transport_.SendTo(worker, FrameType::kGradients, payload);
+      (void)transport_.SendTo(worker, FrameType::kGradients, payload, crc);
     }
   }
 }

@@ -69,12 +69,13 @@ class SocketCluster {
 
   // One forward epoch on the real cluster: per-layer kLayerRun fan-out,
   // kLayerRows fan-in, supervisor-side assembly of the next layer's features.
-  // Consumes `rng` through the kPrepare token ring exactly as the modeled
-  // Prepare consumes it, which is what keeps the two backends' logits
-  // bitwise identical. Handles scheduled kills and any organic death via the
+  // Layer 0 reads the features each worker inherited at Start. Consumes
+  // `rng` through the kPrepare token ring exactly as the modeled Prepare
+  // consumes it, which is what keeps the two backends' logits bitwise
+  // identical. Handles scheduled kills and any organic death via the
   // recovery protocol described above.
-  DistEpochStats RunForwardEpoch(const GnnModel& model, const Tensor& features,
-                                 Rng& rng, int64_t epoch, Tensor* logits_out);
+  DistEpochStats RunForwardEpoch(const GnnModel& model, Rng& rng, int64_t epoch,
+                                 Tensor* logits_out);
 
   struct GradSyncResult {
     int64_t workers_killed = 0;
@@ -112,9 +113,9 @@ class SocketCluster {
 
   // The epoch attempt body. Returns false with *dead set when a worker died
   // mid-attempt (the caller runs recovery and retries).
-  bool TryForwardEpoch(const GnnModel& model, const Tensor& features, Rng& rng,
-                       int64_t epoch, const CrashPlan* kill, Tensor* logits_out,
-                       DistEpochStats* stats, uint32_t* dead);
+  bool TryForwardEpoch(const GnnModel& model, Rng& rng, int64_t epoch,
+                       const CrashPlan* kill, Tensor* logits_out, DistEpochStats* stats,
+                       uint32_t* dead);
   // kPrepare token ring in worker-id order (root-less and dead workers are
   // skipped and consume no RNG, matching the modeled Prepare).
   bool PrepareAll(Rng& rng, double* build_makespan, uint32_t* dead);

@@ -52,8 +52,15 @@ void SendLocked(SendChannel& chan, FrameType type, const std::string& payload) {
   (void)WriteFrame(chan.fd, type, payload);
 }
 
+std::string HeartbeatPayload(uint32_t worker_id, uint64_t beat) {
+  PayloadWriter w;
+  w.PutU32(worker_id);
+  w.PutU64(beat);
+  return w.Take();
+}
+
 void HeartbeatLoop(SendChannel* chan, uint32_t worker_id, double interval_seconds) {
-  uint64_t beat = 0;
+  uint64_t beat = 1;  // beat 0 is the one Introduce writes on each connection
   chan->mutex.Lock();
   while (!chan->stop) {
     chan->cv.wait_for(chan->mutex, std::chrono::duration<double>(interval_seconds));
@@ -63,10 +70,7 @@ void HeartbeatLoop(SendChannel* chan, uint32_t worker_id, double interval_second
     if (chan->fd < 0) {
       continue;  // mid-reconnect; the liveness clock is ticking, hurry back
     }
-    PayloadWriter w;
-    w.PutU32(worker_id);
-    w.PutU64(beat++);
-    (void)WriteFrame(chan->fd, FrameType::kHeartbeat, w.str());
+    (void)WriteFrame(chan->fd, FrameType::kHeartbeat, HeartbeatPayload(worker_id, beat++));
   }
   chan->mutex.Unlock();
 }
@@ -78,6 +82,16 @@ std::string HelloPayload(uint32_t worker_id) {
   return w.Take();
 }
 
+// Opens a fresh connection: kHello, then one kHeartbeat. The beat precedes
+// every reply on the stream, so the supervisor reads at least one beat per
+// connection however soon the run ends; the heartbeat thread adds one per
+// interval after that. Called with the thread parked (chan.fd < 0).
+bool Introduce(int fd, uint32_t worker_id) {
+  return WriteFrame(fd, FrameType::kHello, HelloPayload(worker_id)) == FrameStatus::kOk &&
+         WriteFrame(fd, FrameType::kHeartbeat, HeartbeatPayload(worker_id, 0)) ==
+             FrameStatus::kOk;
+}
+
 int RunWorker(const WorkerProcessConfig& config) {
   int fd = SocketTransport::ConnectWithBackoff(config.endpoint, config.retry);
   if (fd < 0) {
@@ -85,8 +99,7 @@ int RunWorker(const WorkerProcessConfig& config) {
                     << " could not reach the supervisor at " << config.endpoint;
     return 1;
   }
-  if (WriteFrame(fd, FrameType::kHello, HelloPayload(config.worker_id)) !=
-      FrameStatus::kOk) {
+  if (!Introduce(fd, config.worker_id)) {
     return 1;
   }
 
@@ -111,6 +124,8 @@ int RunWorker(const WorkerProcessConfig& config) {
   ws.id = config.worker_id;
   Rng rng(0);  // state always installed by kPrepare before use
   std::vector<Variable> params = config.model->Parameters();
+  // Layer 0's input: the fork-inherited feature matrix, wrapped once.
+  const Variable features = Variable::Leaf(*config.features);
 
   int exit_code = 0;
   for (;;) {
@@ -134,8 +149,7 @@ int RunWorker(const WorkerProcessConfig& config) {
         exit_code = 1;
         break;
       }
-      if (WriteFrame(fd, FrameType::kHello, HelloPayload(config.worker_id)) !=
-          FrameStatus::kOk) {
+      if (!Introduce(fd, config.worker_id)) {
         exit_code = 1;
         break;
       }
@@ -197,15 +211,14 @@ int RunWorker(const WorkerProcessConfig& config) {
         const uint64_t in_rows = reader.U64();
         const uint64_t in_cols = reader.U64();
         FLEX_CHECK_LT(layer, config.model->layers.size());
-        // rows == 0 means "layer 0": use the fork-inherited COW feature
-        // matrix instead of shipping it over the wire every epoch.
-        Variable h_var;
+        // rows == 0 means "layer 0": use the fork-inherited feature matrix
+        // instead of shipping it over the wire every epoch.
+        Variable h_var = features;
         if (in_rows > 0) {
-          Tensor h(static_cast<int64_t>(in_rows), static_cast<int64_t>(in_cols));
+          Tensor h = Tensor::Uninitialized(static_cast<int64_t>(in_rows),
+                                           static_cast<int64_t>(in_cols));
           reader.Bytes(h.data(), in_rows * in_cols * sizeof(float));
           h_var = Variable::Leaf(std::move(h));
-        } else {
-          h_var = Variable::Leaf(*config.features);
         }
         WorkerLayerSeconds seconds;
         Tensor rows;

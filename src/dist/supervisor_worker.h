@@ -9,9 +9,10 @@
 //   1. Rebuild the process-local thread pools (the inherited ones have no
 //      threads in this process), arm PDEATHSIG so a dying supervisor reaps us.
 //   2. Connect to the supervisor's endpoint with backoff, introduce ourselves
-//      with kHello, and start the heartbeat thread (period = half the
-//      RetryPolicy heartbeat timeout, so the supervisor sees ≥2 beats per
-//      detection window even while the main thread is deep in a kernel).
+//      with kHello and one kHeartbeat, and start the heartbeat thread
+//      (period = half the RetryPolicy heartbeat timeout, so the supervisor
+//      sees ≥2 beats per detection window even while the main thread is deep
+//      in a kernel).
 //   3. Serve frames: kPartition/kPrepare/kLayerRun/kGradients/kShutdown.
 //      All math goes through the same worker_exec.h helpers as the modeled
 //      backend — bitwise-identical results by construction.

@@ -127,12 +127,15 @@ FrameStatus ReadFull(int fd, void* data, std::size_t size, double timeout_second
 }
 
 FrameStatus WriteFrame(int fd, FrameType type, const std::string& payload) {
+  return WriteFrame(fd, type, payload, Crc32(payload.data(), payload.size()));
+}
+
+FrameStatus WriteFrame(int fd, FrameType type, const std::string& payload, uint32_t crc) {
   FLEX_CHECK_LE(payload.size(), kMaxFramePayload);
   char header[kFrameHeaderBytes];
   const uint32_t magic = kFrameMagic;
   const uint32_t type_u32 = static_cast<uint32_t>(type);
   const uint64_t length = payload.size();
-  const uint32_t crc = Crc32(payload.data(), payload.size());
   std::memcpy(header + 0, &magic, 4);
   std::memcpy(header + 4, &type_u32, 4);
   std::memcpy(header + 8, &length, 8);

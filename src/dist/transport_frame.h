@@ -34,7 +34,7 @@ enum class FrameType : uint32_t {
   kLayerRows = 6,    // worker -> supervisor: root rows + stage seconds
   kGradients = 7,    // supervisor -> workers: lr + parameter gradients
   kParamsAck = 8,    // worker -> supervisor: CRC-32 of updated parameters
-  kHeartbeat = 9,    // worker -> supervisor: liveness beacon (heartbeat thread)
+  kHeartbeat = 9,    // worker -> supervisor: liveness beacon (at connect, then periodic)
   kShutdown = 10,    // supervisor -> workers: clean exit
 };
 
@@ -72,6 +72,9 @@ FrameStatus ReadFull(int fd, void* data, std::size_t size, double timeout_second
                      std::size_t* got = nullptr);
 
 FrameStatus WriteFrame(int fd, FrameType type, const std::string& payload);
+// The same frame with the payload's Crc32 supplied by the caller, which
+// computes it once for a payload it sends on several channels.
+FrameStatus WriteFrame(int fd, FrameType type, const std::string& payload, uint32_t crc);
 FrameStatus ReadFrame(int fd, Frame* out, double timeout_seconds);
 
 // Little-endian payload builder/cursor. The reader FLEX_CHECKs on underflow:

@@ -12,6 +12,7 @@
 #include "src/obs/clock.h"
 #include "src/obs/metrics.h"
 #include "src/util/check.h"
+#include "src/util/crc32.h"
 #include "src/util/logging.h"
 
 namespace flexgraph {
@@ -113,11 +114,16 @@ uint32_t SocketTransport::AcceptWorker(double timeout_seconds) {
 
 FrameStatus SocketTransport::SendTo(uint32_t worker, FrameType type,
                                     const std::string& payload) {
+  return SendTo(worker, type, payload, Crc32(payload.data(), payload.size()));
+}
+
+FrameStatus SocketTransport::SendTo(uint32_t worker, FrameType type,
+                                    const std::string& payload, uint32_t crc) {
   Channel& channel = ChannelFor(worker);
   if (channel.fd < 0) {
     return FrameStatus::kIoError;
   }
-  const FrameStatus status = WriteFrame(channel.fd, type, payload);
+  const FrameStatus status = WriteFrame(channel.fd, type, payload, crc);
   if (status != FrameStatus::kOk) {
     // The peer may be dead or mid-reconnect; either way this channel is done.
     // Liveness is judged by SecondsSinceContact, not by this failure.

@@ -61,6 +61,10 @@ class SocketTransport final : public Transport {
   uint32_t AcceptWorker(double timeout_seconds);
 
   FrameStatus SendTo(uint32_t worker, FrameType type, const std::string& payload);
+  // For a broadcast: `crc` is the payload's Crc32, computed once for all
+  // recipients.
+  FrameStatus SendTo(uint32_t worker, FrameType type, const std::string& payload,
+                     uint32_t crc);
 
   // Next non-heartbeat frame from any worker (header comment). kTimeout after
   // `timeout_seconds` without one; heartbeats/reconnects do not reset the

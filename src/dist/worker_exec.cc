@@ -51,7 +51,6 @@ Tensor ExecuteWorkerLayer(const GnnLayer& layer, ExecStrategy strategy,
   if (worker.workspace != nullptr) {
     worker.workspace->Reset();
   }
-  Tensor rows;
   {
     WorkspaceScope ws_scope(worker.workspace.get());
     WallTimer agg_timer;
@@ -74,7 +73,7 @@ Tensor ExecuteWorkerLayer(const GnnLayer& layer, ExecStrategy strategy,
   // process boundary.
   const Tensor& value = out.value();
   FLEX_CHECK_EQ(value.rows(), static_cast<int64_t>(worker.roots.size()));
-  rows = Tensor(value.rows(), value.cols());
+  Tensor rows = Tensor::Uninitialized(value.rows(), value.cols());
   std::memcpy(rows.data(), value.data(),
               static_cast<std::size_t>(value.numel()) * sizeof(float));
   return rows;

@@ -14,6 +14,7 @@
 #include "src/models/graphsage.h"
 #include "src/models/magnn.h"
 #include "src/models/pinsage.h"
+#include "src/obs/metrics.h"
 #include "src/tensor/ops_dense.h"
 #include "src/util/check.h"
 #include "tests/test_util.h"
@@ -352,6 +353,33 @@ TEST(DistBackendParityTest, SocketParitySweep) {
     // supervisor FLEX_CHECKs it against its own — reaching here means no
     // replica diverged.
   }
+}
+
+TEST(DistBackendParityTest, EveryConnectionCountsAHeartbeat) {
+  // Each worker writes a kHeartbeat right after its kHello, ahead of any
+  // reply, so the supervisor counts a beat per connection even when the whole
+  // run ends inside one beat interval. The interval here is 30 s, far longer
+  // than the epoch, so only those connect beats can be counted.
+  constexpr uint32_t kWorkers = 3;
+  Dataset ds = MakeRedditLike(0.04, 3);
+  GcnConfig config;
+  config.in_dim = ds.feature_dim();
+  config.num_classes = ds.num_classes;
+  Rng model_rng(41);
+  GnnModel model = MakeGcnModel(config, model_rng);
+  DistConfig socket_config;
+  socket_config.backend = DistBackend::kSocket;
+  socket_config.retry.timeout_seconds = 60.0;
+
+  const obs::Counter& beats =
+      obs::MetricRegistry::Get().GetCounter("transport.heartbeats_received");
+  const int64_t before = beats.value();
+  DistributedRuntime socket_rt(ds.graph, HashPartition(ds.graph.num_vertices(), kWorkers),
+                               socket_config);
+  Rng rng(5);
+  Tensor logits;
+  socket_rt.RunEpoch(model, ds.features, rng, &logits);
+  EXPECT_GE(beats.value() - before, static_cast<int64_t>(kWorkers));
 }
 
 TEST(DistBackendParityTest, EmptyLevelWorkersOnBothBackends) {

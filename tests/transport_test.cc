@@ -139,6 +139,60 @@ TEST(TransportFrameTest, CorruptedPayloadFailsCrc) {
   EXPECT_EQ(FrameStatus::kBadCrc, ReadFrame(p.b, &frame, 1.0));
 }
 
+// A payload past 1 MiB whose length is not a multiple of 16, so the CRC runs
+// the fold over the body and the table loop over the tail.
+std::string LargePayload() {
+  std::string payload((1u << 20) + 37, '\0');
+  uint32_t x = 0x9E3779B9u;
+  for (char& c : payload) {
+    x = x * 1664525u + 1013904223u;
+    c = static_cast<char>(x >> 24);
+  }
+  return payload;
+}
+
+TEST(TransportFrameTest, BroadcastWithOneCrcReadsBackOnEveryChannel) {
+  // The supervisor checksums a broadcast payload once and sends it on every
+  // channel with that CRC; each receiver recomputes it and must agree.
+  const std::string payload = LargePayload();
+  const uint32_t crc = Crc32(payload.data(), payload.size());
+  EXPECT_EQ(crc, Crc32Bytewise(payload.data(), payload.size()));
+  SocketPair first;
+  SocketPair second;
+  const int fds[2] = {first.a, second.a};
+  std::thread sender([&payload, crc, &fds]() {
+    for (const int fd : fds) {
+      EXPECT_EQ(FrameStatus::kOk, WriteFrame(fd, FrameType::kLayerRun, payload, crc));
+    }
+  });
+  Frame a;
+  Frame b;
+  EXPECT_EQ(FrameStatus::kOk, ReadFrame(first.b, &a, 10.0));
+  EXPECT_EQ(FrameStatus::kOk, ReadFrame(second.b, &b, 10.0));
+  sender.join();
+  EXPECT_EQ(FrameType::kLayerRun, a.type);
+  EXPECT_EQ(FrameType::kLayerRun, b.type);
+  EXPECT_TRUE(a.payload == payload);
+  EXPECT_TRUE(b.payload == payload);
+}
+
+TEST(TransportFrameTest, BitFlipInsideFoldedBodyFailsCrc) {
+  SocketPair p;
+  std::string payload = LargePayload();
+  const std::string header =
+      RawHeader(kFrameMagic, static_cast<uint32_t>(FrameType::kLayerRun),
+                payload.size(), Crc32(payload.data(), payload.size()));
+  payload[700001] ^= 0x08;  // inside the 16-byte-multiple body, far from the tail
+  const int fd = p.a;
+  std::thread sender([&header, &payload, fd]() {
+    EXPECT_EQ(FrameStatus::kOk, WriteFull(fd, header.data(), header.size()));
+    EXPECT_EQ(FrameStatus::kOk, WriteFull(fd, payload.data(), payload.size()));
+  });
+  Frame frame;
+  EXPECT_EQ(FrameStatus::kBadCrc, ReadFrame(p.b, &frame, 10.0));
+  sender.join();
+}
+
 TEST(TransportFrameTest, SilentPeerTimesOutInsteadOfHanging) {
   SocketPair p;
   Frame frame;

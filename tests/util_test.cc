@@ -1,8 +1,10 @@
 // Tests for the util substrate: checks, logging, RNG, thread pool, aligned
 // buffers, table printer, env parsing.
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <sstream>
+#include <string>
 #include <thread>
 
 #include <gtest/gtest.h>
@@ -263,6 +265,54 @@ TEST(Crc32Test, KnownAnswerAndIncrementalUpdate) {
   // Incremental computation over split buffers matches the one-shot result.
   const uint32_t first = Crc32(data, 4);
   EXPECT_EQ(Crc32(data + 4, 5, first), 0xCBF43926u);
+}
+
+// Random bytes from a fixed seed, for the fold-vs-table comparisons.
+std::string RandomBytes(std::size_t size, Rng& rng) {
+  std::string bytes(size, '\0');
+  for (char& c : bytes) {
+    c = static_cast<char>(rng.NextU32());
+  }
+  return bytes;
+}
+
+TEST(Crc32Test, FoldMatchesBytewiseOverEveryLengthAndOffset) {
+  // Every length from 0 to 1100 crosses the 64-byte threshold of the fold and
+  // every 16-byte block boundary of its body; 16 start offsets cover every
+  // alignment of the unaligned loads.
+  constexpr std::size_t kMaxLength = 1100;
+  constexpr std::size_t kOffsets = 16;
+  Rng rng(0xC3C32u);
+  const std::string bytes = RandomBytes(kMaxLength + kOffsets, rng);
+  for (std::size_t offset = 0; offset < kOffsets; ++offset) {
+    for (std::size_t length = 0; length <= kMaxLength; ++length) {
+      const char* data = bytes.data() + offset;
+      const uint32_t init = rng.NextU32();
+      ASSERT_EQ(Crc32(data, length), Crc32Bytewise(data, length))
+          << "offset " << offset << " length " << length;
+      ASSERT_EQ(Crc32(data, length, init), Crc32Bytewise(data, length, init))
+          << "offset " << offset << " length " << length << " crc " << init;
+    }
+  }
+}
+
+TEST(Crc32Test, ChainedCallsMatchOneShot) {
+  // A sum fed in pieces equals the one-shot sum wherever the pieces split,
+  // including pieces too short for the fold between ones that take it.
+  Rng rng(0x5EED5u);
+  const std::string bytes = RandomBytes(8192, rng);
+  for (int trial = 0; trial < 400; ++trial) {
+    const std::size_t size = rng.NextBounded(bytes.size() + 1);
+    std::size_t pos = 0;
+    uint32_t crc = 0;
+    while (pos < size) {
+      const std::size_t piece_cap = rng.NextBounded(2) == 0 ? 64 : 2048;
+      const std::size_t piece = std::min(size - pos, rng.NextBounded(piece_cap));
+      crc = Crc32(bytes.data() + pos, piece, crc);
+      pos += piece;
+    }
+    ASSERT_EQ(crc, Crc32Bytewise(bytes.data(), size)) << "trial " << trial << " size " << size;
+  }
 }
 
 TEST(Crc32Test, DetectsSingleBitFlip) {
