@@ -20,7 +20,6 @@ namespace {
 
 double FlexGraphDistEpoch(const Dataset& ds, const GnnModel& model, uint32_t workers) {
   DistConfig config;
-  config.pipeline = true;
   // Forward-only epochs, like every other system in the suite (the baseline
   // scaling model has no backward term either — see EXPERIMENTS.md).
   config.backward_compute_factor = 0.0;

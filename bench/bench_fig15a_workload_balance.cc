@@ -19,9 +19,7 @@ constexpr uint32_t kWorkers = 8;
 
 double AggregationMakespan(const Dataset& ds, const GnnModel& model, const Partitioning& parts,
                            int epochs) {
-  DistConfig config;
-  config.pipeline = true;
-  DistributedRuntime runtime(ds.graph, parts, config);
+  DistributedRuntime runtime(ds.graph, parts, DistConfig{});
   Rng rng(5);
   runtime.RunEpoch(model, ds.features, rng, nullptr);  // warm-up build
   double total = 0.0;

@@ -16,19 +16,16 @@ namespace {
 
 using namespace flexgraph;
 
-double MeasureEpoch(const CsrGraph& graph, const Partitioning& parts, const GnnModel& model,
-                    const Tensor& features, bool pipeline, double* agg_seconds) {
+// One measured epoch after a warm-up build. Each epoch reports the
+// aggregation makespan with pipeline processing and without it.
+DistEpochStats MeasureEpoch(const CsrGraph& graph, const Partitioning& parts,
+                            const GnnModel& model, const Tensor& features) {
   DistConfig config;
-  config.pipeline = pipeline;
   config.backward_compute_factor = 1.0;  // simulate training epochs
   DistributedRuntime runtime(graph, parts, config);
   Rng rng(5);
   runtime.RunEpoch(model, features, rng, nullptr);  // warm-up build
-  DistEpochStats stats = runtime.RunEpoch(model, features, rng, nullptr);
-  if (agg_seconds != nullptr) {
-    *agg_seconds = stats.aggregation_seconds;
-  }
-  return stats.makespan_seconds;
+  return runtime.RunEpoch(model, features, rng, nullptr);
 }
 
 }  // namespace
@@ -54,15 +51,14 @@ int main() {
   std::printf("%-8s %-14s\n", "workers", "epoch_sec");
   for (uint32_t workers : {1u, 2u, 4u, 8u}) {
     Partitioning p = HashPartition(ds.graph.num_vertices(), workers);
-    const double t = MeasureEpoch(ds.graph, p, model, ds.features, true, nullptr);
+    const double t = MeasureEpoch(ds.graph, p, model, ds.features).makespan_seconds;
     std::printf("%-8u %-14.4f\n", workers, t);
   }
 
   std::printf("\n-- pipeline processing (k=%u) --\n", k);
-  double agg_pp = 0.0;
-  double agg_raw = 0.0;
-  MeasureEpoch(ds.graph, hash, model, ds.features, true, &agg_pp);
-  MeasureEpoch(ds.graph, hash, model, ds.features, false, &agg_raw);
+  const DistEpochStats pp = MeasureEpoch(ds.graph, hash, model, ds.features);
+  const double agg_pp = pp.aggregation_seconds_pipelined;
+  const double agg_raw = pp.aggregation_seconds_raw;
   std::printf("aggregation makespan: %.4fs with PP vs %.4fs without (%.1f%% better)\n", agg_pp,
               agg_raw, 100.0 * (agg_raw - agg_pp) / agg_raw);
 
@@ -92,10 +88,10 @@ int main() {
   std::printf("cost model fitted (rms %.2f); balance %.3f → %.3f, cut edges %llu\n",
               adb.fit_rms, adb.adb.balance_before, adb.adb.balance_after,
               static_cast<unsigned long long>(adb.adb.cut_edges_after));
-  double agg_pulp = 0.0;
-  double agg_adb = 0.0;
-  MeasureEpoch(typed.graph, pulp, magnn, typed.features, true, &agg_pulp);
-  MeasureEpoch(typed.graph, adb.partitioning, magnn, typed.features, true, &agg_adb);
+  const double agg_pulp =
+      MeasureEpoch(typed.graph, pulp, magnn, typed.features).aggregation_seconds;
+  const double agg_adb =
+      MeasureEpoch(typed.graph, adb.partitioning, magnn, typed.features).aggregation_seconds;
   std::printf("aggregation makespan: %.4fs PuLP vs %.4fs ADB\n", agg_pulp, agg_adb);
   return 0;
 }

@@ -6,6 +6,7 @@
 #include "src/core/neighbor_selection.h"
 #include "src/dist/checkpoint.h"
 #include "src/dist/supervisor.h"
+#include "src/fault/recovery.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/tensor/ops_dense.h"
@@ -20,10 +21,6 @@ DistributedTrainer::DistributedTrainer(const CsrGraph& graph, Partitioning parts
     : graph_(graph), parts_(std::move(parts)), config_(config), engine_(graph) {
   FLEX_CHECK_EQ(parts_.owner.size(), static_cast<std::size_t>(graph_.num_vertices()));
   ValidateNetworkModel(config_.network);
-  worker_roots_.resize(parts_.num_parts);
-  for (VertexId v = 0; v < graph_.num_vertices(); ++v) {
-    worker_roots_[parts_.owner[v]].push_back(v);
-  }
 }
 
 // Out of line for the forward-declared SocketCluster's destructor.
@@ -34,76 +31,6 @@ DistTrainEpochResult DistributedTrainer::TrainEpoch(const GnnModel& model,
                                                     const std::vector<uint32_t>& labels,
                                                     Rng& rng) {
   const int64_t epoch = epoch_index_++;
-  // The modeled rollback-and-re-execute crash only applies to the modeled
-  // backend: re-executing an epoch would step the socket replicas twice.
-  // Socket-backend faults are real kills, handled inside the gradient sync.
-  std::optional<CrashPlan> crash =
-      (config_.fault != nullptr && config_.backend == DistBackend::kModeled)
-          ? config_.fault->NextCrash(epoch)
-          : std::nullopt;
-
-  DistTrainEpochResult result;
-  if (!crash.has_value()) {
-    result = ExecuteEpoch(model, features, labels, rng, epoch);
-  } else {
-    FLEX_TRACE_SPAN("dist.train_recovery", {{"epoch", static_cast<double>(epoch)},
-                                            {"worker", static_cast<double>(crash->worker)}});
-    // Epoch-boundary snapshot: parameters + RNG state. This is the in-memory
-    // equivalent of the epoch-boundary checkpoint — rollback restores both so
-    // the re-executed epoch consumes the exact random stream and parameter
-    // state the fault-free run would have.
-    std::vector<Variable> params = model.Parameters();
-    std::vector<Tensor> boundary_values;
-    boundary_values.reserve(params.size());
-    for (const Variable& p : params) {
-      boundary_values.push_back(p.value());
-    }
-    const Rng boundary_rng = rng;
-
-    FLEX_LOG(Info) << "injected crash: worker " << crash->worker
-                   << " dies during training epoch " << epoch;
-    DistTrainEpochResult lost = ExecuteEpoch(model, features, labels, rng, epoch);
-
-    // Rollback to the boundary and re-execute on the restarted worker. The
-    // restart rebuilds HDG state, so the engine cache is dropped too.
-    for (std::size_t i = 0; i < params.size(); ++i) {
-      params[i].mutable_value() = boundary_values[i];
-    }
-    rng = boundary_rng;
-    engine_.InvalidateHdgCache();
-
-    result = ExecuteEpoch(model, features, labels, rng, epoch);
-    const double detection = config_.retry.DetectionSeconds();
-    result.recovery_seconds =
-        lost.compute_seconds + lost.allreduce_seconds + detection;
-    result.compute_seconds += result.recovery_seconds;
-    result.crashes_recovered = 1;
-    FLEX_COUNTER_ADD("dist.train_recoveries", 1);
-    FLEX_HIST_OBSERVE("fault.recovery_seconds", result.recovery_seconds);
-    FLEX_LOG(Info) << "recovery: rolled epoch " << epoch
-                   << " back to the boundary and re-executed ("
-                   << result.recovery_seconds << "s recovery time)";
-  }
-
-  // Rotating epoch-boundary checkpoint after the epoch commits. A scheduled
-  // truncation corrupts the file afterwards (disk rot — the atomic write
-  // itself cannot tear), which FindLatestValidCheckpoint detects and skips.
-  if (!config_.checkpoint_dir.empty() && config_.checkpoint_every > 0 &&
-      (epoch + 1) % config_.checkpoint_every == 0) {
-    const std::string path = SaveRotatingCheckpoint(config_.checkpoint_dir, model, epoch,
-                                                    config_.checkpoint_keep);
-    if (config_.fault != nullptr && config_.fault->CheckpointTruncationAt(epoch)) {
-      FaultInjector::TruncateFileTail(path);
-      FLEX_LOG(Warning) << "injected corruption: truncated checkpoint " << path;
-    }
-  }
-  return result;
-}
-
-DistTrainEpochResult DistributedTrainer::ExecuteEpoch(const GnnModel& model,
-                                                      const Tensor& features,
-                                                      const std::vector<uint32_t>& labels,
-                                                      Rng& rng, int64_t epoch) {
   DistTrainEpochResult result;
   FLEX_TRACE_SPAN("dist.train_epoch", {{"workers", static_cast<double>(parts_.num_parts)}});
   FLEX_COUNTER_ADD("dist.train_epochs", 1);
@@ -125,6 +52,11 @@ DistTrainEpochResult DistributedTrainer::ExecuteEpoch(const GnnModel& model,
 
   total_loss.Backward();
   std::vector<Variable> params = model.Parameters();
+
+  // The gradient sync, where a scheduled crash fires on both backends: its
+  // victim, if it holds roots, dies just before the broadcast.
+  std::optional<CrashPlan> crash =
+      config_.fault != nullptr ? config_.fault->NextCrash(epoch) : std::nullopt;
   if (config_.backend == DistBackend::kSocket) {
     if (cluster_ == nullptr) {
       // Fork the replicas now, pre-step: every child inherits exactly the
@@ -139,31 +71,52 @@ DistTrainEpochResult DistributedTrainer::ExecuteEpoch(const GnnModel& model,
     }
     // Ship the gradients before stepping locally: the replicas' steps overlap
     // the supervisor's, and both run the identical SgdOptimizer code path.
-    cluster_->BroadcastGradients(model, config_.learning_rate, epoch);
+    cluster_->BroadcastGradients(model, config_.learning_rate, epoch,
+                                 crash.has_value() ? &*crash : nullptr);
   }
   SgdOptimizer opt(config_.learning_rate);
   opt.Step(params);
   SgdOptimizer::ZeroGrad(params);
+
+  // Deaths at the sync: measured silence on sockets, priced detection in
+  // process. Each is recovered the way the runtime recovers one — migrate
+  // the dead worker's roots onto the survivors — and the epoch commits: the
+  // union loss does not depend on the partitioning, so nothing re-runs.
+  std::vector<WorkerDeath> deaths;
   if (cluster_ != nullptr) {
-    const SocketCluster::GradSyncResult sync = cluster_->AwaitParamsAcks(model, epoch);
-    if (sync.workers_killed > 0) {
-      result.crashes_recovered += sync.workers_killed;
-      result.recovery_seconds += sync.detection_seconds;
-      FLEX_COUNTER_ADD("dist.train_recoveries", sync.workers_killed);
-    }
+    deaths = cluster_->AwaitParamsAcks(model);
+  } else if (crash.has_value() && crash->worker < parts_.num_parts &&
+             parts_.PartSizes()[crash->worker] > 0) {
+    deaths.push_back(WorkerDeath{crash->worker, config_.retry.DetectionSeconds()});
+  }
+  for (const WorkerDeath& death : deaths) {
+    FLEX_LOG(Warning) << "worker " << death.worker << " declared dead at the gradient sync of "
+                      << "epoch " << epoch << " after " << death.detection_seconds
+                      << "s; continuing on survivors";
+    FLEX_COUNTER_ADD("dist.worker_deaths", 1);
+    const MigrationResult migration = MigrateRoots(parts_, death.worker);
+    result.roots_migrated += static_cast<int64_t>(migration.migrated.size());
+    result.recovery_seconds += death.detection_seconds;
+    ++result.crashes_recovered;
+    FLEX_COUNTER_ADD("dist.train_recoveries", 1);
+    FLEX_HIST_OBSERVE("fault.recovery_seconds", death.detection_seconds);
+    FLEX_HIST_OBSERVE("fault.detection_seconds", death.detection_seconds);
+  }
+  if (!deaths.empty() && cluster_ != nullptr) {
+    cluster_->BroadcastPartition();
   }
 
   // Timing: the epoch's compute parallelizes across workers; the straggler
   // carries proportionally more roots than average — and an injected
   // straggler fault multiplies its victim's compute on top of that.
   const double total_seconds = timer.ElapsedSeconds();
+  const std::vector<uint64_t> part_sizes = parts_.PartSizes();
   const double avg_roots = n / parts_.num_parts;
   double straggler = 1.0;
   for (uint32_t w = 0; w < parts_.num_parts; ++w) {
-    double relative = avg_roots > 0
-                          ? static_cast<double>(worker_roots_[w].size()) / avg_roots
-                          : 1.0;
-    if (config_.fault != nullptr && !worker_roots_[w].empty()) {
+    double relative =
+        avg_roots > 0 ? static_cast<double>(part_sizes[w]) / avg_roots : 1.0;
+    if (config_.fault != nullptr && part_sizes[w] > 0) {
       relative *= config_.fault->StragglerFactor(epoch, w);
     }
     straggler = std::max(straggler, relative);
@@ -196,6 +149,19 @@ DistTrainEpochResult DistributedTrainer::ExecuteEpoch(const GnnModel& model,
   }
   FLEX_COUNTER_ADD("dist.allreduce_bytes", static_cast<int64_t>(result.allreduce_bytes));
   FLEX_HIST_OBSERVE("dist.train_compute_seconds", result.compute_seconds);
+
+  // Rotating epoch-boundary checkpoint after the epoch commits. A scheduled
+  // truncation corrupts the file afterwards (disk rot — the atomic write
+  // itself cannot tear), which FindLatestValidCheckpoint detects and skips.
+  if (!config_.checkpoint_dir.empty() && config_.checkpoint_every > 0 &&
+      (epoch + 1) % config_.checkpoint_every == 0) {
+    const std::string path = SaveRotatingCheckpoint(config_.checkpoint_dir, model, epoch,
+                                                    config_.checkpoint_keep);
+    if (config_.fault != nullptr && config_.fault->CheckpointTruncationAt(epoch)) {
+      FaultInjector::TruncateFileTail(path);
+      FLEX_LOG(Warning) << "injected corruption: truncated checkpoint " << path;
+    }
+  }
   return result;
 }
 

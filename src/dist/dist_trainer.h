@@ -16,14 +16,16 @@
 // worker processes that each apply the identical optimizer step to their own
 // replica and ack with a parameter CRC the supervisor verifies.
 //
-// Fault tolerance: every epoch is a transaction against the last epoch
-// boundary. With a fault schedule configured, a worker crash rolls the model
-// parameters *and the RNG* back to the boundary (the in-memory equivalent of
-// loading the epoch-boundary checkpoint) and re-executes the epoch on a
-// restarted worker, so the loss trajectory is bit-identical to a fault-free
-// run — recovery changes the timeline, never the math. Optional rotating file
-// checkpoints (checkpoint_dir/checkpoint_every) persist the same boundaries
-// for cross-process resume via FindLatestValidCheckpoint.
+// Fault tolerance: a worker death is served at the gradient sync, the same
+// way on both backends — a scheduled crash kills its victim just before the
+// broadcast (a real SIGKILL on sockets), the death is detected (measured
+// heartbeat silence on sockets, RetryPolicy::DetectionSeconds() in process),
+// the dead worker's roots migrate onto the survivors, and the epoch commits.
+// Nothing is rolled back or re-run: the union loss does not depend on the
+// partitioning, so the loss trajectory is bit-identical to a fault-free run.
+// Optional rotating file checkpoints (checkpoint_dir/checkpoint_every)
+// persist the epoch boundaries for cross-process resume via
+// FindLatestValidCheckpoint.
 #ifndef SRC_DIST_DIST_TRAINER_H_
 #define SRC_DIST_DIST_TRAINER_H_
 
@@ -70,10 +72,11 @@ struct DistTrainEpochResult {
   double compute_seconds = 0.0;  // makespan of the per-worker train step
   double allreduce_seconds = 0.0;
   uint64_t allreduce_bytes = 0;
-  // Fault handling (zero on fault-free epochs): time added by rollback +
-  // re-execution, already included in compute_seconds.
+  // Fault handling (zero on fault-free epochs): deaths recovered at the
+  // gradient sync, their detection time, and the roots they gave up.
   double recovery_seconds = 0.0;
   int64_t crashes_recovered = 0;
+  int64_t roots_migrated = 0;
 };
 
 class DistributedTrainer {
@@ -86,28 +89,22 @@ class DistributedTrainer {
   ~DistributedTrainer();
 
   uint32_t num_workers() const { return parts_.num_parts; }
+  const Partitioning& partitioning() const { return parts_; }
 
-  // One synchronous data-parallel epoch: per-worker forward + backward on the
-  // worker's root share, gradient averaging, one SGD step on the (shared)
-  // parameters. Crash faults trigger rollback-to-boundary + re-execution
-  // inside this call (header comment).
+  // One synchronous data-parallel epoch: the canonical union loss and its
+  // gradients, the gradient sync, one SGD step on the (shared) parameters.
+  // A worker death at the sync is recovered inside this call (header
+  // comment).
   DistTrainEpochResult TrainEpoch(const GnnModel& model, const Tensor& features,
                                   const std::vector<uint32_t>& labels, Rng& rng);
 
  private:
-  // The epoch transaction body; called once normally, twice when this epoch's
-  // first attempt is killed by an injected crash.
-  DistTrainEpochResult ExecuteEpoch(const GnnModel& model, const Tensor& features,
-                                    const std::vector<uint32_t>& labels, Rng& rng,
-                                    int64_t epoch);
-
   const CsrGraph& graph_;
   Partitioning parts_;
   DistTrainConfig config_;
   // Socket backend only: the replica process group, forked on first use.
   std::unique_ptr<SocketCluster> cluster_;
   Engine engine_;  // owns the HDG cache across epochs
-  std::vector<std::vector<uint32_t>> worker_roots_;
   int64_t epoch_index_ = 0;  // epochs started, for fault-schedule lookup
 };
 

@@ -9,11 +9,9 @@
 #include <cstdio>
 #include <cstring>
 #include <ctime>
-#include <optional>
 
 #include "src/dist/supervisor_worker.h"
 #include "src/dist/worker_exec.h"
-#include "src/fault/recovery.h"
 #include "src/obs/metrics.h"
 #include "src/util/check.h"
 #include "src/util/crc32.h"
@@ -38,23 +36,13 @@ void SleepSeconds(double seconds) {
 }  // namespace
 
 SocketCluster::SocketCluster(const CsrGraph& graph, Partitioning* parts, Config config)
-    : graph_(graph), parts_(parts), config_(config), transport_(config.network) {
+    : graph_(graph), parts_(parts), config_(config) {
   FLEX_CHECK(parts_ != nullptr);
   FLEX_CHECK_EQ(parts_->owner.size(), static_cast<std::size_t>(graph_.num_vertices()));
   FLEX_CHECK_GE(parts_->num_parts, 1u);
 }
 
 SocketCluster::~SocketCluster() { Shutdown(); }
-
-uint32_t SocketCluster::num_alive() const {
-  uint32_t n = 0;
-  for (const Proc& proc : procs_) {
-    if (proc.alive) {
-      ++n;
-    }
-  }
-  return n;
-}
 
 void SocketCluster::Start(const GnnModel& model, const Tensor& features) {
   FLEX_CHECK_MSG(!started_, "SocketCluster::Start called twice");
@@ -117,6 +105,17 @@ void SocketCluster::BroadcastPartition() {
   need_prepare_ = true;
 }
 
+void SocketCluster::Kill(const CrashPlan& crash) {
+  const uint32_t w = crash.worker;
+  if (w < procs_.size() && procs_[w].alive && !roots_by_worker_[w].empty()) {
+    // A genuine kill -9. Nothing downstream knows it was scheduled: the
+    // victim simply falls silent and the heartbeat timeout is what notices.
+    FLEX_LOG(Info) << "injected crash: SIGKILL worker " << w << " (pid " << procs_[w].pid
+                   << ")";
+    ::kill(procs_[w].pid, SIGKILL);
+  }
+}
+
 void SocketCluster::ReapWorker(uint32_t worker) {
   Proc& proc = procs_[worker];
   if (proc.pid > 0) {
@@ -131,17 +130,6 @@ void SocketCluster::ReapWorker(uint32_t worker) {
   transport_.CloseWorker(worker);
 }
 
-int64_t SocketCluster::RecoverFrom(uint32_t dead) {
-  ReapWorker(dead);
-  FLEX_COUNTER_ADD("dist.worker_deaths", 1);
-  MigrationResult migration = MigrateRoots(*parts_, dead);
-  FLEX_LOG(Info) << "recovery: migrated " << migration.migrated.size()
-                 << " roots off worker " << dead << " onto "
-                 << num_alive() << " survivors";
-  BroadcastPartition();
-  return static_cast<int64_t>(migration.migrated.size());
-}
-
 uint32_t SocketCluster::FindDeadWorker(const std::vector<char>& pending) const {
   const double detection = config_.retry.DetectionSeconds();
   for (uint32_t w = 0; w < pending.size(); ++w) {
@@ -152,7 +140,16 @@ uint32_t SocketCluster::FindDeadWorker(const std::vector<char>& pending) const {
   return kNoWorker;
 }
 
-bool SocketCluster::PrepareAll(Rng& rng, double* build_makespan, uint32_t* dead) {
+WorkerDeath SocketCluster::DeclareDead(uint32_t worker) {
+  double silence = transport_.SecondsSinceContact(worker);
+  if (silence > 1e6) {  // never-contacted sentinel
+    silence = config_.retry.DetectionSeconds();
+  }
+  ReapWorker(worker);
+  return WorkerDeath{worker, silence};
+}
+
+bool SocketCluster::PrepareAll(Rng& rng, double* build_makespan, WorkerDeath* death) {
   // Token ring: the RNG state threads through the workers in id order, so the
   // cluster as a whole consumes the caller's stream exactly as the modeled
   // Prepare's sequential loop does. Root-less (and dead) workers are skipped
@@ -195,7 +192,7 @@ bool SocketCluster::PrepareAll(Rng& rng, double* build_makespan, uint32_t* dead)
       }
       const uint32_t lapsed = FindDeadWorker(pending);
       if (lapsed != kNoWorker) {
-        *dead = lapsed;
+        *death = DeclareDead(lapsed);
         return false;
       }
     }
@@ -208,31 +205,32 @@ bool SocketCluster::PrepareAll(Rng& rng, double* build_makespan, uint32_t* dead)
 }
 
 bool SocketCluster::TryForwardEpoch(const GnnModel& model, Rng& rng, int64_t epoch,
-                                    const CrashPlan* kill, Tensor* logits_out,
-                                    DistEpochStats* stats, uint32_t* dead) {
+                                    const CrashPlan* crash, Tensor* logits_out,
+                                    DistEpochStats* stats, WorkerDeath* death) {
+  FLEX_CHECK_MSG(started_, "TryForwardEpoch before Start");
   const uint32_t k = parts_->num_parts;
   const double slice = std::min(config_.retry.DetectionSeconds() * 0.25, 0.02);
   WallTimer epoch_timer;
   stats->per_worker_aggregation_seconds.assign(k, 0.0);
+  // An aborted attempt's cost is its wall time up to the declaration, less
+  // the silence the caller charges as detection.
+  auto abandon = [&] {
+    stats->makespan_seconds =
+        std::max(0.0, epoch_timer.ElapsedSeconds() - death->detection_seconds);
+    return false;
+  };
 
   if (need_prepare_ || model.cache_policy == HdgCachePolicy::kPerEpoch) {
-    if (!PrepareAll(rng, &stats->neighbor_selection_seconds, dead)) {
-      return false;
+    if (!PrepareAll(rng, &stats->neighbor_selection_seconds, death)) {
+      return abandon();
     }
   }
 
   // The previous layer's output; layer 0 reads the workers' own features.
   Tensor h;
   for (std::size_t li = 0; li < model.layers.size(); ++li) {
-    if (kill != nullptr && kill->layer == static_cast<int>(li) &&
-        kill->worker < procs_.size() && procs_[kill->worker].alive) {
-      // A genuine kill -9, fired mid-epoch just before this layer's fan-out.
-      // Nothing downstream knows it was scheduled: the victim simply falls
-      // silent and the heartbeat timeout is what notices.
-      FLEX_LOG(Info) << "injected kill: SIGKILL worker " << kill->worker
-                     << " (pid " << procs_[kill->worker].pid << ") at epoch "
-                     << epoch << ", layer " << li;
-      ::kill(procs_[kill->worker].pid, SIGKILL);
+    if (crash != nullptr && crash->layer == static_cast<int>(li)) {
+      Kill(*crash);  // just before this layer's fan-out
     }
 
     const uint64_t seq = ++seq_;
@@ -317,15 +315,20 @@ bool SocketCluster::TryForwardEpoch(const GnnModel& model, Rng& rng, int64_t epo
       }
       const uint32_t lapsed = FindDeadWorker(pending);
       if (lapsed != kNoWorker) {
-        *dead = lapsed;
+        *death = DeclareDead(lapsed);
         stats->comm_bytes_total += static_cast<double>(layer_bytes);
-        return false;
+        return abandon();
       }
     }
     FLEX_CHECK(h_next_ready);
 
-    // Stragglers on the socket backend shape the *reported* timeline only —
-    // the frames already landed, so no real sleep is injected.
+    // Stragglers and message faults on the socket backend shape the
+    // *reported* timeline only — the frames already landed, so nothing real
+    // is slept or re-sent. A failed delivery into a participant is priced as
+    // the modeled epoch prices it (timeout + backoff per failed attempt);
+    // retries to different workers wait out their timeouts side by side, so
+    // the layer's priced wire time grows by the largest penalty.
+    double retry_penalty = 0.0;
     if (config_.fault != nullptr) {
       for (uint32_t w = 0; w < k; ++w) {
         if (participated[w] == 0) {
@@ -336,6 +339,19 @@ bool SocketCluster::TryForwardEpoch(const GnnModel& model, Rng& rng, int64_t epo
           times[w].bottom *= factor;
           times[w].rest_agg *= factor;
           times[w].update *= factor;
+        }
+      }
+      for (uint32_t w = 0; w < k; ++w) {
+        if (participated[w] == 0) {
+          continue;
+        }
+        const int failures = config_.fault->TransferFailures(epoch, static_cast<int>(li), w);
+        if (failures > 0) {
+          const double penalty = config_.retry.PenaltySeconds(failures);
+          stats->transfer_retries += failures;
+          stats->retry_wait_seconds += penalty;
+          FLEX_HIST_OBSERVE("fault.retry_wait_seconds", penalty);
+          retry_penalty = std::max(retry_penalty, penalty);
         }
       }
     }
@@ -356,9 +372,10 @@ bool SocketCluster::TryForwardEpoch(const GnnModel& model, Rng& rng, int64_t epo
     stats->aggregation_seconds += layer_agg_makespan;
     stats->update_seconds += layer_update_makespan;
 
-    // Real framed bytes moved for this layer, priced through the transport so
-    // the modeled comm fields stay comparable across backends.
-    const double priced = transport_.TransferSeconds(layer_bytes, layer_messages);
+    // Real framed bytes moved for this layer, priced with the network model
+    // so the comm fields stay comparable across backends.
+    const double priced =
+        config_.network.TransferSeconds(layer_bytes, layer_messages) + retry_penalty;
     stats->comm_bytes_total += static_cast<double>(layer_bytes);
     stats->comm_seconds += priced;
     FLEX_COUNTER_ADD("dist.comm_bytes", static_cast<int64_t>(layer_bytes));
@@ -368,75 +385,17 @@ bool SocketCluster::TryForwardEpoch(const GnnModel& model, Rng& rng, int64_t epo
   }
 
   stats->makespan_seconds = epoch_timer.ElapsedSeconds();
-  FLEX_HIST_OBSERVE("dist.epoch_makespan_seconds", stats->makespan_seconds);
   if (logits_out != nullptr) {
     *logits_out = std::move(h);
   }
   return true;
 }
 
-DistEpochStats SocketCluster::RunForwardEpoch(const GnnModel& model, Rng& rng,
-                                              int64_t epoch, Tensor* logits_out) {
-  FLEX_CHECK_MSG(started_, "RunForwardEpoch before Start");
-  std::optional<CrashPlan> kill =
-      config_.fault != nullptr ? config_.fault->NextKill(epoch) : std::nullopt;
-
-  double lost_work = 0.0;
-  double detection_total = 0.0;
-  double lost_bytes = 0.0;
-  int64_t crashes = 0;
-  int64_t migrated_total = 0;
-  for (;;) {
-    // Recovery is a rollback to the epoch boundary; restoring the RNG keeps
-    // the re-execution on the exact stream the fault-free run would consume.
-    const Rng rng_at_boundary = rng;
-    DistEpochStats stats;
-    uint32_t dead = kNoWorker;
-    WallTimer attempt_timer;
-    if (TryForwardEpoch(model, rng, epoch, kill ? &*kill : nullptr, logits_out, &stats,
-                        &dead)) {
-      stats.lost_work_seconds = lost_work;
-      stats.detection_seconds = detection_total;
-      stats.crashes_recovered = crashes;
-      stats.roots_migrated = migrated_total;
-      if (crashes > 0) {
-        stats.recovery_seconds =
-            lost_work + detection_total + stats.neighbor_selection_seconds;
-        stats.makespan_seconds += lost_work + detection_total;
-        // Traffic spent on the doomed attempts still happened.
-        stats.comm_bytes_total += lost_bytes;
-        FLEX_HIST_OBSERVE("fault.recovery_seconds", stats.recovery_seconds);
-        FLEX_HIST_OBSERVE("fault.lost_work_seconds", stats.lost_work_seconds);
-        FLEX_HIST_OBSERVE("fault.detection_seconds", stats.detection_seconds);
-      }
-      return stats;
-    }
-
-    double detection = transport_.SecondsSinceContact(dead);
-    if (detection > 1e6) {  // never-contacted sentinel
-      detection = config_.retry.DetectionSeconds();
-    }
-    FLEX_LOG(Warning) << "worker " << dead << " declared dead at epoch " << epoch
-                      << " (silent for " << detection << "s); recovering";
-    ++crashes;
-    detection_total += detection;
-    lost_work += attempt_timer.ElapsedSeconds();
-    lost_bytes += stats.comm_bytes_total;
-    migrated_total += RecoverFrom(dead);
-    rng = rng_at_boundary;
-    kill.reset();  // one-shot: the re-executed epoch does not kill again
-  }
-}
-
-void SocketCluster::BroadcastGradients(const GnnModel& model, float lr, int64_t epoch) {
+void SocketCluster::BroadcastGradients(const GnnModel& model, float lr, int64_t epoch,
+                                       const CrashPlan* crash) {
   FLEX_CHECK_MSG(started_, "BroadcastGradients before Start");
-  std::optional<CrashPlan> kill =
-      config_.fault != nullptr ? config_.fault->NextKill(epoch) : std::nullopt;
-  if (kill && kill->worker < procs_.size() && procs_[kill->worker].alive) {
-    FLEX_LOG(Info) << "injected kill: SIGKILL worker " << kill->worker << " (pid "
-                   << procs_[kill->worker].pid << ") before gradient broadcast, epoch "
-                   << epoch;
-    ::kill(procs_[kill->worker].pid, SIGKILL);
+  if (crash != nullptr) {
+    Kill(*crash);  // just before the gradient broadcast
   }
 
   const uint64_t seq = ++seq_;
@@ -462,10 +421,8 @@ void SocketCluster::BroadcastGradients(const GnnModel& model, float lr, int64_t 
   }
 }
 
-SocketCluster::GradSyncResult SocketCluster::AwaitParamsAcks(const GnnModel& model,
-                                                             int64_t epoch) {
-  (void)epoch;  // kept for API symmetry with BroadcastGradients
-  GradSyncResult result;
+std::vector<WorkerDeath> SocketCluster::AwaitParamsAcks(const GnnModel& model) {
+  std::vector<WorkerDeath> deaths;
   const uint32_t expected_crc = ParametersCrc(model);
   const double slice = std::min(config_.retry.DetectionSeconds() * 0.25, 0.02);
   const uint64_t seq = seq_;  // the BroadcastGradients round
@@ -504,21 +461,12 @@ SocketCluster::GradSyncResult SocketCluster::AwaitParamsAcks(const GnnModel& mod
     }
     const uint32_t lapsed = FindDeadWorker(pending);
     if (lapsed != kNoWorker) {
-      double detection = transport_.SecondsSinceContact(lapsed);
-      if (detection > 1e6) {
-        detection = config_.retry.DetectionSeconds();
-      }
-      FLEX_LOG(Warning) << "worker " << lapsed
-                        << " declared dead during gradient sync (silent for "
-                        << detection << "s); continuing on survivors";
-      ++result.workers_killed;
-      result.detection_seconds += detection;
-      result.roots_migrated += RecoverFrom(lapsed);
+      deaths.push_back(DeclareDead(lapsed));
       pending[lapsed] = 0;
       --outstanding;
     }
   }
-  return result;
+  return deaths;
 }
 
 void SocketCluster::Shutdown() {

@@ -1,6 +1,5 @@
 #include "src/dist/transport.h"
 
-#include "src/dist/transport_socket.h"
 #include "src/util/check.h"
 
 namespace flexgraph {
@@ -33,14 +32,6 @@ void ValidateNetworkModel(const NetworkModel& model) {
   FLEX_CHECK_MSG(model.bandwidth_bytes_per_sec > 0.0,
                  "NetworkModel.bandwidth_bytes_per_sec must be > 0 "
                  "(zero would price every transfer at inf/NaN)");
-}
-
-std::unique_ptr<Transport> MakeTransport(DistBackend backend, const NetworkModel& model) {
-  ValidateNetworkModel(model);
-  if (backend == DistBackend::kSocket) {
-    return std::make_unique<SocketTransport>(model);
-  }
-  return std::make_unique<ModeledTransport>(model);
 }
 
 }  // namespace flexgraph

@@ -1,25 +1,21 @@
-// Communication backend abstraction for the distributed runtime (DESIGN.md §15).
+// Distributed backend selection (DESIGN.md §15).
 //
-// The runtime's epoch timeline needs one thing from the network: the cost of
-// a transfer. Transport narrows that contract to a single virtual —
-// TransferSeconds — with two implementations:
+// Two backends run the distributed runtime and trainer:
 //
-//   * ModeledTransport wraps the analytic NetworkModel and preserves the
-//     Fig-13/Fig-15 modeled timelines bit-for-bit (it IS the old direct
-//     config_.network call, one virtual hop away).
-//   * SocketTransport (src/dist/transport_socket.h) moves real bytes between
-//     real worker processes over Unix-domain sockets; its pricing passthrough
-//     keeps the modeled stat fields meaningful while the wire traffic is
-//     genuine.
+//   * kModeled executes every worker in this process and prices each
+//     transfer with the analytic NetworkModel — the Fig-13/Fig-15 simulator.
+//   * kSocket forks one real worker process per partition and moves the
+//     messages over Unix-domain sockets (src/dist/transport_socket.h,
+//     src/dist/supervisor.h).
 //
-// flexgraph_train --backend modeled|socket selects between them; either way
-// the computed features are bitwise identical (tests/dist_test.cc parity
-// sweep) — the backend changes how bytes move, never the math.
+// Both price transfers by calling NetworkModel::TransferSeconds directly, so
+// the stat fields stay comparable. flexgraph_train --backend modeled|socket
+// selects one; either way the computed features are bitwise identical
+// (tests/dist_test.cc parity sweep) — the backend changes how bytes move,
+// never the math.
 #ifndef SRC_DIST_TRANSPORT_H_
 #define SRC_DIST_TRANSPORT_H_
 
-#include <cstdint>
-#include <memory>
 #include <string>
 
 #include "src/dist/network_model.h"
@@ -41,37 +37,6 @@ bool ParseDistBackend(const std::string& name, DistBackend* out);
 // latency into time travel. Throws CheckError; called at runtime/trainer
 // construction so the bad config fails at the boundary, not epochs later.
 void ValidateNetworkModel(const NetworkModel& model);
-
-class Transport {
- public:
-  virtual ~Transport() = default;
-
-  virtual const char* name() const = 0;
-
-  // Modeled seconds for delivering `bytes` to one worker in `num_messages`
-  // per-sender messages — the quantity every timeline in runtime.cc is built
-  // from.
-  virtual double TransferSeconds(uint64_t bytes, uint32_t num_messages) const = 0;
-};
-
-class ModeledTransport final : public Transport {
- public:
-  explicit ModeledTransport(NetworkModel model) : model_(model) {}
-
-  const char* name() const override { return "modeled"; }
-
-  double TransferSeconds(uint64_t bytes, uint32_t num_messages) const override {
-    return model_.TransferSeconds(bytes, num_messages);
-  }
-
- private:
-  NetworkModel model_;
-};
-
-// Builds the pricing transport for `backend`. Both backends price with the
-// same analytic model (so modeled stat fields stay comparable); the socket
-// backend's real byte movement lives in SocketCluster, not here.
-std::unique_ptr<Transport> MakeTransport(DistBackend backend, const NetworkModel& model);
 
 }  // namespace flexgraph
 

@@ -40,8 +40,6 @@ void SleepSeconds(double seconds) {
 
 }  // namespace
 
-SocketTransport::SocketTransport(NetworkModel pricing) : pricing_(pricing) {}
-
 SocketTransport::~SocketTransport() { CloseAll(); }
 
 void SocketTransport::Listen() {

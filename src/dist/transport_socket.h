@@ -27,26 +27,18 @@
 #include <string>
 #include <vector>
 
-#include "src/dist/transport.h"
 #include "src/dist/transport_frame.h"
 #include "src/fault/retry.h"
 
 namespace flexgraph {
 
-class SocketTransport final : public Transport {
+class SocketTransport final {
  public:
-  // `pricing` keeps the modeled stat fields meaningful on the socket backend;
-  // the bytes this class moves are real.
-  explicit SocketTransport(NetworkModel pricing);
-  ~SocketTransport() override;
+  SocketTransport() = default;
+  ~SocketTransport();
 
   SocketTransport(const SocketTransport&) = delete;
   SocketTransport& operator=(const SocketTransport&) = delete;
-
-  const char* name() const override { return "socket"; }
-  double TransferSeconds(uint64_t bytes, uint32_t num_messages) const override {
-    return pricing_.TransferSeconds(bytes, num_messages);
-  }
 
   // ---- Supervisor side ----
 
@@ -97,7 +89,6 @@ class SocketTransport final : public Transport {
   // Accepts + identifies one pending connection; returns the worker id.
   uint32_t AdoptPending(double timeout_seconds);
 
-  NetworkModel pricing_;
   std::string endpoint_;
   int listen_fd_ = -1;
   std::vector<Channel> channels_;

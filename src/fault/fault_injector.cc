@@ -14,8 +14,6 @@ const char* KindCounterName(FaultKind kind) {
   switch (kind) {
     case FaultKind::kWorkerCrash:
       return "fault.worker_crashes";
-    case FaultKind::kWorkerKill:
-      return "fault.worker_kills";
     case FaultKind::kMessageDrop:
       return "fault.message_drops";
     case FaultKind::kMessageCorrupt:
@@ -75,15 +73,6 @@ FaultInjector& FaultInjector::ScheduleMessageCorruption(int64_t epoch, int layer
   e.layer = layer;
   e.worker = dst_worker;
   e.failures = failures;
-  return Add(e);
-}
-
-FaultInjector& FaultInjector::ScheduleKill(int64_t epoch, uint32_t worker, int layer) {
-  FaultEvent e;
-  e.kind = FaultKind::kWorkerKill;
-  e.epoch = epoch;
-  e.worker = worker;
-  e.layer = layer;
   return Add(e);
 }
 
@@ -147,19 +136,6 @@ std::optional<CrashPlan> FaultInjector::NextCrash(int64_t epoch) {
   MutexLock lock(mutex_);
   for (Slot& slot : slots_) {
     if (slot.event.kind == FaultKind::kWorkerCrash && !slot.consumed &&
-        slot.event.epoch == epoch) {
-      slot.consumed = true;
-      RecordFired(slot);
-      return CrashPlan{slot.event.worker, slot.event.layer};
-    }
-  }
-  return std::nullopt;
-}
-
-std::optional<CrashPlan> FaultInjector::NextKill(int64_t epoch) {
-  MutexLock lock(mutex_);
-  for (Slot& slot : slots_) {
-    if (slot.event.kind == FaultKind::kWorkerKill && !slot.consumed &&
         slot.event.epoch == epoch) {
       slot.consumed = true;
       RecordFired(slot);

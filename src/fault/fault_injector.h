@@ -1,7 +1,8 @@
-// Deterministic fault injection for the simulated distributed runtime.
+// Deterministic fault injection for the distributed runtime and trainer, on
+// either backend.
 //
 // A FaultInjector holds an explicit schedule of fault events — worker crashes
-// at a chosen epoch/layer, dropped or corrupted modeled transfers, straggler
+// at a chosen epoch/layer, dropped or corrupted transfers, straggler
 // slowdown factors, checkpoint-file truncation — and the runtime/trainer query
 // it at well-defined points. Queries are deterministic: the same schedule (or
 // the same seed, for randomly generated schedules) always produces the same
@@ -35,11 +36,11 @@
 namespace flexgraph {
 
 enum class FaultKind {
+  // Worker W dies just before layer L's fan-out in epoch E (training epochs:
+  // just before the gradient sync). Both distributed backends serve it: the
+  // socket supervisor SIGKILLs W's process, the in-process runtime runs
+  // layer L without W's share and reports W dead.
   kWorkerCrash,
-  // Socket backend only: the supervisor genuinely SIGKILLs the live worker
-  // process mid-epoch; detection then happens through real heartbeat silence
-  // rather than the modeled timeline. One-shot like kWorkerCrash.
-  kWorkerKill,
   kMessageDrop,
   kMessageCorrupt,
   kStraggler,
@@ -54,7 +55,7 @@ struct FaultEvent {
   FaultKind kind = FaultKind::kWorkerCrash;
   int64_t epoch = 0;
   uint32_t worker = 0;  // crash/straggler victim; messages: receiving worker
-  int layer = 0;        // crash: layer the worker dies in; messages: affected layer
+  int layer = 0;        // crash: layer whose fan-out the worker misses; messages: affected layer
   int failures = 1;     // messages: failed delivery attempts before success
   double factor = 1.0;  // straggler compute-slowdown multiplier (>= 1)
 };
@@ -76,8 +77,6 @@ class FaultInjector {
                                      int failures = 1) FLEX_EXCLUDES(mutex_);
   FaultInjector& ScheduleMessageCorruption(int64_t epoch, int layer, uint32_t dst_worker,
                                            int failures = 1) FLEX_EXCLUDES(mutex_);
-  FaultInjector& ScheduleKill(int64_t epoch, uint32_t worker, int layer = 0)
-      FLEX_EXCLUDES(mutex_);
   FaultInjector& ScheduleStraggler(int64_t epoch, uint32_t worker, double factor)
       FLEX_EXCLUDES(mutex_);
   FaultInjector& ScheduleCheckpointTruncation(int64_t epoch) FLEX_EXCLUDES(mutex_);
@@ -91,11 +90,9 @@ class FaultInjector {
   // ---- Queries (called by the runtime/trainer at injection points) ----
 
   // First unconsumed crash scheduled for `epoch`, if any. Consumes it.
+  // The runtime queries it once per RunEpoch, the trainer once per gradient
+  // sync, whatever the backend.
   std::optional<CrashPlan> NextCrash(int64_t epoch) FLEX_EXCLUDES(mutex_);
-
-  // First unconsumed real-kill scheduled for `epoch`, if any. Consumes it.
-  // Queried by the socket supervisor; the modeled runtime never kills.
-  std::optional<CrashPlan> NextKill(int64_t epoch) FLEX_EXCLUDES(mutex_);
 
   // Total failed delivery attempts charged to the transfer arriving at
   // `dst_worker` in (epoch, layer). Sums drop + corruption events (corruption

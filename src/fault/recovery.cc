@@ -22,16 +22,18 @@ MigrationResult MigrateRoots(Partitioning& parts, uint32_t dead) {
       continue;
     }
     // Least-loaded survivor; lowest id wins ties so migration is
-    // deterministic.
+    // deterministic. A part that owns nothing is not a survivor: an earlier
+    // death emptied it.
     uint32_t target = parts.num_parts;
     for (uint32_t p = 0; p < parts.num_parts; ++p) {
-      if (p == dead) {
+      if (p == dead || load[p] == 0) {
         continue;
       }
       if (target == parts.num_parts || load[p] < load[target]) {
         target = p;
       }
     }
+    FLEX_CHECK_MSG(target < parts.num_parts, "cannot migrate: no surviving worker");
     parts.owner[v] = target;
     ++load[target];
     --load[dead];

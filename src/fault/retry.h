@@ -1,13 +1,13 @@
-// Retry/backoff arithmetic for modeled transfers and crash detection.
+// Retry/backoff arithmetic for transfer faults and crash detection.
 //
-// The simulated network never actually loses data — a fault event marks a
-// transfer as failed, and the RetryPolicy prices what a real runtime would
-// pay for it: each failed attempt burns the receive timeout, then the sender
-// waits an exponentially growing backoff before retransmitting. The total
-// penalty is charged to the epoch makespan (the successful transfer itself is
-// already part of the modeled comm time). Crash detection is priced the same
-// way: one missed-heartbeat timeout plus the first backoff before the
-// coordinator starts recovery.
+// A scheduled drop or corruption never actually loses data — the payload is
+// held in process, or has already landed on sockets — so the RetryPolicy
+// prices what a real runtime would pay for it: each failed attempt burns the
+// receive timeout, then the sender waits an exponentially growing backoff
+// before retransmitting. The total penalty is charged to the comm time (the
+// successful transfer itself is already part of it). Crash detection is the
+// same sum: one missed-heartbeat timeout plus the first backoff, priced in
+// process and used as the heartbeat-silence threshold on sockets.
 #ifndef SRC_FAULT_RETRY_H_
 #define SRC_FAULT_RETRY_H_
 
@@ -24,10 +24,10 @@ struct RetryPolicy {
   // min(base * multiplier^attempt, max).
   double BackoffSeconds(int attempt) const;
 
-  // Modeled wall-clock cost of `failures` failed attempts before the
+  // Priced wall-clock cost of `failures` failed attempts before the
   // eventual success: sum of (timeout + backoff(i)) for i in [0, failures).
   // Throws CheckError when failures leaves no attempt for the success —
-  // the modeled runtime's unrecoverable-transfer condition.
+  // the unrecoverable-transfer condition.
   double PenaltySeconds(int failures) const;
 
   // Time for the cluster to notice a dead worker and begin recovery: one

@@ -118,6 +118,21 @@ TEST(DistRuntimeTest, MagnnDistributedMatchesSingleMachine) {
   EXPECT_TRUE(AllClose(single, distributed, 1e-3f));
 }
 
+// Σ over the in-process workers of the raw rows each would receive in one
+// epoch: every layer ships its input dimension.
+double RawBytesPerEpoch(const DistributedRuntime& runtime, const std::vector<int64_t>& dims) {
+  double bytes = 0.0;
+  for (const WorkerState& worker : runtime.workers()) {
+    if (worker.roots.empty()) {
+      continue;
+    }
+    for (const int64_t d : dims) {
+      bytes += static_cast<double>(worker.plan.RawBytesIn(d));
+    }
+  }
+  return bytes;
+}
+
 TEST(DistRuntimeTest, PipelineDoesNotChangeResults) {
   Dataset ds = MakeRedditLike(0.05, 3);
   Rng model_rng(17);
@@ -126,27 +141,22 @@ TEST(DistRuntimeTest, PipelineDoesNotChangeResults) {
   config.num_classes = ds.num_classes;
   GnnModel model = MakeGcnModel(config, model_rng);
 
-  DistConfig with_pp;
-  with_pp.pipeline = true;
-  DistConfig without_pp;
-  without_pp.pipeline = false;
-
+  Engine engine(ds.graph);
   Rng rng1(5);
-  Rng rng2(5);
-  Tensor out_pp;
-  Tensor out_raw;
-  DistributedRuntime rt1(ds.graph, HashPartition(ds.graph.num_vertices(), 4), with_pp);
-  DistributedRuntime rt2(ds.graph, HashPartition(ds.graph.num_vertices(), 4), without_pp);
-  DistEpochStats s1 = rt1.RunEpoch(model, ds.features, rng1, &out_pp);
-  DistEpochStats s2 = rt2.RunEpoch(model, ds.features, rng2, &out_raw);
+  StageTimes times;
+  Tensor single = engine.Infer(model, ds.features, rng1, &times);
 
-  EXPECT_TRUE(AllClose(out_pp, out_raw, 1e-4f));
-  // Both modes moved data, and adaptive pipelining never ships more bytes
-  // than raw synchronization (it falls back to batched raw messages when
-  // assembled partials would be larger — paper §5).
-  EXPECT_GT(s1.comm_bytes_total, 0.0);
-  EXPECT_GT(s2.comm_bytes_total, 0.0);
-  EXPECT_LE(s1.comm_bytes_total, s2.comm_bytes_total);
+  DistributedRuntime runtime(ds.graph, HashPartition(ds.graph.num_vertices(), 4), DistConfig{});
+  Rng rng2(5);
+  Tensor pipelined;
+  DistEpochStats stats = runtime.RunEpoch(model, ds.features, rng2, &pipelined);
+
+  EXPECT_TRUE(AllClose(single, pipelined, 1e-4f));
+  // The epoch moved data, and adaptive pipelining never ships more bytes
+  // than raw synchronization would (it falls back to batched raw messages
+  // when assembled partials would be larger — paper §5).
+  EXPECT_GT(stats.comm_bytes_total, 0.0);
+  EXPECT_LE(stats.comm_bytes_total, RawBytesPerEpoch(runtime, {config.in_dim, config.hidden_dim}));
 }
 
 TEST(DistRuntimeTest, SingleWorkerHasNoCommunication) {
@@ -204,15 +214,10 @@ TEST(DistRuntimeTest, NonCommutativeModelMatchesSingleMachine) {
   Tensor distributed;
   DistEpochStats stats = runtime.RunEpoch(model, ds.features, rng2, &distributed);
   EXPECT_TRUE(AllClose(single, distributed, 1e-3f));
-  // Non-commutative ⇒ pipelined mode must have shipped raw bytes (the
-  // fallback), identical to the raw accounting.
-  DistConfig raw_config;
-  raw_config.pipeline = false;
-  DistributedRuntime raw_runtime(ds.graph, HashPartition(ds.graph.num_vertices(), 4),
-                                 raw_config);
-  Rng rng3(5);
-  DistEpochStats raw_stats = raw_runtime.RunEpoch(model, ds.features, rng3, nullptr);
-  EXPECT_DOUBLE_EQ(stats.comm_bytes_total, raw_stats.comm_bytes_total);
+  // Non-commutative ⇒ the pipelined epoch must have shipped raw bytes (the
+  // fallback), exactly the raw rows every worker's comm plan asks for.
+  EXPECT_DOUBLE_EQ(stats.comm_bytes_total,
+                   RawBytesPerEpoch(runtime, {config.in_dim, config.hidden_dim}));
 }
 
 TEST(DistRuntimeTest, BothTimelinesReportedFromOneEpoch) {
@@ -227,26 +232,8 @@ TEST(DistRuntimeTest, BothTimelinesReportedFromOneEpoch) {
   DistEpochStats stats = runtime.RunEpoch(model, ds.features, rng, nullptr);
   EXPECT_GT(stats.aggregation_seconds_pipelined, 0.0);
   EXPECT_GT(stats.aggregation_seconds_raw, 0.0);
-  // The config selected pipelined mode, so the reported stage time is the
-  // pipelined timeline.
+  // The reported stage time is the pipelined timeline.
   EXPECT_DOUBLE_EQ(stats.aggregation_seconds, stats.aggregation_seconds_pipelined);
-}
-
-TEST(DistRuntimeTest, RawPerWorkerTimesWhenPoolingDisabled) {
-  Dataset ds = MakeRedditLike(0.05, 3);
-  Rng model_rng(35);
-  GcnConfig config;
-  config.in_dim = ds.feature_dim();
-  config.num_classes = ds.num_classes;
-  GnnModel model = MakeGcnModel(config, model_rng);
-  DistConfig raw_rates;
-  raw_rates.uniform_compute_rates = false;
-  DistributedRuntime runtime(ds.graph, HashPartition(ds.graph.num_vertices(), 2), raw_rates);
-  Rng rng(5);
-  Tensor out;
-  DistEpochStats stats = runtime.RunEpoch(model, ds.features, rng, &out);
-  EXPECT_GT(stats.makespan_seconds, 0.0);
-  EXPECT_EQ(out.rows(), static_cast<int64_t>(ds.graph.num_vertices()));
 }
 
 TEST(DistTrainerTest, MatchesSingleMachineTrajectory) {

@@ -20,6 +20,7 @@
 #include "src/models/gcn.h"
 #include "src/obs/metrics.h"
 #include "src/tensor/ops_dense.h"
+#include "tests/test_util.h"
 
 namespace flexgraph {
 namespace {
@@ -98,6 +99,19 @@ TEST(MigrateRootsTest, DeterministicAcrossRuns) {
     return parts.owner;
   };
   EXPECT_EQ(run(), run());
+}
+
+TEST(MigrateRootsTest, SecondDeathNeverMigratesOntoTheFirst) {
+  // The first death leaves its part empty, so that part is the least loaded;
+  // the second death's roots must still go to a part that is alive.
+  Partitioning parts;
+  parts.num_parts = 3;
+  parts.owner = {0, 1, 2, 0, 1, 2};
+  MigrateRoots(parts, 2);
+  MigrateRoots(parts, 1);
+  for (uint32_t owner : parts.owner) {
+    EXPECT_EQ(owner, 0u);
+  }
 }
 
 TEST(MigrateRootsTest, SingleWorkerClusterThrows) {
@@ -269,6 +283,19 @@ TEST(RuntimeRecoveryTest, CrashRecoveryProducesBitIdenticalLogits) {
   }
 }
 
+TEST(RuntimeRecoveryTest, CrashAtMissingLayerIsRejected) {
+  // A crash before a layer the model does not have would fire and kill
+  // nobody; the runtime refuses it instead.
+  FaultFixture fx;
+  FaultInjector injector;
+  injector.ScheduleCrash(/*epoch=*/0, /*worker=*/1, /*layer=*/7);
+  DistConfig config;
+  config.fault = &injector;
+  DistributedRuntime runtime(fx.ds.graph, HashPartition(fx.ds.graph.num_vertices(), 4),
+                             config);
+  EXPECT_THROW(fx.RunEpochs(runtime, 1, /*seed=*/5), CheckError);
+}
+
 TEST(RuntimeRecoveryTest, MessageFaultsPriceRetriesWithoutChangingResults) {
   FaultFixture fx;
   DistributedRuntime clean(fx.ds.graph, HashPartition(fx.ds.graph.num_vertices(), 4),
@@ -351,59 +378,76 @@ TEST(TrainerRecoveryTest, CrashRecoveryKeepsLossTrajectoryBitIdentical) {
   EXPECT_EQ(faulty_results[0].crashes_recovered, 0);
 }
 
-// ------------------------------------------------- socket backend real kills
+// ------------------------------------------- one recovery protocol, two backends
 
+// A scheduled crash is one event both backends serve: the socket supervisor
+// SIGKILLs the victim's process, the in-process runtime runs the crash layer
+// without the victim's share. The same recovery follows.
 TEST(SocketRecoveryTest, RealKillRecoveryProducesBitIdenticalLogits) {
   // Genuine fault tolerance, not simulation: a worker PROCESS is SIGKILLed
   // mid-epoch, the supervisor notices only through heartbeat silence, migrates
   // the dead worker's roots onto survivors, and re-executes the epoch — and
-  // the logits still match a fault-free MODELED run bit for bit.
+  // the logits still match a fault-free run bit for bit, as does the modeled
+  // backend serving the same crash.
   FaultFixture fx;
   const uint32_t kWorkers = 4;
 
   DistributedRuntime clean(fx.ds.graph,
                            HashPartition(fx.ds.graph.num_vertices(), kWorkers),
                            DistConfig{});
-  Tensor clean_logits = fx.RunEpochs(clean, 3, /*seed=*/5);
+  const Tensor clean_logits = fx.RunEpochs(clean, 3, /*seed=*/5);
 
-  FaultInjector injector;
-  injector.ScheduleKill(/*epoch=*/1, /*worker=*/2, /*layer=*/1);
-  injector.ScheduleStraggler(/*epoch=*/2, /*worker=*/1, /*factor=*/50.0);
-  DistConfig config;
-  config.backend = DistBackend::kSocket;
-  config.fault = &injector;
-  DistributedRuntime faulty(fx.ds.graph,
-                            HashPartition(fx.ds.graph.num_vertices(), kWorkers), config);
-  std::vector<DistEpochStats> stats;
-  Tensor faulty_logits = fx.RunEpochs(faulty, 3, /*seed=*/5, &stats);
+  std::vector<Partitioning> final_parts;
+  std::vector<int64_t> migrated;
+  for (const DistBackend backend : {DistBackend::kModeled, DistBackend::kSocket}) {
+    SCOPED_TRACE(DistBackendName(backend));
+    FaultInjector injector;
+    injector.ScheduleCrash(/*epoch=*/1, /*worker=*/2, /*layer=*/1);
+    injector.ScheduleStraggler(/*epoch=*/2, /*worker=*/1, /*factor=*/50.0);
+    DistConfig config;
+    config.backend = backend;
+    config.fault = &injector;
+    DistributedRuntime faulty(fx.ds.graph,
+                              HashPartition(fx.ds.graph.num_vertices(), kWorkers), config);
+    std::vector<DistEpochStats> stats;
+    const Tensor faulty_logits = fx.RunEpochs(faulty, 3, /*seed=*/5, &stats);
 
-  EXPECT_TRUE(AllClose(clean_logits, faulty_logits, 0.0f));
-
-  // The kill fired for real and the recovery accounting landed on its epoch.
-  EXPECT_EQ(injector.fired_count(FaultKind::kWorkerKill), 1);
-  EXPECT_EQ(stats[1].crashes_recovered, 1);
-  EXPECT_GT(stats[1].detection_seconds, 0.0);
-  EXPECT_GT(stats[1].roots_migrated, 0);
-  EXPECT_EQ(stats[0].crashes_recovered, 0);
-  EXPECT_EQ(stats[2].crashes_recovered, 0);
-  // The dead process stays dead: every vertex is owned by a survivor.
-  for (uint32_t owner : faulty.partitioning().owner) {
-    EXPECT_NE(owner, 2u);
+    EXPECT_TRUE(BitwiseEqual(clean_logits, faulty_logits));
+    // The crash fired and the recovery accounting landed on its epoch only.
+    EXPECT_EQ(injector.fired_count(FaultKind::kWorkerCrash), 1);
+    EXPECT_EQ(stats[0].crashes_recovered, 0);
+    EXPECT_EQ(stats[1].crashes_recovered, 1);
+    EXPECT_EQ(stats[2].crashes_recovered, 0);
+    EXPECT_GT(stats[1].detection_seconds, 0.0);
+    EXPECT_GT(stats[1].roots_migrated, 0);
+    // The dead worker stays dead: every vertex is owned by a survivor.
+    for (uint32_t owner : faulty.partitioning().owner) {
+      EXPECT_NE(owner, 2u);
+    }
+    // The straggler schedule rode along on the epoch after recovery.
+    EXPECT_EQ(injector.fired_count(FaultKind::kStraggler), 1);
+    final_parts.push_back(faulty.partitioning());
+    migrated.push_back(stats[1].roots_migrated);
   }
-  // The straggler schedule rode along on the epoch after recovery.
-  EXPECT_EQ(injector.fired_count(FaultKind::kStraggler), 1);
+  EXPECT_EQ(migrated[0], migrated[1]);
+  EXPECT_EQ(final_parts[0].owner, final_parts[1].owner);
 }
 
 TEST(SocketRecoveryTest, TrainerRealKillKeepsLossTrajectoryBitIdentical) {
-  // A replica process SIGKILLed right before the gradient broadcast: the
-  // supervisor's CRC-ack collection detects the silence, migrates the dead
-  // replica's roots, and training continues — with a loss trajectory bitwise
-  // identical to a fault-free modeled run (the canonical union loss does not
-  // depend on the partitioning, so losing a replica never moves the math).
+  // A worker killed right before the gradient broadcast — a replica process
+  // SIGKILLed on sockets — is detected at the sync, its roots migrate, and
+  // the epoch commits on both backends, with a loss trajectory bitwise
+  // identical to a fault-free run (the canonical union loss does not depend
+  // on the partitioning, so losing a worker never moves the math).
   FaultFixture fx;
   const uint32_t kWorkers = 4;
   const int kEpochs = 4;
 
+  struct Run {
+    std::vector<float> losses;
+    std::vector<DistTrainEpochResult> results;
+    Partitioning parts;
+  };
   auto run = [&](DistBackend backend, FaultInjector* injector) {
     Rng model_rng(11);
     GcnConfig config;
@@ -417,31 +461,78 @@ TEST(SocketRecoveryTest, TrainerRealKillKeepsLossTrajectoryBitIdentical) {
                                HashPartition(fx.ds.graph.num_vertices(), kWorkers),
                                train_config);
     Rng rng(5);
-    std::vector<float> losses;
-    std::vector<DistTrainEpochResult> results;
+    Run out;
     for (int e = 0; e < kEpochs; ++e) {
       DistTrainEpochResult r = trainer.TrainEpoch(model, fx.ds.features, fx.ds.labels, rng);
-      losses.push_back(r.loss);
-      results.push_back(r);
+      out.losses.push_back(r.loss);
+      out.results.push_back(r);
     }
-    return std::make_pair(losses, results);
+    out.parts = trainer.partitioning();
+    return out;
   };
 
-  auto [clean_losses, clean_results] = run(DistBackend::kModeled, nullptr);
-
-  FaultInjector injector;
-  injector.ScheduleKill(/*epoch=*/2, /*worker=*/1);
-  auto [faulty_losses, faulty_results] = run(DistBackend::kSocket, &injector);
-
-  ASSERT_EQ(clean_losses.size(), faulty_losses.size());
-  for (int e = 0; e < kEpochs; ++e) {
-    EXPECT_EQ(clean_losses[e], faulty_losses[e]) << "loss diverged at epoch " << e;
+  const Run clean = run(DistBackend::kModeled, nullptr);
+  std::vector<Run> faulty;
+  for (const DistBackend backend : {DistBackend::kModeled, DistBackend::kSocket}) {
+    SCOPED_TRACE(DistBackendName(backend));
+    FaultInjector injector;
+    injector.ScheduleCrash(/*epoch=*/2, /*worker=*/1);
+    faulty.push_back(run(backend, &injector));
+    const Run& r = faulty.back();
+    for (int e = 0; e < kEpochs; ++e) {
+      EXPECT_EQ(clean.losses[e], r.losses[e]) << "loss diverged at epoch " << e;
+      EXPECT_EQ(r.results[e].crashes_recovered, e == 2 ? 1 : 0) << "epoch " << e;
+    }
+    EXPECT_EQ(injector.fired_count(FaultKind::kWorkerCrash), 1);
+    EXPECT_GT(r.results[2].recovery_seconds, 0.0);
+    EXPECT_GT(r.results[2].roots_migrated, 0);
   }
-  EXPECT_EQ(injector.fired_count(FaultKind::kWorkerKill), 1);
-  EXPECT_EQ(faulty_results[2].crashes_recovered, 1);
-  EXPECT_GT(faulty_results[2].recovery_seconds, 0.0);
-  EXPECT_EQ(faulty_results[0].crashes_recovered, 0);
-  EXPECT_EQ(faulty_results[3].crashes_recovered, 0);
+  EXPECT_EQ(faulty[0].results[2].roots_migrated, faulty[1].results[2].roots_migrated);
+  EXPECT_EQ(faulty[0].parts.owner, faulty[1].parts.owner);
+}
+
+TEST(SocketRecoveryTest, EveryScheduledFaultFiresOnBothBackends) {
+  // A crash, a drop, a corruption and a straggler in one schedule: each
+  // backend fires every event, in the same order, prices the same retries,
+  // and still computes the fault-free logits.
+  FaultFixture fx;
+  const uint32_t kWorkers = 4;
+  DistributedRuntime clean(fx.ds.graph,
+                           HashPartition(fx.ds.graph.num_vertices(), kWorkers),
+                           DistConfig{});
+  const Tensor clean_logits = fx.RunEpochs(clean, 3, /*seed=*/5);
+
+  std::vector<std::vector<FaultEvent>> fired;
+  std::vector<int64_t> retries;
+  for (const DistBackend backend : {DistBackend::kModeled, DistBackend::kSocket}) {
+    SCOPED_TRACE(DistBackendName(backend));
+    FaultInjector injector;
+    injector.ScheduleCrash(/*epoch=*/1, /*worker=*/2, /*layer=*/1)
+        .ScheduleMessageDrop(/*epoch=*/0, /*layer=*/1, /*dst_worker=*/3, /*failures=*/2)
+        .ScheduleMessageCorruption(/*epoch=*/2, /*layer=*/0, /*dst_worker=*/1)
+        .ScheduleStraggler(/*epoch=*/2, /*worker=*/0, /*factor=*/4.0);
+    DistConfig config;
+    config.backend = backend;
+    config.fault = &injector;
+    DistributedRuntime faulty(fx.ds.graph,
+                              HashPartition(fx.ds.graph.num_vertices(), kWorkers), config);
+    std::vector<DistEpochStats> stats;
+    EXPECT_TRUE(BitwiseEqual(clean_logits, fx.RunEpochs(faulty, 3, /*seed=*/5, &stats)));
+    EXPECT_EQ(injector.fired().size(), injector.schedule().size());
+    EXPECT_EQ(stats[0].transfer_retries, 2);
+    EXPECT_GT(stats[0].retry_wait_seconds, 0.0);
+    EXPECT_EQ(stats[2].transfer_retries, 1);
+    fired.push_back(injector.fired());
+    retries.push_back(stats[0].transfer_retries + stats[1].transfer_retries +
+                      stats[2].transfer_retries);
+  }
+  ASSERT_EQ(fired[0].size(), fired[1].size());
+  for (std::size_t i = 0; i < fired[0].size(); ++i) {
+    EXPECT_EQ(fired[0][i].kind, fired[1][i].kind) << "event " << i;
+    EXPECT_EQ(fired[0][i].epoch, fired[1][i].epoch) << "event " << i;
+    EXPECT_EQ(fired[0][i].worker, fired[1][i].worker) << "event " << i;
+  }
+  EXPECT_EQ(retries[0], retries[1]);
 }
 
 // ------------------------------------------------- rotating checkpoints

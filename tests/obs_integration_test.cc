@@ -59,9 +59,7 @@ TEST(ObsIntegrationTest, SimulatedDistributedEpochPopulatesCommMetrics) {
   Dataset ds = SmallDataset();
   Rng rng(3);
   GnnModel model = SmallGcn(ds, rng);
-  DistConfig config;
-  config.pipeline = true;
-  DistributedRuntime runtime(ds.graph, HashPartition(ds.graph.num_vertices(), 4), config);
+  DistributedRuntime runtime(ds.graph, HashPartition(ds.graph.num_vertices(), 4), DistConfig{});
   DistEpochStats stats = runtime.RunEpoch(model, ds.features, rng, nullptr);
 
   const obs::MetricsSnapshot snap = obs::MetricRegistry::Get().Snapshot();
@@ -78,21 +76,6 @@ TEST(ObsIntegrationTest, SimulatedDistributedEpochPopulatesCommMetrics) {
   // The per-epoch stats mirror what went into the registry.
   EXPECT_GT(stats.comm_bytes_total, 0u);
   EXPECT_GE(stats.pipeline_overlap_seconds, 0.0);
-}
-
-TEST(ObsIntegrationTest, NonPipelinedEpochRecordsSerializeInsteadOfOverlap) {
-  obs::MetricRegistry::Get().Reset();
-  Dataset ds = SmallDataset();
-  Rng rng(3);
-  GnnModel model = SmallGcn(ds, rng);
-  DistConfig config;
-  config.pipeline = false;
-  DistributedRuntime runtime(ds.graph, HashPartition(ds.graph.num_vertices(), 4), config);
-  runtime.RunEpoch(model, ds.features, rng, nullptr);
-
-  const obs::MetricsSnapshot snap = obs::MetricRegistry::Get().Snapshot();
-  EXPECT_GT(HistCount(snap, "dist.serialize_seconds"), 0u);
-  EXPECT_EQ(HistCount(snap, "pipeline.overlap_seconds"), 0u);
 }
 
 }  // namespace

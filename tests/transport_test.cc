@@ -275,7 +275,7 @@ TEST(SocketTransportTest, ConnectBackoffGivesUpCleanly) {
 }
 
 TEST(SocketTransportTest, NeverContactedWorkerReadsAsForeverSilent) {
-  SocketTransport transport{NetworkModel{}};
+  SocketTransport transport;
   EXPECT_GT(transport.SecondsSinceContact(0), 1e9);
   EXPECT_FALSE(transport.connected(0));
 }

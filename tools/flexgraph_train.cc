@@ -12,7 +12,6 @@
 //                   [--keep-checkpoints n]
 //                   [--inject-crash E:W[:L]] [--inject-straggler E:W:F]
 //                   [--inject-drop E:L:W[:N]] [--inject-corrupt-ckpt E]
-//                   [--inject-kill E:W[:L]]
 //                   [--seed 7]
 //                   [--metrics-json path] [--metrics-csv path] [--trace path]
 //                   [--metrics-every n] [--verify-plan] [--profile]
@@ -28,10 +27,8 @@
 // partial aggregations and gradients over Unix-domain sockets. Both backends
 // print the same parity surface — a `logits crc32 0x…` line after the forward
 // epochs and a `final loss …` line after training — which must match bitwise
-// between the two (CI's multi-process smoke job diffs them). --inject-kill
-// SIGKILLs worker W for real at epoch E (before layer L) on the socket
-// backend; the supervisor detects the silence via heartbeat timeout, migrates
-// the dead worker's roots, and re-executes the epoch.
+// between the two (CI's multi-process smoke job diffs them), fault-free or
+// not.
 //
 // Checkpointing: --checkpoint writes one file every epoch (hardened format:
 // atomic rename + CRC32). --checkpoint-dir keeps a rotation of the newest
@@ -41,12 +38,16 @@
 // --checkpoint-dir).
 //
 // Fault injection (README.md "Fault tolerance"): deterministic fault events
-// for recovery experiments. --inject-crash kills a worker at epoch E (layer L)
-// and exercises crash recovery; --inject-straggler multiplies worker W's
-// compute by factor F at epoch E; --inject-drop forces N failed delivery
-// attempts of the layer-L transfer into worker W at epoch E (priced as
-// timeout + backoff retries); --inject-corrupt-ckpt truncates the rotating
-// checkpoint written at epoch E so resume exercises the valid-file fallback.
+// for recovery experiments, served the same way by both backends.
+// --inject-crash kills worker W just before layer L's fan-out in epoch E
+// (and just before the gradient sync of training epoch E) — a real SIGKILL
+// on the socket backend — and exercises crash recovery: detection, root
+// migration, and a re-run of the forward epoch; --inject-straggler
+// multiplies worker W's compute by factor F at epoch E; --inject-drop forces
+// N failed delivery attempts of the layer-L transfer into worker W at epoch E
+// (priced as timeout + backoff retries); --inject-corrupt-ckpt truncates the
+// rotating checkpoint written at epoch E so resume exercises the valid-file
+// fallback.
 //
 // Threading: --threads sets the kernel thread count (FLEXGRAPH_NUM_THREADS is
 // the env fallback; hardware concurrency otherwise). Kernel results are
@@ -119,7 +120,6 @@ struct CliOptions {
   std::vector<std::string> inject_straggler;
   std::vector<std::string> inject_drop;
   std::vector<std::string> inject_corrupt_ckpt;
-  std::vector<std::string> inject_kill;
   uint64_t seed = 7;
   std::string metrics_json;
   std::string metrics_csv;
@@ -131,10 +131,12 @@ struct CliOptions {
 
 // Prints the per-stage breakdown (Table 4 shape) from the metric registry:
 // every stage histogram's total seconds and its share of the instrumented
-// stage time. `distributed` (--workers > 1) relabels the arena rows: there
-// they come from the RunEpoch worker arenas, while DistributedTrainer's
-// TrainEpoch computes on the heap and is reported on its own row.
-void PrintStageBreakdown(bool distributed) {
+// stage time. A distributed run (--workers > 1) relabels the arena rows:
+// they come from the RunEpoch worker arenas — on the socket backend those
+// live in the worker processes and are not measured here — while
+// DistributedTrainer's TrainEpoch computes on the heap and is reported on
+// its own row.
+void PrintStageBreakdown(const CliOptions& opts) {
   const obs::MetricsSnapshot snap = obs::MetricRegistry::Get().Snapshot();
   struct StageRow {
     const char* label;
@@ -151,7 +153,6 @@ void PrintStageBreakdown(bool distributed) {
       {"Dist: update", "dist.worker_update_seconds"},
       {"Dist: comm", "dist.comm_seconds"},
       {"Dist: merge", "dist.merge_seconds"},
-      {"Dist: serialize", "dist.serialize_seconds"},
       {"Pipeline overlap", "pipeline.overlap_seconds"},
       {"Fault: recovery", "fault.recovery_seconds"},
       {"Fault: retry wait", "fault.retry_wait_seconds"},
@@ -222,12 +223,16 @@ void PrintStageBreakdown(bool distributed) {
       {"arena planned KiB", TablePrinter::Num(gauge("exec.planned_bytes") / 1024.0, 1)});
   exec_table.AddRow({"arena reserved KiB",
                      TablePrinter::Num(gauge("exec.arena_reserved_bytes") / 1024.0, 1)});
+  const bool distributed = opts.workers > 1;
+  const bool measured = !distributed || opts.backend != "socket";
   const std::string arena_owner = distributed ? "RunEpoch worker " : "";
+  const std::string not_measured = "not measured (worker processes)";
   exec_table.AddRow({arena_owner + "arena high-water KiB",
-                     TablePrinter::Num(gauge("exec.arena_high_water_bytes") / 1024.0, 1)});
+                     measured ? TablePrinter::Num(gauge("exec.arena_high_water_bytes") / 1024.0, 1)
+                              : not_measured});
   exec_table.AddRow({"arena growths", std::to_string(counter("exec.arena_grow"))});
-  exec_table.AddRow(
-      {arena_owner + "kernel heap allocs", std::to_string(counter("exec.alloc_count"))});
+  exec_table.AddRow({arena_owner + "kernel heap allocs",
+                     measured ? std::to_string(counter("exec.alloc_count")) : not_measured});
   if (distributed) {
     exec_table.AddRow({"TrainEpoch heap allocs (no arena)",
                        std::to_string(counter("dist.trainer_heap_allocs"))});
@@ -361,8 +366,6 @@ bool ParseArgs(int argc, char** argv, CliOptions& opts) {
       opts.inject_drop.push_back(value);
     } else if (arg == "--inject-corrupt-ckpt" && (value = next())) {
       opts.inject_corrupt_ckpt.push_back(value);
-    } else if (arg == "--inject-kill" && (value = next())) {
-      opts.inject_kill.push_back(value);
     } else if (arg == "--seed" && (value = next())) {
       opts.seed = static_cast<uint64_t>(std::atoll(value));
     } else if (arg == "--metrics-json" && (value = next())) {
@@ -511,14 +514,8 @@ bool BuildFaultSchedule(const CliOptions& opts, FaultInjector& injector) {
     const auto f = ParseSpec(spec, 1, 1, "--inject-corrupt-ckpt");  // E
     injector.ScheduleCheckpointTruncation(static_cast<int64_t>(f[0]));
   }
-  for (const std::string& spec : opts.inject_kill) {
-    const auto f = ParseSpec(spec, 2, 3, "--inject-kill");  // E:W[:L]
-    injector.ScheduleKill(static_cast<int64_t>(f[0]), static_cast<uint32_t>(f[1]),
-                          f.size() > 2 ? static_cast<int>(f[2]) : 0);
-  }
   return !opts.inject_crash.empty() || !opts.inject_straggler.empty() ||
-         !opts.inject_drop.empty() || !opts.inject_corrupt_ckpt.empty() ||
-         !opts.inject_kill.empty();
+         !opts.inject_drop.empty() || !opts.inject_corrupt_ckpt.empty();
 }
 
 // Resolves --resume into a concrete checkpoint file: a file path is used as
@@ -609,7 +606,7 @@ int RunSingleMachine(const CliOptions& opts, const Dataset& ds, GnnModel& model)
       std::printf("epoch %3d  loss %.4f  val_acc %.4f\n", epoch, loss, val_acc);
     }
     if (opts.metrics_every > 0 && (epoch + 1) % opts.metrics_every == 0) {
-      PrintStageBreakdown(/*distributed=*/false);
+      PrintStageBreakdown(opts);
     }
     if (!opts.checkpoint.empty()) {
       SaveCheckpoint(opts.checkpoint, model, start_epoch + epoch);
@@ -656,7 +653,6 @@ int RunDistributed(const CliOptions& opts, const Dataset& ds, GnnModel& model) {
   {
     DistConfig config;
     config.strategy = ParseStrategy(opts.strategy);
-    config.pipeline = true;
     config.backward_compute_factor = 1.0;
     config.backend = backend;
     if (have_faults) {
@@ -712,7 +708,7 @@ int RunDistributed(const CliOptions& opts, const Dataset& ds, GnnModel& model) {
                     stats.retry_wait_seconds);
       }
       if (opts.metrics_every > 0 && (epoch + 1) % opts.metrics_every == 0) {
-        PrintStageBreakdown(/*distributed=*/true);
+        PrintStageBreakdown(opts);
       }
     }
     if (config.fault != nullptr) {
@@ -769,7 +765,7 @@ int RunDistributed(const CliOptions& opts, const Dataset& ds, GnnModel& model) {
 // the final stage table. Called once, after the selected run mode returns.
 // Returns false if any requested export file could not be written.
 bool FinishObservability(const CliOptions& opts) {
-  PrintStageBreakdown(/*distributed=*/opts.workers > 1);
+  PrintStageBreakdown(opts);
   bool ok = true;
   if (!opts.metrics_json.empty()) {
     if (obs::MetricRegistry::Get().WriteJsonFile(opts.metrics_json)) {
@@ -816,7 +812,6 @@ int main(int argc, char** argv) {
                  "                       [--keep-checkpoints N] [--seed N]\n"
                  "                       [--inject-crash E:W[:L]] [--inject-straggler E:W:F]\n"
                  "                       [--inject-drop E:L:W[:N]] [--inject-corrupt-ckpt E]\n"
-                 "                       [--inject-kill E:W[:L]]\n"
                  "                       [--metrics-json PATH] [--metrics-csv PATH]\n"
                  "                       [--trace PATH] [--metrics-every N]\n"
                  "                       [--verify-plan] [--profile] [--fuse on|off]\n");
